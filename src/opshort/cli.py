@@ -13,14 +13,13 @@ Exit codes
 
 Every JSON payload embeds the tolerance policy and the tool version.  All
 output is deterministic: the same command on the same inputs produces the
-same bytes.
+same bytes at the same BLAS thread count.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -378,9 +377,7 @@ def _cmd_lab_sweep(args, tol: Tol) -> int:
     dims = None
     if args.dims:
         dims = [int(part) for part in args.dims.split(",") if part.strip()]
-    workers_raw = os.environ.get("OPSHORT_THREADS", "1")
-    workers = int(workers_raw) if workers_raw.strip() else 1
-    rows = divergence_sweep(dims, tol, max_workers=workers)
+    rows = divergence_sweep(dims, tol)
     _emit_text(sweep_to_csv(rows), args.csv or args.out)
     return 0
 

@@ -19,7 +19,6 @@ from .numkit import (
     _compact_svd,
     as_matrix,
     opnorm,
-    range_projector,
 )
 
 __all__ = ["RangeInclusion", "ReducedSolution", "range_included", "reduced_solution"]
@@ -57,6 +56,33 @@ class ReducedSolution:
     borderline: bool
 
 
+def _operands(a, c):
+    am = as_matrix(a, "A")
+    cm = as_matrix(c, "C")
+    if am.shape[0] != cm.shape[0]:
+        raise ShapeMismatch(
+            f"A has {am.shape[0]} rows but C has {cm.shape[0]}"
+        )
+    return am, cm
+
+
+def _inclusion(ur: np.ndarray, cm: np.ndarray, tol: Tol):
+    """The one margin rule behind every range-inclusion verdict.
+
+    ``ur`` is the compact left singular factor of A above the rank cutoff,
+    so it spans R(A); the margin is ||C - U_r (U_r* C)|| / max(||C||, 1).
+    Returns the verdict and U_r* C, which a solve reuses.
+    """
+    uc = ur.conj().T @ cm
+    margin = opnorm(cm - ur @ uc) / max(opnorm(cm), 1.0)
+    verdict = RangeInclusion(
+        included=margin <= tol.residual_rel,
+        margin=margin,
+        borderline=tol.residual_rel / 10.0 <= margin <= tol.residual_rel * 10.0,
+    )
+    return verdict, uc
+
+
 def range_included(a, c, tol: Tol = DEFAULT_TOL) -> RangeInclusion:
     """Test whether the columns of C lie in the numerical range of A.
 
@@ -72,17 +98,9 @@ def range_included(a, c, tol: Tol = DEFAULT_TOL) -> RangeInclusion:
     ShapeMismatch
         If A and C have different row counts.
     """
-    am = as_matrix(a, "A")
-    cm = as_matrix(c, "C")
-    if am.shape[0] != cm.shape[0]:
-        raise ShapeMismatch(
-            f"A has {am.shape[0]} rows but C has {cm.shape[0]}"
-        )
-    p = range_projector(am, tol)
-    margin = opnorm(cm - p @ cm) / max(opnorm(cm), 1.0)
-    included = margin <= tol.residual_rel
-    borderline = tol.residual_rel / 10.0 <= margin <= tol.residual_rel * 10.0
-    return RangeInclusion(included=included, margin=margin, borderline=borderline)
+    am, cm = _operands(a, c)
+    u, _, _, r = _compact_svd(am, tol)
+    return _inclusion(u[:, :r], cm, tol)[0]
 
 
 def reduced_solution(a, c, tol: Tol = DEFAULT_TOL) -> ReducedSolution:
@@ -106,24 +124,15 @@ def reduced_solution(a, c, tol: Tol = DEFAULT_TOL) -> ReducedSolution:
         carries the margin, the borderline flag, the least-squares candidate
         D, and the candidate's residual, so nothing is lost on failure.
     """
-    am = as_matrix(a, "A")
-    cm = as_matrix(c, "C")
-    if am.shape[0] != cm.shape[0]:
-        raise ShapeMismatch(
-            f"A has {am.shape[0]} rows but C has {cm.shape[0]}"
-        )
     # one SVD of A feeds the inclusion margin, the pinv solve, and the
-    # R(D) <= R(A*) check; the compact left factor spans R(A), the compact
-    # right factor spans R(A*)
+    # R(D) <= R(A*) check; the compact right factor spans R(A*)
+    am, cm = _operands(a, c)
     u, s, vh, r = _compact_svd(am, tol)
-    ur = u[:, :r]
-    uc = ur.conj().T @ cm
-    margin = opnorm(cm - ur @ uc) / max(opnorm(cm), 1.0)
-    included = margin <= tol.residual_rel
-    borderline = tol.residual_rel / 10.0 <= margin <= tol.residual_rel * 10.0
+    verdict, uc = _inclusion(u[:, :r], cm, tol)
+    margin, borderline = verdict.margin, verdict.borderline
     d = (vh[:r].conj().T / s[:r]) @ uc
     residual = opnorm(am @ d - cm) / max(opnorm(cm), 1.0)
-    if not included:
+    if not verdict.included:
         raise NotSolvable(
             f"A X = C is not solvable: inclusion margin {margin:.3e} "
             f"exceeds residual_rel {tol.residual_rel:.3e}",

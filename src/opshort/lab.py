@@ -17,7 +17,6 @@ plot, against identities that stay exact.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,17 +186,18 @@ def _sweep_row(d: int, tol: Tol) -> SweepRow:
     )
 
 
-def divergence_sweep(dims=None, tol: Tol = DEFAULT_TOL, max_workers: int | None = None):
+def divergence_sweep(dims=None, tol: Tol = DEFAULT_TOL):
     """Run the divergence diagnostics over a grid of dimensions.
+
+    The rows are computed one after another.  Their values are identical
+    across reruns at the same BLAS thread count; the noise-level columns
+    may differ between thread counts.
 
     Parameters
     ----------
     dims : sequence of int, optional
         Strictly ascending dimensions, default (8, 16, 32, 64, 128, 256).
     tol : Tol
-    max_workers : int, optional
-        Rows are independent; values > 1 run them in a thread pool.  Output
-        order follows ``dims`` regardless of completion order.
 
     Returns
     -------
@@ -212,9 +212,6 @@ def divergence_sweep(dims=None, tol: Tol = DEFAULT_TOL, max_workers: int | None 
         raise ValueError("all dims must be >= 1")
     if any(b <= a for a, b in zip(dims, dims[1:])):
         raise ValueError("dims must be strictly ascending")
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(lambda d: _sweep_row(d, tol), dims))
     return [_sweep_row(d, tol) for d in dims]
 
 

@@ -169,6 +169,15 @@ def herm_eig(a, tol: Tol = DEFAULT_TOL) -> HermEig:
     )
 
 
+def _eig_clamp(w: np.ndarray, tol: Tol) -> float:
+    """The clamp eig_clamp_rel * max|lambda| of a nonempty Hermitian spectrum.
+
+    Eigenvalues of magnitude at most the clamp are round-off: a PSD test
+    rejects only lambda < -clamp, a PD test accepts only lambda > clamp.
+    """
+    return tol.eig_clamp_rel * float(np.abs(w).max())
+
+
 def _clamped_psd_eigenvalues(w: np.ndarray, tol: Tol) -> np.ndarray:
     """Clamp spectral dirt to exact zero; reject genuine negativity.
 
@@ -178,7 +187,7 @@ def _clamped_psd_eigenvalues(w: np.ndarray, tol: Tol) -> np.ndarray:
     """
     if w.size == 0:
         return w
-    clamp = tol.eig_clamp_rel * float(np.abs(w).max())
+    clamp = _eig_clamp(w, tol)
     if float(w.min()) < -clamp:
         raise NotPSD(
             f"eigenvalue {w.min():.6e} below the PSD clamp -{clamp:.6e}"
@@ -221,14 +230,19 @@ def psd_power(a, p: float, tol: Tol = DEFAULT_TOL) -> np.ndarray:
     return (out + out.conj().T) / 2.0
 
 
+def _rank(s: np.ndarray, tol: Tol, scale: float | None = None) -> int:
+    """The package's one rank cutoff: the number of singular values (sorted
+    descending) strictly above tol.rank_rel * scale, where scale defaults to
+    sigma_1."""
+    if scale is None:
+        scale = float(s[0]) if s.size else 0.0
+    return int(np.count_nonzero(s > tol.rank_rel * scale))
+
+
 def _compact_svd(m: np.ndarray, tol: Tol):
-    """SVD plus the numerical rank under tol.rank_rel (strict inequality)."""
+    """SVD plus the numerical rank under :func:`_rank`."""
     u, s, vh = np.linalg.svd(m, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        r = 0
-    else:
-        r = int(np.count_nonzero(s > tol.rank_rel * s[0]))
-    return u, s, vh, r
+    return u, s, vh, _rank(s, tol)
 
 
 def numerical_rank(t, tol: Tol = DEFAULT_TOL) -> int:
@@ -261,12 +275,6 @@ def absolute_value(t, side: str = "right", tol: Tol = DEFAULT_TOL) -> np.ndarray
         out = (base * s) @ vh
     else:
         out = (u * s) @ u.conj().T
-    # pad with exact zeros on the orthogonal complement of the compact factors
-    n = m.shape[1] if side == "right" else m.shape[0]
-    if out.shape != (n, n):  # never triggers with full_matrices=False; guard only
-        full = np.zeros((n, n), dtype=np.complex128)
-        full[: out.shape[0], : out.shape[1]] = out
-        out = full
     return (out + out.conj().T) / 2.0
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .douglas import reduced_solution
 from .errors import InternalInvariantViolation, NotPositiveDefinite, NotPSD, ShapeMismatch
-from .numkit import DEFAULT_TOL, Tol, as_matrix, opnorm
+from .numkit import DEFAULT_TOL, Tol, _eig_clamp, _herm_within, _rank, as_matrix, opnorm
 from .shorting import partition, shorted
 
 __all__ = [
@@ -31,30 +31,38 @@ __all__ = [
 _REG_EPS = (1e-4, 1e-6)
 
 
-def _psd_part(a, tol: Tol, name: str) -> np.ndarray:
-    """Validate Hermitian + PSD (up to the eigenvalue clamp); return the
-    Hermitian part."""
+def _hermitian_spectrum(a, tol: Tol, name: str, error: type):
+    """Validate a square matrix as Hermitian within residual_rel * ||A||.
+
+    Returns the Hermitian part and its eigenvalues (ascending); failures
+    raise ``error``.
+    """
     m = as_matrix(a, name)
     if m.shape[0] != m.shape[1]:
-        raise NotPSD(f"{name} must be square, got shape {m.shape}")
-    if opnorm(m - m.conj().T) > tol.residual_rel * opnorm(m):
-        raise NotPSD(f"{name} is not Hermitian within residual_rel * ||{name}||")
+        raise error(f"{name} must be square, got shape {m.shape}")
+    if not _herm_within(m, tol.residual_rel):
+        raise error(f"{name} is not Hermitian within residual_rel * ||{name}||")
     h = (m + m.conj().T) / 2.0
-    if h.shape[0]:
-        w = np.linalg.eigvalsh(h)
-        clamp = tol.eig_clamp_rel * float(np.abs(w).max())
-        if float(w.min()) < -clamp:
-            raise NotPSD(
-                f"{name} has eigenvalue {w.min():.6e} below the PSD clamp"
-            )
-    return h
+    return h, np.linalg.eigvalsh(h)
 
 
-def _is_pd(h: np.ndarray, tol: Tol) -> bool:
-    if h.shape[0] == 0:
-        return False
-    w = np.linalg.eigvalsh(h)
-    return float(w.min()) > tol.eig_clamp_rel * float(np.abs(w).max())
+def _psd_part(a, tol: Tol, name: str):
+    """Validate Hermitian + PSD (up to the eigenvalue clamp); return the
+    Hermitian part and its eigenvalues."""
+    h, w = _hermitian_spectrum(a, tol, name, NotPSD)
+    if w.size and float(w.min()) < -_eig_clamp(w, tol):
+        raise NotPSD(f"{name} has eigenvalue {w.min():.6e} below the PSD clamp")
+    return h, w
+
+
+def _is_pd(w: np.ndarray, tol: Tol) -> bool:
+    """Positive definite: every eigenvalue above the clamp (False if empty)."""
+    return bool(w.size) and float(w.min()) > _eig_clamp(w, tol)
+
+
+def _norm(w: np.ndarray) -> float:
+    """Operator norm of a Hermitian matrix from its eigenvalues."""
+    return float(np.abs(w).max()) if w.size else 0.0
 
 
 def _clamp_result_psd(value: np.ndarray, scale: float, tol: Tol) -> np.ndarray:
@@ -125,8 +133,8 @@ def parallel_sum(a, b, tol: Tol = DEFAULT_TOL) -> ParallelSumResult:
     ShapeMismatch
         If the shapes differ.
     """
-    ah = _psd_part(a, tol, "A")
-    bh = _psd_part(b, tol, "B")
+    ah, wa = _psd_part(a, tol, "A")
+    bh, wb = _psd_part(b, tol, "B")
     if ah.shape != bh.shape:
         raise ShapeMismatch(f"A is {ah.shape} but B is {bh.shape}")
     n = ah.shape[0]
@@ -136,10 +144,10 @@ def parallel_sum(a, b, tol: Tol = DEFAULT_TOL) -> ParallelSumResult:
     res = shorted(blk, tol)
     # the ambient shorted matrix is [[A:B, 0], [0, 0]]; the corner block is
     # basis-independent, unlike the core's internal coordinates
-    value = _clamp_result_psd(res.shorted[:n, :n], opnorm(ah) + opnorm(bh), tol)
+    value = _clamp_result_psd(res.shorted[:n, :n], _norm(wa) + _norm(wb), tol)
 
     agreement = 0.0
-    if _is_pd(ah, tol) and _is_pd(bh, tol):
+    if _is_pd(wa, tol) and _is_pd(wb, tol):
         agreement = opnorm(_pd_formula(ah, bh) - value)
 
     eye = np.eye(n, dtype=np.complex128)
@@ -161,8 +169,8 @@ def hansen_inequality_check(a, b, c, tol: Tol = DEFAULT_TOL) -> float:
     The inequality says this is nonnegative for every square C; the caller
     decides what slack to allow for round-off.
     """
-    ah = _psd_part(a, tol, "A")
-    bh = _psd_part(b, tol, "B")
+    ah, _ = _psd_part(a, tol, "A")
+    bh, _ = _psd_part(b, tol, "B")
     cm = as_matrix(c, "C")
     if ah.shape != bh.shape:
         raise ShapeMismatch(f"A is {ah.shape} but B is {bh.shape}")
@@ -208,17 +216,11 @@ def lemma_69_check(x, y, tol: Tol = DEFAULT_TOL) -> Lemma69Result:
     NotPositiveDefinite
         If X is not Hermitian positive definite beyond the clamp.
     """
-    xm = as_matrix(x, "X")
-    if xm.shape[0] != xm.shape[1]:
-        raise NotPositiveDefinite(f"X must be square, got shape {xm.shape}")
-    if opnorm(xm - xm.conj().T) > tol.residual_rel * opnorm(xm):
-        raise NotPositiveDefinite("X is not Hermitian within residual_rel * ||X||")
-    xh = (xm + xm.conj().T) / 2.0
+    xh, w = _hermitian_spectrum(x, tol, "X", NotPositiveDefinite)
     n = xh.shape[0]
     if n == 0:
         return Lemma69Result(lambda_min=0.0, equality_gap=0.0)
-    w = np.linalg.eigvalsh(xh)
-    if float(w.min()) <= tol.eig_clamp_rel * float(np.abs(w).max()):
+    if not _is_pd(w, tol):
         raise NotPositiveDefinite(
             f"X has smallest eigenvalue {w.min():.6e}; positive definiteness "
             "within the clamp is required"
@@ -262,8 +264,8 @@ def solve_parallel_equation(a, b, tol: Tol = DEFAULT_TOL) -> ParallelEquationSol
         1e-8 * (||A|| + ||B||); for PSD inputs this bound cannot fail
         mathematically, only numerically.
     """
-    ah = _psd_part(a, tol, "A")
-    bh = _psd_part(b, tol, "B")
+    ah, wa = _psd_part(a, tol, "A")
+    bh, wb = _psd_part(b, tol, "B")
     if ah.shape != bh.shape:
         raise ShapeMismatch(f"A is {ah.shape} but B is {bh.shape}")
     n = ah.shape[0]
@@ -274,17 +276,14 @@ def solve_parallel_equation(a, b, tol: Tol = DEFAULT_TOL) -> ParallelEquationSol
     eye = np.eye(n, dtype=np.complex128)
     attained = x.conj().T @ ah @ x + (eye - x).conj().T @ bh @ (eye - x)
     eq_residual = opnorm(attained - ps)
-    bound = 1e-8 * (opnorm(ah) + opnorm(bh))
+    bound = 1e-8 * (_norm(wa) + _norm(wb))
     if eq_residual > bound:
         raise InternalInvariantViolation(
             f"variational identity missed by {eq_residual:.3e} (bound {bound:.3e})"
         )
-    if n:
-        s = np.linalg.svd(total, compute_uv=False)
-        r = 0 if s.size == 0 or s[0] == 0.0 else int(np.count_nonzero(s > tol.rank_rel * s[0]))
-        cond_on_range = float(s[0] / s[r - 1]) if r else 0.0
-    else:
-        cond_on_range = 0.0
+    s = np.linalg.svd(total, compute_uv=False)
+    r = _rank(s, tol)
+    cond_on_range = float(s[0] / s[r - 1]) if r else 0.0
     return ParallelEquationSolution(
         X=x,
         norm=opnorm(x),

@@ -40,12 +40,11 @@ from .errors import (
 from .numkit import (
     DEFAULT_TOL,
     Tol,
+    _rank,
     absolute_value,
     as_matrix,
-    numerical_rank,
     opnorm,
     psd_power,
-    range_projector,
 )
 from .polar import polar_decompose, v_operator
 
@@ -191,45 +190,34 @@ class BlockOperator:
 
     def lift(self, x11=None, x12=None, x21=None, x22=None) -> np.ndarray:
         """Ambient domain -> codomain matrix from block pieces (None = 0)."""
-        out = np.zeros(self.T.shape, dtype=np.complex128)
-        for x, left, right in (
-            (x11, self.basis_n, self.basis_m),
-            (x12, self.basis_n, self.basis_m_perp),
-            (x21, self.basis_n_perp, self.basis_m),
-            (x22, self.basis_n_perp, self.basis_m_perp),
-        ):
-            if x is None:
-                continue
-            xm = as_matrix(x, "block piece")
-            if xm.shape != (left.shape[1], right.shape[1]):
-                raise ShapeMismatch(
-                    f"block piece has shape {xm.shape}, expected "
-                    f"{(left.shape[1], right.shape[1])}"
-                )
-            out += left @ xm @ right.conj().T
-        return out
+        rows = (self.basis_n, self.basis_n_perp)
+        cols = (self.basis_m, self.basis_m_perp)
+        return _lift(rows, cols, x11, x12, x21, x22)
 
     def lift_domain(self, x11=None, x12=None, x21=None, x22=None) -> np.ndarray:
         """Ambient domain -> domain matrix from M (+) M_perp block pieces."""
-        return _lift_square(self.basis_m, self.basis_m_perp, x11, x12, x21, x22)
+        bases = (self.basis_m, self.basis_m_perp)
+        return _lift(bases, bases, x11, x12, x21, x22)
 
     def lift_codomain(self, x11=None, x12=None, x21=None, x22=None) -> np.ndarray:
         """Ambient codomain -> codomain matrix from N (+) N_perp block pieces."""
-        return _lift_square(self.basis_n, self.basis_n_perp, x11, x12, x21, x22)
+        bases = (self.basis_n, self.basis_n_perp)
+        return _lift(bases, bases, x11, x12, x21, x22)
 
     def reassembled(self) -> np.ndarray:
         """T rebuilt from its four corners; equals T to working precision."""
         return self.lift(self.T11, self.T12, self.T21, self.T22)
 
 
-def _lift_square(b1, b2, x11, x12, x21, x22) -> np.ndarray:
-    n = b1.shape[0]
-    out = np.zeros((n, n), dtype=np.complex128)
+def _lift(rows, cols, x11, x12, x21, x22) -> np.ndarray:
+    """Sum of rows[i] @ x_ij @ cols[j]* over the pieces given (None = 0);
+    ``rows`` and ``cols`` are the (first, second) bases of the two sides."""
+    out = np.zeros((rows[0].shape[0], cols[0].shape[0]), dtype=np.complex128)
     for x, left, right in (
-        (x11, b1, b1),
-        (x12, b1, b2),
-        (x21, b2, b1),
-        (x22, b2, b2),
+        (x11, rows[0], cols[0]),
+        (x12, rows[0], cols[1]),
+        (x21, rows[1], cols[0]),
+        (x22, rows[1], cols[1]),
     ):
         if x is None:
             continue
@@ -499,14 +487,8 @@ _SUBSPACE_GAP = 1e-6
 
 
 def _nullspace_basis(t: np.ndarray, tol: Tol) -> np.ndarray:
-    if t.shape[0] == 0:
-        return np.eye(t.shape[1], dtype=np.complex128)
-    u, s, vh = np.linalg.svd(t)
-    if s.size == 0 or s[0] == 0.0:
-        r = 0
-    else:
-        r = int(np.count_nonzero(s > tol.rank_rel * s[0]))
-    return np.ascontiguousarray(vh[r:].conj().T)
+    _, s, vh = np.linalg.svd(t)
+    return np.ascontiguousarray(vh[_rank(s, tol):].conj().T)
 
 
 def _intersection_basis(p1: np.ndarray, p2: np.ndarray, tol: Tol) -> np.ndarray:
@@ -536,8 +518,13 @@ def verify_range_kernel(
     R(T) intersect N is computed as the joint nullspace of the two
     complementary projectors, never by multiplying projectors.
     """
+    # one full SVD of T gives its rank, range projector, kernel basis and norm
     t = block.T
-    p_range_t = range_projector(t, tol)
+    u_t, s_t, vh_t = np.linalg.svd(t)
+    rank_t = _rank(s_t, tol)
+    range_t = u_t[:, :rank_t]
+    p_range_t = range_t @ range_t.conj().T
+    p_range_t = (p_range_t + p_range_t.conj().T) / 2.0
     inter = _intersection_basis(p_range_t, block.PN, tol)
     rank_inter = inter.shape[1]
 
@@ -545,30 +532,21 @@ def verify_range_kernel(
     # own top singular value: a shorted operator that is pure round-off dirt
     # must report rank 0, not the rank of its noise
     u, s, vh = np.linalg.svd(result.shorted)
-    scale = max(opnorm(t), float(s[0]) if s.size else 0.0)
-    rank_short = int(np.count_nonzero(s > tol.rank_rel * scale)) if s.size else 0
+    rank_short = _rank(s, tol, float(max(s_t.max(initial=0.0), s.max(initial=0.0))))
     short_range = np.ascontiguousarray(u[:, :rank_short])
     range_equal = rank_inter == rank_short and _same_subspace(inter, short_range)
 
     ker_short = np.ascontiguousarray(vh[rank_short:].conj().T)
-    ker_t = _nullspace_basis(t, tol)
+    ker_t = np.ascontiguousarray(vh_t[rank_t:].conj().T)
     sum_cols = np.hstack([block.basis_m_perp, ker_t])
-    if sum_cols.shape[1] == 0:
-        rank_sum = 0
-        sum_basis = sum_cols
-    else:
-        us, ss, _ = np.linalg.svd(sum_cols, full_matrices=False)
-        rank_sum = (
-            0
-            if ss.size == 0 or ss[0] == 0.0
-            else int(np.count_nonzero(ss > tol.rank_rel * ss[0]))
-        )
-        sum_basis = np.ascontiguousarray(us[:, :rank_sum])
+    us, ss, _ = np.linalg.svd(sum_cols, full_matrices=False)
+    rank_sum = _rank(ss, tol)
+    sum_basis = np.ascontiguousarray(us[:, :rank_sum])
     kernel_equal = ker_short.shape[1] == rank_sum and _same_subspace(
         ker_short, sum_basis
     )
     return RangeKernelReport(
-        rank_T=numerical_rank(t, tol),
+        rank_T=rank_t,
         rank_shorted=rank_short,
         rank_range_intersection=rank_inter,
         rank_kernel_shorted=ker_short.shape[1],

@@ -334,14 +334,11 @@ def test_lab_sweep_csv(capsys, tmp_path):
     assert lines[2].split(",")[0] == "8"
 
 
-def test_lab_sweep_deterministic_and_thread_invariant(capsys, tmp_path, monkeypatch):
+def test_lab_sweep_deterministic(capsys):
     argv = ["lab", "sweep", "--dims", "4,8"]
     _, out1 = _run(capsys, argv)
     _, out2 = _run(capsys, argv)
     assert out1 == out2
-    monkeypatch.setenv("OPSHORT_THREADS", "2")
-    _, out3 = _run(capsys, argv)
-    assert out3 == out1
 
 
 def test_lab_sweep_rejects_bad_dims(capsys):

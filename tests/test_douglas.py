@@ -62,6 +62,12 @@ def test_inclusion_borderline_band(delta, included, borderline):
     assert verdict.margin == pytest.approx(delta, rel=1e-9)
     assert verdict.included is included
     assert verdict.borderline is borderline
+    # the solve reports the very margin and band flag of the inclusion test
+    try:
+        solved = reduced_solution(*_margin_probe(delta))
+    except NotSolvable as exc:
+        solved = exc
+    assert (solved.margin, solved.borderline) == (verdict.margin, verdict.borderline)
 
 
 def test_inclusion_rejects_row_mismatch():

@@ -148,13 +148,6 @@ def test_sweep_divergence_slopes():
     assert abs(slope_cond - 2.0) <= 0.2
 
 
-def test_sweep_threaded_matches_sequential():
-    sequential = divergence_sweep([4, 8, 12])
-    threaded = divergence_sweep([4, 8, 12], max_workers=3)
-    for rs, rt in zip(sequential, threaded):
-        assert rs == rt  # frozen dataclasses compare by value
-
-
 # --- CSV rendering -------------------------------------------------------------------------
 
 

@@ -16,11 +16,15 @@ from opshort import (
     matrix_to_json_dict,
     numerical_rank,
     opnorm,
+    partition,
     pseudo_inverse,
     psd_power,
     range_basis,
     range_projector,
     save_matrix,
+    shorted,
+    solve_parallel_equation,
+    verify_range_kernel,
 )
 from opshort.errors import NotHermitian, NotPSD, ShapeMismatch
 
@@ -259,6 +263,26 @@ def test_range_basis_orthonormal():
     b = range_basis(t)
     assert b.shape == (8, numerical_rank(t))
     assert opnorm(b.conj().T @ b - np.eye(b.shape[1])) <= 1e-12
+
+
+def test_rank_rule_consumers_agree_at_the_cutoff():
+    # sigma_2 sits a factor 2 above the cutoff rank_rel * sigma_1 and
+    # sigma_3 a factor 2 below it, so every consumer must report rank 2
+    r = DEFAULT_TOL.rank_rel
+    s = np.array([1.0, 2.0 * r, 0.5 * r, 0.0])
+    t = np.diag(s).astype(np.complex128)
+    assert numerical_rank(t) == 2
+    assert range_basis(t).shape == (4, 2)
+    assert_allclose(
+        pseudo_inverse(t), np.diag([1.0, 1.0 / (2.0 * r), 0.0, 0.0]), rtol=1e-12, atol=1e-3
+    )
+    p1 = np.diag([1.0, 0.0, 0.0, 0.0])
+    block = partition(t, p1, p1)
+    assert verify_range_kernel(block, shorted(block)).rank_T == 2
+    # A + B = diag(s), so cond_on_range is sigma_1 / sigma_2
+    half = np.diag(s / 2.0)
+    cond = solve_parallel_equation(half, half).diagnostics["cond_on_range"]
+    assert cond == pytest.approx(1.0 / (2.0 * r), rel=1e-12)
 
 
 def test_opnorm_empty_is_zero():

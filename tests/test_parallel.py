@@ -3,7 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from opshort import (
+    DEFAULT_TOL,
     hansen_inequality_check,
+    herm_eig,
     lemma_69_check,
     make_kit,
     numerical_rank,
@@ -12,7 +14,7 @@ from opshort import (
     psd_power,
     solve_parallel_equation,
 )
-from opshort.errors import NotPSD, NotPositiveDefinite, ShapeMismatch
+from opshort.errors import NotHermitian, NotPSD, NotPositiveDefinite, ShapeMismatch
 
 from _util import rand_pd, rand_psd, rand_unitary
 
@@ -204,6 +206,49 @@ def test_lemma69_rejects_bad_x():
         lemma_69_check(np.diag([1.0, -2.0]), np.eye(2))  # indefinite
     with pytest.raises(NotPositiveDefinite):
         lemma_69_check(np.array([[1.0, 0.5], [0.0, 1.0]]), np.eye(2))
+
+
+def _skewed_pd(c, n=16):
+    """PD-Hermitian-part M with ||M - M*|| = c * residual_rel * ||M||.
+
+    The Hermitian part has eigenvalue 1 over a floor of 1e-2, so ||M||_F is
+    close to ||M|| = 1; the skew part has rank 2 and lives below the top
+    eigenvector.  At n = 16 the Frobenius bounds settle neither c = 2 nor
+    c = 0.5, so the exact operator-norm comparison decides.
+    """
+    rel = DEFAULT_TOL.residual_rel
+    q = rand_unitary(RNG, n)
+    w = np.full(n, 1e-2)
+    w[0] = 1.0
+    pair = np.outer(q[:, 1], q[:, 2].conj())
+    skew = 0.5j * c * rel * (pair + pair.conj().T)
+    m = (q * w) @ q.conj().T + skew
+    diff_fro = np.linalg.norm(m - m.conj().T)
+    m_fro = np.linalg.norm(m)
+    assert rel * m_fro / np.sqrt(n) < diff_fro <= np.sqrt(n) * rel * m_fro
+    assert opnorm(m - m.conj().T) == pytest.approx(c * rel * opnorm(m), rel=1e-6)
+    return m
+
+
+@pytest.mark.parametrize("c,accepted", [(2.0, False), (0.5, True)])
+def test_hermitian_validator_edge(c, accepted):
+    m = _skewed_pd(c)
+    n = m.shape[0]
+    b = rand_pd(RNG, n)
+    eye = np.eye(n)
+    calls = (
+        (lambda: herm_eig(m), NotHermitian),
+        (lambda: parallel_sum(m, b), NotPSD),
+        (lambda: solve_parallel_equation(m, b), NotPSD),
+        (lambda: hansen_inequality_check(m, b, eye), NotPSD),
+        (lambda: lemma_69_check(m, eye), NotPositiveDefinite),
+    )
+    for call, error in calls:
+        if accepted:
+            call()
+        else:
+            with pytest.raises(error, match="not Hermitian"):
+                call()
 
 
 def test_lemma69_rejects_mismatched_y():
