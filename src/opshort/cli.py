@@ -44,6 +44,7 @@ from .numkit import (
     range_projector,
 )
 from .parallel import (
+    _hansen_worst,
     hansen_inequality_check,
     lemma_69_check,
     parallel_sum,
@@ -340,13 +341,16 @@ def _cmd_hansen_check(args, tol: Tol) -> int:
             raise ValueError("--probes must be >= 1")
         n = a.shape[0]
         rng = np.random.default_rng(args.seed)
-        worst = None
-        for _ in range(probes):
-            c = (
-                rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            ) / np.sqrt(2.0)
-            lam = hansen_inequality_check(a, b, c, tol)
-            worst = lam if worst is None else min(worst, lam)
+        worst = _hansen_worst(
+            a,
+            b,
+            (
+                (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+                / np.sqrt(2.0)
+                for _ in range(probes)
+            ),
+            tol,
+        )
         payload = _payload(
             "hansen-check",
             tol,

@@ -16,7 +16,9 @@ from .errors import NotSolvable, ShapeMismatch
 from .numkit import (
     DEFAULT_TOL,
     Tol,
-    _compact_svd,
+    _norm_within,
+    _svd_factor,
+    _SVDFactor,
     as_matrix,
     opnorm,
 )
@@ -66,21 +68,19 @@ def _operands(a, c):
     return am, cm
 
 
-def _inclusion(ur: np.ndarray, cm: np.ndarray, tol: Tol):
+def _inclusion(ur: np.ndarray, uc: np.ndarray, cm: np.ndarray, c_norm: float, tol: Tol):
     """The one margin rule behind every range-inclusion verdict.
 
-    ``ur`` is the compact left singular factor of A above the rank cutoff,
-    so it spans R(A); the margin is ||C - U_r (U_r* C)|| / max(||C||, 1).
-    Returns the verdict and U_r* C, which a solve reuses.
+    ``ur`` has orthonormal columns spanning R(A) (the left singular vectors
+    above the rank cutoff), ``uc`` is U_r* C and ``c_norm`` is ||C||; the
+    margin is ||C - U_r (U_r* C)|| / max(||C||, 1).
     """
-    uc = ur.conj().T @ cm
-    margin = opnorm(cm - ur @ uc) / max(opnorm(cm), 1.0)
-    verdict = RangeInclusion(
+    margin = opnorm(cm - ur @ uc) / max(c_norm, 1.0)
+    return RangeInclusion(
         included=margin <= tol.residual_rel,
         margin=margin,
         borderline=tol.residual_rel / 10.0 <= margin <= tol.residual_rel * 10.0,
     )
-    return verdict, uc
 
 
 def range_included(a, c, tol: Tol = DEFAULT_TOL) -> RangeInclusion:
@@ -99,8 +99,9 @@ def range_included(a, c, tol: Tol = DEFAULT_TOL) -> RangeInclusion:
         If A and C have different row counts.
     """
     am, cm = _operands(a, c)
-    u, _, _, r = _compact_svd(am, tol)
-    return _inclusion(u[:, :r], cm, tol)[0]
+    f = _svd_factor(am)
+    ur = f.u[:, : f.rank(tol)]
+    return _inclusion(ur, ur.conj().T @ cm, cm, opnorm(cm), tol)
 
 
 def reduced_solution(a, c, tol: Tol = DEFAULT_TOL) -> ReducedSolution:
@@ -124,14 +125,26 @@ def reduced_solution(a, c, tol: Tol = DEFAULT_TOL) -> ReducedSolution:
         carries the margin, the borderline flag, the least-squares candidate
         D, and the candidate's residual, so nothing is lost on failure.
     """
-    # one SVD of A feeds the inclusion margin, the pinv solve, and the
-    # R(D) <= R(A*) check; the compact right factor spans R(A*)
     am, cm = _operands(a, c)
-    u, s, vh, r = _compact_svd(am, tol)
-    verdict, uc = _inclusion(u[:, :r], cm, tol)
+    return _solve(am, _svd_factor(am), cm, tol)
+
+
+def _solve(am: np.ndarray, f: _SVDFactor, cm: np.ndarray, tol: Tol) -> ReducedSolution:
+    """The solve step of :func:`reduced_solution`, given A's SVD factor ``f``.
+
+    The one factor feeds the inclusion margin, the pinv solve and the
+    R(D) <= R(A*) check (the compact right factor spans R(A*)).  Raises
+    NotSolvable as :func:`reduced_solution` does.
+    """
+    r = f.rank(tol)
+    ur = f.u[:, :r]
+    uc = ur.conj().T @ cm
+    c_norm = opnorm(cm)
+    verdict = _inclusion(ur, uc, cm, c_norm, tol)
     margin, borderline = verdict.margin, verdict.borderline
-    d = (vh[:r].conj().T / s[:r]) @ uc
-    residual = opnorm(am @ d - cm) / max(opnorm(cm), 1.0)
+    vr = f.vh[:r].conj().T
+    d = (vr / f.s[:r]) @ uc
+    residual = opnorm(am @ d - cm) / max(c_norm, 1.0)
     if not verdict.included:
         raise NotSolvable(
             f"A X = C is not solvable: inclusion margin {margin:.3e} "
@@ -141,10 +154,7 @@ def reduced_solution(a, c, tol: Tol = DEFAULT_TOL) -> ReducedSolution:
             residual=residual,
             borderline=borderline,
         )
-    vr = vh[:r].conj().T
-    range_ok = bool(
-        opnorm(d - vr @ (vr.conj().T @ d)) <= tol.residual_rel * max(opnorm(d), 1.0)
-    )
+    range_ok = _norm_within(d - vr @ (vr.conj().T @ d), tol.residual_rel, d)
     return ReducedSolution(
         D=d, residual=residual, range_ok=range_ok, margin=margin, borderline=borderline
     )

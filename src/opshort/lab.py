@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import subspace_angles
 
-from .douglas import reduced_solution
+from .douglas import _solve
 from .errors import InternalInvariantViolation
-from .numkit import DEFAULT_TOL, Tol, opnorm, psd_power, range_basis
+from .numkit import DEFAULT_TOL, Tol, _norm_within, _svd_factor, opnorm, psd_power, range_basis
 from .parallel import parallel_sum
 from .shorting import partition, shorted
 
@@ -110,15 +110,15 @@ def make_kit(d: int) -> CounterexampleKit:
     apb = a0 + b0
     big_t = np.block([[b0, b0], [b0, apb]])
 
-    gap_sq = opnorm(sqrt_ab @ sqrt_ab - apb)
-    if gap_sq > 1e-10 * opnorm(apb):
+    gap_sq = sqrt_ab @ sqrt_ab - apb
+    if not _norm_within(gap_sq, 1e-10, apb, floor=0.0):
         raise InternalInvariantViolation(
-            f"closed-form square root off by {gap_sq:.3e} at d={d}"
+            f"closed-form square root off by {opnorm(gap_sq):.3e} at d={d}"
         )
-    gap_x = opnorm(sqrt_ab @ x_unique - b0)
-    if gap_x > 1e-10:
+    gap_x = sqrt_ab @ x_unique - b0
+    if not _norm_within(gap_x, 1e-10):
         raise InternalInvariantViolation(
-            f"closed-form unique solution off by {gap_x:.3e} at d={d}"
+            f"closed-form unique solution off by {opnorm(gap_x):.3e} at d={d}"
         )
     return CounterexampleKit(
         d=d, S=s_mat, A0=a0, B0=b0, sqrtAB=sqrt_ab, Xunique=x_unique, bigT=big_t
@@ -157,20 +157,18 @@ class SweepRow:
 
 def _sweep_row(d: int, tol: Tol) -> SweepRow:
     kit = make_kit(d)
+    # one SVD of A0 + B0 gives the strong solution and cond(A0 + B0)
     apb = kit.A0 + kit.B0
+    factor = _svd_factor(apb)
+    strong = _solve(apb, factor, kit.B0, tol)
 
-    strong = reduced_solution(apb, kit.B0, tol)
-
+    # the partition (with its cached SVD of T22) is freed before parallel_sum
     proj = kit_block_projector(d)
-    blk = partition(kit.bigT, proj, proj, tol)
-    short = shorted(blk, tol)
+    short = shorted(partition(kit.bigT, proj, proj, tol), tol)
     wd = short.witnesses
     norm_weak = max(opnorm(wd.E), opnorm(wd.F), opnorm(wd.Etilde), opnorm(wd.Ftilde))
 
     psum = parallel_sum(kit.A0, kit.B0, tol)
-
-    svals = np.linalg.svd(apb, compute_uv=False)
-    cond = float(svals[0] / svals[-1])
 
     angles = subspace_angles(range_basis(kit.A0, tol), range_basis(kit.B0, tol))
     min_angle = float(angles.min()) if angles.size else 0.0
@@ -180,8 +178,9 @@ def _sweep_row(d: int, tol: Tol) -> SweepRow:
         norm_strong_solution=opnorm(strong.D),
         norm_weak_solutions=norm_weak,
         norm_parallel_sum=opnorm(psum.value),
-        shorted_norm=opnorm(short.shorted),
-        cond_ApB=cond,
+        # the ambient shorted operator is the core lifted by orthonormal bases
+        shorted_norm=opnorm(short.core),
+        cond_ApB=float(factor.s[0] / factor.s[-1]),
         min_principal_angle=min_angle,
     )
 

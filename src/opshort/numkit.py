@@ -98,28 +98,46 @@ def opnorm(a) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def _herm_within(m: np.ndarray, rel: float) -> bool:
-    """True iff ||M - M*|| <= rel * ||M|| in the operator norm.
+def _norm_bounds(m) -> tuple[float, float]:
+    """Lower and upper bounds on ||M||_2 from the Frobenius norm.
 
-    The Frobenius norm bounds the operator norm from above and below (within
-    sqrt(n)), so two cheap Frobenius comparisons settle almost every call
-    without the O(n^3) singular value computations.
+    ||M||_F / sqrt(min(shape)) <= ||M||_2 <= ||M||_F, since M has at most
+    min(shape) nonzero singular values.  A float stands for a norm that is
+    already known exactly.
     """
-    if m.size == 0:
+    if isinstance(m, float):
+        return m, m
+    fro = float(np.linalg.norm(m))
+    return fro / np.sqrt(max(min(m.shape), 1)), fro
+
+
+def _norm_within(x, rel: float, y=0.0, floor: float = 1.0) -> bool:
+    """Decide ||X||_2 <= rel * max(||Y||_2, floor) without an SVD where possible.
+
+    X and Y are matrices or exactly known norms (floats).  The Frobenius
+    bounds of :func:`_norm_bounds` settle a certain pass or a certain fail;
+    only inside the band between them are the exact operator norms computed.
+    Use it where a verdict is a boolean; a reported number stays an exact
+    :func:`opnorm`.
+    """
+    x_lo, x_hi = _norm_bounds(x)
+    y_lo, y_hi = _norm_bounds(y)
+    if x_hi <= rel * max(y_lo, floor):
         return True
-    diff = m - m.conj().T
-    diff_fro = float(np.linalg.norm(diff))
-    if diff_fro == 0.0:
-        return True
-    m_fro = float(np.linalg.norm(m))
-    n = m.shape[0]
-    # ||diff||_2 <= diff_fro and ||M||_2 >= m_fro / sqrt(n): certain pass
-    if diff_fro <= rel * m_fro / np.sqrt(n):
-        return True
-    # ||diff||_2 >= diff_fro / sqrt(n) and ||M||_2 <= m_fro: certain fail
-    if diff_fro / np.sqrt(n) > rel * m_fro:
+    if x_lo > rel * max(y_hi, floor):
         return False
-    return opnorm(diff) <= rel * opnorm(m)
+    exact = [v if isinstance(v, float) else opnorm(v) for v in (x, y)]
+    return exact[0] <= rel * max(exact[1], floor)
+
+
+def _herm_within(m: np.ndarray, rel: float) -> bool:
+    """True iff ||M - M*|| <= rel * ||M|| in the operator norm."""
+    return _norm_within(m - m.conj().T, rel, m, floor=0.0)
+
+
+def _herm(a: np.ndarray) -> np.ndarray:
+    """Hermitian part (A + A*) / 2."""
+    return (a + a.conj().T) / 2.0
 
 
 @dataclass(frozen=True)
@@ -160,8 +178,7 @@ def herm_eig(a, tol: Tol = DEFAULT_TOL) -> HermEig:
         raise NotHermitian(f"expected a square matrix, got shape {m.shape}")
     if not _herm_within(m, tol.residual_rel):
         raise NotHermitian("matrix is not Hermitian within residual_rel * ||A||")
-    h = (m + m.conj().T) / 2.0
-    w, v = np.linalg.eigh(h)
+    w, v = np.linalg.eigh(_herm(m))
     # eigh returns ascending order; the package contract is descending
     return HermEig(
         eigenvalues=np.ascontiguousarray(w[::-1]),
@@ -226,8 +243,7 @@ def psd_power(a, p: float, tol: Tol = DEFAULT_TOL) -> np.ndarray:
     eig = herm_eig(a, tol)
     w = _clamped_psd_eigenvalues(eig.eigenvalues, tol)
     v = eig.eigenvectors
-    out = (v * w ** float(p)) @ v.conj().T
-    return (out + out.conj().T) / 2.0
+    return _herm((v * w ** float(p)) @ v.conj().T)
 
 
 def _rank(s: np.ndarray, tol: Tol, scale: float | None = None) -> int:
@@ -239,15 +255,46 @@ def _rank(s: np.ndarray, tol: Tol, scale: float | None = None) -> int:
     return int(np.count_nonzero(s > tol.rank_rel * scale))
 
 
-def _compact_svd(m: np.ndarray, tol: Tol):
-    """SVD plus the numerical rank under :func:`_rank`."""
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    return u, s, vh, _rank(s, tol)
+@dataclass(frozen=True)
+class _SVDFactor:
+    """Compact SVD T = u diag(s) vh, taken once and read by every view.
+
+    ``s`` is sorted descending.  Views that depend on the numerical range take
+    the number r of leading singular triplets they keep, normally
+    :meth:`rank`, so one factor serves every rank rule a caller applies.
+    """
+
+    u: np.ndarray
+    s: np.ndarray
+    vh: np.ndarray
+
+    def rank(self, tol: Tol) -> int:
+        return _rank(self.s, tol)
+
+    def power(self, a: float, r: int) -> np.ndarray:
+        """u_r s_r^a vh_r: the polar factor at a = 0, V(T) at a = 1/2."""
+        return (self.u[:, :r] * self.s[:r] ** a) @ self.vh[:r]
+
+    def abs_power(self, p: float, side: str) -> np.ndarray:
+        """|T|^p ("right", on the domain) or |T*|^p ("left", on the codomain)."""
+        if side == "right":
+            out = (self.vh.conj().T * self.s**p) @ self.vh
+        else:
+            out = (self.u * self.s**p) @ self.u.conj().T
+        return _herm(out)
+
+    def pinv(self, r: int) -> np.ndarray:
+        """vh_r* s_r^-1 u_r*: the pseudo-inverse when r is the rank."""
+        return (self.vh[:r].conj().T / self.s[:r]) @ self.u[:, :r].conj().T
+
+
+def _svd_factor(m: np.ndarray) -> _SVDFactor:
+    return _SVDFactor(*np.linalg.svd(m, full_matrices=False))
 
 
 def numerical_rank(t, tol: Tol = DEFAULT_TOL) -> int:
     """Number of singular values above rank_rel * sigma_1."""
-    return _compact_svd(as_matrix(t), tol)[3]
+    return _svd_factor(as_matrix(t)).rank(tol)
 
 
 def absolute_value(t, side: str = "right", tol: Tol = DEFAULT_TOL) -> np.ndarray:
@@ -268,14 +315,7 @@ def absolute_value(t, side: str = "right", tol: Tol = DEFAULT_TOL) -> np.ndarray
     """
     if side not in ("right", "left"):
         raise ValueError(f'side must be "right" or "left", got {side!r}')
-    m = as_matrix(t)
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    if side == "right":
-        base = vh.conj().T
-        out = (base * s) @ vh
-    else:
-        out = (u * s) @ u.conj().T
-    return (out + out.conj().T) / 2.0
+    return _svd_factor(as_matrix(t)).abs_power(1.0, side)
 
 
 def pseudo_inverse(t, tol: Tol = DEFAULT_TOL) -> np.ndarray:
@@ -285,18 +325,14 @@ def pseudo_inverse(t, tol: Tol = DEFAULT_TOL) -> np.ndarray:
     zeros, which keeps the four Penrose identities accurate on rank-deficient
     inputs instead of amplifying noise.
     """
-    m = as_matrix(t)
-    u, s, vh, r = _compact_svd(m, tol)
-    if r == 0:
-        return np.zeros((m.shape[1], m.shape[0]), dtype=np.complex128)
-    return (vh[:r].conj().T / s[:r]) @ u[:, :r].conj().T
+    f = _svd_factor(as_matrix(t))
+    return f.pinv(f.rank(tol))
 
 
 def range_basis(t, tol: Tol = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of the numerical range of T, as columns."""
-    m = as_matrix(t)
-    u, _, _, r = _compact_svd(m, tol)
-    return np.ascontiguousarray(u[:, :r])
+    f = _svd_factor(as_matrix(t))
+    return np.ascontiguousarray(f.u[:, : f.rank(tol)])
 
 
 def range_projector(t, tol: Tol = DEFAULT_TOL) -> np.ndarray:
@@ -307,8 +343,7 @@ def range_projector(t, tol: Tol = DEFAULT_TOL) -> np.ndarray:
     regularized limit (T + eps I)^(-1) T on PSD inputs.
     """
     b = range_basis(t, tol)
-    p = b @ b.conj().T
-    return (p + p.conj().T) / 2.0
+    return _herm(b @ b.conj().T)
 
 
 # --- JSON matrix file format -------------------------------------------------

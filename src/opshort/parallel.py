@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .douglas import reduced_solution
+from .douglas import _solve
 from .errors import InternalInvariantViolation, NotPositiveDefinite, NotPSD, ShapeMismatch
-from .numkit import DEFAULT_TOL, Tol, _eig_clamp, _herm_within, _rank, as_matrix, opnorm
+from .numkit import DEFAULT_TOL, Tol, _eig_clamp, _herm, _herm_within, _svd_factor, as_matrix, opnorm
 from .shorting import partition, shorted
 
 __all__ = [
@@ -42,7 +42,7 @@ def _hermitian_spectrum(a, tol: Tol, name: str, error: type):
         raise error(f"{name} must be square, got shape {m.shape}")
     if not _herm_within(m, tol.residual_rel):
         raise error(f"{name} is not Hermitian within residual_rel * ||{name}||")
-    h = (m + m.conj().T) / 2.0
+    h = _herm(m)
     return h, np.linalg.eigvalsh(h)
 
 
@@ -53,6 +53,16 @@ def _psd_part(a, tol: Tol, name: str):
     if w.size and float(w.min()) < -_eig_clamp(w, tol):
         raise NotPSD(f"{name} has eigenvalue {w.min():.6e} below the PSD clamp")
     return h, w
+
+
+def _psd_pair(a, b, tol: Tol):
+    """Validate A and B as PSD matrices of one shape; returns (A, wA, B, wB)
+    with the Hermitian parts and their eigenvalues."""
+    ah, wa = _psd_part(a, tol, "A")
+    bh, wb = _psd_part(b, tol, "B")
+    if ah.shape != bh.shape:
+        raise ShapeMismatch(f"A is {ah.shape} but B is {bh.shape}")
+    return ah, wa, bh, wb
 
 
 def _is_pd(w: np.ndarray, tol: Tol) -> bool:
@@ -73,7 +83,7 @@ def _clamp_result_psd(value: np.ndarray, scale: float, tol: Tol) -> np.ndarray:
     [-clamp, 0) are round-off and become 0; anything below the clamp means
     the computation itself broke an invariant.
     """
-    h = (value + value.conj().T) / 2.0
+    h = _herm(value)
     if h.shape[0] == 0:
         return h
     w, v = np.linalg.eigh(h)
@@ -83,8 +93,7 @@ def _clamp_result_psd(value: np.ndarray, scale: float, tol: Tol) -> np.ndarray:
             f"parallel sum came out indefinite: eigenvalue {w.min():.6e}"
         )
     w = np.where(w < 0.0, 0.0, w)
-    out = (v * w) @ v.conj().T
-    return (out + out.conj().T) / 2.0
+    return _herm((v * w) @ v.conj().T)
 
 
 def _coordinate_projector(total: int, count: int) -> np.ndarray:
@@ -95,8 +104,7 @@ def _coordinate_projector(total: int, count: int) -> np.ndarray:
 
 
 def _pd_formula(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.linalg.inv(np.linalg.inv(a) + np.linalg.inv(b))
-    return (out + out.conj().T) / 2.0
+    return _herm(np.linalg.inv(np.linalg.inv(a) + np.linalg.inv(b)))
 
 
 @dataclass(frozen=True)
@@ -133,10 +141,7 @@ def parallel_sum(a, b, tol: Tol = DEFAULT_TOL) -> ParallelSumResult:
     ShapeMismatch
         If the shapes differ.
     """
-    ah, wa = _psd_part(a, tol, "A")
-    bh, wb = _psd_part(b, tol, "B")
-    if ah.shape != bh.shape:
-        raise ShapeMismatch(f"A is {ah.shape} but B is {bh.shape}")
+    ah, wa, bh, wb = _psd_pair(a, b, tol)
     n = ah.shape[0]
     big = np.block([[ah, ah], [ah, ah + bh]])
     corner = _coordinate_projector(2 * n, n)
@@ -169,22 +174,32 @@ def hansen_inequality_check(a, b, c, tol: Tol = DEFAULT_TOL) -> float:
     The inequality says this is nonnegative for every square C; the caller
     decides what slack to allow for round-off.
     """
-    ah, _ = _psd_part(a, tol, "A")
-    bh, _ = _psd_part(b, tol, "B")
-    cm = as_matrix(c, "C")
-    if ah.shape != bh.shape:
-        raise ShapeMismatch(f"A is {ah.shape} but B is {bh.shape}")
-    if cm.shape != ah.shape:
-        raise ShapeMismatch(f"C must match A's shape {ah.shape}, got {cm.shape}")
+    return _hansen_worst(a, b, (c,), tol)
+
+
+def _hansen_worst(a, b, probes, tol: Tol) -> float:
+    """Smallest :func:`hansen_inequality_check` value over the probes C.
+
+    A and B are validated and A : B computed once for all probes.
+    """
+    ah, _, bh, _ = _psd_pair(a, b, tol)
     n = ah.shape[0]
-    if n == 0:
-        return 0.0
-    ps = parallel_sum(ah, bh, tol).value
     eye = np.eye(n, dtype=np.complex128)
-    rhs = cm.conj().T @ ah @ cm + (eye - cm).conj().T @ bh @ (eye - cm)
-    diff = rhs - ps
-    diff = (diff + diff.conj().T) / 2.0
-    return float(np.linalg.eigvalsh(diff).min())
+    ps = None
+    worst = None
+    for c in probes:
+        cm = as_matrix(c, "C")
+        if cm.shape != ah.shape:
+            raise ShapeMismatch(f"C must match A's shape {ah.shape}, got {cm.shape}")
+        if n == 0:
+            lam = 0.0
+        else:
+            if ps is None:
+                ps = parallel_sum(ah, bh, tol).value
+            rhs = cm.conj().T @ ah @ cm + (eye - cm).conj().T @ bh @ (eye - cm)
+            lam = float(np.linalg.eigvalsh(_herm(rhs - ps)).min())
+        worst = lam if worst is None else min(worst, lam)
+    return worst
 
 
 @dataclass(frozen=True)
@@ -231,10 +246,8 @@ def lemma_69_check(x, y, tol: Tol = DEFAULT_TOL) -> Lemma69Result:
     eye = np.eye(n, dtype=np.complex128)
     lhs = np.linalg.inv(eye + xh)
     rhs = ym.conj().T @ ym + (eye - ym).conj().T @ np.linalg.inv(xh) @ (eye - ym)
-    diff = rhs - lhs
-    diff = (diff + diff.conj().T) / 2.0
     return Lemma69Result(
-        lambda_min=float(np.linalg.eigvalsh(diff).min()),
+        lambda_min=float(np.linalg.eigvalsh(_herm(rhs - lhs)).min()),
         equality_gap=opnorm(ym - lhs),
     )
 
@@ -264,13 +277,11 @@ def solve_parallel_equation(a, b, tol: Tol = DEFAULT_TOL) -> ParallelEquationSol
         1e-8 * (||A|| + ||B||); for PSD inputs this bound cannot fail
         mathematically, only numerically.
     """
-    ah, wa = _psd_part(a, tol, "A")
-    bh, wb = _psd_part(b, tol, "B")
-    if ah.shape != bh.shape:
-        raise ShapeMismatch(f"A is {ah.shape} but B is {bh.shape}")
+    ah, wa, bh, wb = _psd_pair(a, b, tol)
     n = ah.shape[0]
     total = ah + bh
-    sol = reduced_solution(total, bh, tol)
+    f = _svd_factor(total)
+    sol = _solve(total, f, bh, tol)
     x = sol.D
     ps = parallel_sum(ah, bh, tol).value
     eye = np.eye(n, dtype=np.complex128)
@@ -281,16 +292,16 @@ def solve_parallel_equation(a, b, tol: Tol = DEFAULT_TOL) -> ParallelEquationSol
         raise InternalInvariantViolation(
             f"variational identity missed by {eq_residual:.3e} (bound {bound:.3e})"
         )
-    s = np.linalg.svd(total, compute_uv=False)
-    r = _rank(s, tol)
-    cond_on_range = float(s[0] / s[r - 1]) if r else 0.0
+    r = f.rank(tol)
+    cond_on_range = float(f.s[0] / f.s[r - 1]) if r else 0.0
+    norm_x = opnorm(x)
     return ParallelEquationSolution(
         X=x,
-        norm=opnorm(x),
+        norm=norm_x,
         diagnostics={
             "equation_residual": float(eq_residual),
             "solve_residual": float(sol.residual),
-            "norm_X": opnorm(x),
+            "norm_X": norm_x,
             "cond_on_range": cond_on_range,
         },
     )

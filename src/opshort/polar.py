@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlphaOutOfRange
-from .numkit import DEFAULT_TOL, Tol, _compact_svd, as_matrix
+from .numkit import DEFAULT_TOL, Tol, _herm, _svd_factor, as_matrix
 
 __all__ = [
     "PolarForm",
@@ -43,10 +43,6 @@ class PolarForm:
     alpha: float
 
 
-def _herm(a: np.ndarray) -> np.ndarray:
-    return (a + a.conj().T) / 2.0
-
-
 def polar_decompose(t, tol: Tol = DEFAULT_TOL) -> PolarForm:
     """Classical polar decomposition T = U |T| with U a partial isometry.
 
@@ -64,11 +60,8 @@ def polar_decompose(t, tol: Tol = DEFAULT_TOL) -> PolarForm:
         U is zero on the kernel of T, U*U is the projector onto the range
         of T*, and UU* is the projector onto the range of T.
     """
-    m = as_matrix(t)
-    u, s, vh, r = _compact_svd(m, tol)
-    U = u[:, :r] @ vh[:r]
-    absT = _herm((vh.conj().T * s) @ vh)
-    return PolarForm(U=U, absT=absT, alpha=1.0)
+    f = _svd_factor(as_matrix(t))
+    return PolarForm(U=f.power(0.0, f.rank(tol)), absT=f.abs_power(1.0, "right"), alpha=1.0)
 
 
 def gpolar(t, alpha: float, tol: Tol = DEFAULT_TOL) -> PolarForm:
@@ -88,11 +81,12 @@ def gpolar(t, alpha: float, tol: Tol = DEFAULT_TOL) -> PolarForm:
     """
     if not isinstance(alpha, (int, float)) or not (0.0 < alpha < 1.0):
         raise AlphaOutOfRange(f"alpha must lie in (0, 1), got {alpha!r}")
-    m = as_matrix(t)
-    u, s, vh, r = _compact_svd(m, tol)
-    U = (u[:, :r] * s[:r] ** (1.0 - alpha)) @ vh[:r]
-    absT = _herm((vh.conj().T * s) @ vh)
-    return PolarForm(U=U, absT=absT, alpha=float(alpha))
+    f = _svd_factor(as_matrix(t))
+    return PolarForm(
+        U=f.power(1.0 - alpha, f.rank(tol)),
+        absT=f.abs_power(1.0, "right"),
+        alpha=float(alpha),
+    )
 
 
 def gpolar_iterative(t, alpha: float, n: int, tol: Tol = DEFAULT_TOL) -> np.ndarray:
@@ -144,10 +138,15 @@ def v_operator(t, tol: Tol = DEFAULT_TOL) -> np.ndarray:
     """Canonical half-power factor V with V*V = |T|, VV* = |T*|.
 
     V is the reduced solution of |T*|^(1/2) X = T; equivalently
-    V = |T*|^(1/2) U_polar, which collapses to a single SVD expression
-    V = W_r s_r^(1/2) V_r*.  On PSD inputs V is the ordinary square root,
-    and V agrees with the alpha = 1/2 gpolar factor.
+    V = |T*|^(1/2) U_polar.  With one SVD T = W s Q* and r the rank under
+    tol.rank_rel, all of these share T's singular vectors:
+
+        V = W_r s_r^(1/2) Q_r*        U_polar = W_r Q_r*
+        |T|^(1/2) = Q s^(1/2) Q*      |T*|^(1/2) = W s^(1/2) W*
+
+    which is how :mod:`opshort.shorting` solves its four weak systems from
+    one factor.  On PSD inputs V is the ordinary square root, and V agrees
+    with the alpha = 1/2 gpolar factor.
     """
-    m = as_matrix(t)
-    u, s, vh, r = _compact_svd(m, tol)
-    return (u[:, :r] * s[:r] ** 0.5) @ vh[:r]
+    f = _svd_factor(as_matrix(t))
+    return f.power(0.5, f.rank(tol))

@@ -20,19 +20,37 @@ with V(T22) the canonical half-power factor of T22.  The bilateral shorted
 operator is then T11 - (F* E + Ftilde* Etilde) / 2 embedded back into the
 ambient spaces; the two cross products agree, which :func:`shorted` verifies
 rather than assumes.
+
+One SVD serves all six systems.  With T22 = W s V* (computed once per
+partition and kept on the :class:`BlockOperator`), V(T22) = W s^(1/2) V*,
+|T22|^(1/2) = V s^(1/2) V* and |T22*|^(1/2) = W s^(1/2) W*, so every
+reduced solution has a closed form over the first r singular triplets:
+
+    E      = V_r s_r^(-1/2) W_r* T21      C = V_r s_r^(-1) W_r* T21
+    F      = V_r s_r^(-1/2) V_r* T12*     D = W_r s_r^(-1) V_r* T12*
+    Etilde = W_r s_r^(-1/2) W_r* T21
+    Ftilde = W_r s_r^(-1/2) V_r* T12*
+
+and each system is solvable iff its right-hand side lies in R(W_r) (T21)
+or R(V_r) (T12*).  Two rank rules, both read from the one s, fix r:
+
+* systems 1 and 4 and both strong systems keep sigma_i > rank_rel * sigma_1;
+* systems 2 and 3 keep sigma_i > max(eig_clamp_rel, rank_rel^2) * sigma_1,
+  the rank of the square root of |T22| (or |T22*|) once psd_power has
+  clamped its small eigenvalues to zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .douglas import reduced_solution
+from .douglas import RangeInclusion, _inclusion
 from .errors import (
     InternalInvariantViolation,
     NotAProjector,
-    NotSolvable,
     NotWeaklyComplementable,
     ShapeMismatch,
     WitnessInvalid,
@@ -40,13 +58,14 @@ from .errors import (
 from .numkit import (
     DEFAULT_TOL,
     Tol,
+    _herm,
+    _norm_within,
     _rank,
-    absolute_value,
+    _svd_factor,
+    _SVDFactor,
     as_matrix,
     opnorm,
-    psd_power,
 )
-from .polar import polar_decompose, v_operator
 
 __all__ = [
     "BlockOperator",
@@ -72,27 +91,20 @@ _PROJ_IDEM_BOUND = 1e-10
 def _validated_projector_eig(m: np.ndarray, tol: Tol):
     """Validate a square nonempty projector candidate; return its spectrum.
 
-    The gap tests use a Frobenius fast path (the Frobenius norm dominates
-    the operator norm, so a small Frobenius gap already certifies the bound)
-    and fall back to exact singular values only near the boundary.
+    The two gap tests are settled by :func:`numkit._norm_within`, which
+    computes exact singular values only near the bound.
     """
     diff = m - m.conj().T
-    herm_gap = float(np.linalg.norm(diff))
-    if herm_gap > _PROJ_HERM_BOUND:
-        herm_gap = opnorm(diff)
-        if herm_gap > _PROJ_HERM_BOUND:
-            raise NotAProjector(
-                f"||P - P*|| = {herm_gap:.3e} exceeds {_PROJ_HERM_BOUND}"
-            )
+    if not _norm_within(diff, _PROJ_HERM_BOUND):
+        raise NotAProjector(
+            f"||P - P*|| = {opnorm(diff):.3e} exceeds {_PROJ_HERM_BOUND}"
+        )
     idem = m @ m - m
-    idem_gap = float(np.linalg.norm(idem))
-    if idem_gap > _PROJ_IDEM_BOUND:
-        idem_gap = opnorm(idem)
-        if idem_gap > _PROJ_IDEM_BOUND:
-            raise NotAProjector(
-                f"||P^2 - P|| = {idem_gap:.3e} exceeds {_PROJ_IDEM_BOUND}"
-            )
-    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+    if not _norm_within(idem, _PROJ_IDEM_BOUND):
+        raise NotAProjector(
+            f"||P^2 - P|| = {opnorm(idem):.3e} exceeds {_PROJ_IDEM_BOUND}"
+        )
+    w, v = np.linalg.eigh(_herm(m))
     stray = float(np.minimum(np.abs(w), np.abs(w - 1.0)).max())
     if stray > tol.eig_clamp_rel:
         raise NotAProjector(
@@ -144,6 +156,14 @@ def _ordered_basis(vectors: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(cols[:, order])
 
 
+def _coordinate_columns(n: int, mask: np.ndarray) -> np.ndarray:
+    """The columns e_i of the n x n identity where ``mask`` is set, in order."""
+    rows = np.flatnonzero(mask)
+    out = np.zeros((n, rows.size), dtype=np.complex128)
+    out[rows, np.arange(rows.size)] = 1.0
+    return out
+
+
 def _projector_bases(p: np.ndarray, tol: Tol):
     """Orthonormal bases (range, kernel) of a validated projector, in the
     deterministic order used throughout the package."""
@@ -153,6 +173,14 @@ def _projector_bases(p: np.ndarray, tol: Tol):
     if m.shape[0] == 0:
         empty = np.zeros((0, 0), dtype=np.complex128)
         return empty, empty
+    diag = np.diagonal(m)
+    if np.count_nonzero(m) == np.count_nonzero(diag) and np.all(
+        (diag == 0.0) | (diag == 1.0)
+    ):
+        # an exact 0/1 diagonal is exactly a projector; its bases are the
+        # coordinate columns in ascending order, as _ordered_basis sorts them
+        n = m.shape[0]
+        return _coordinate_columns(n, diag == 1.0), _coordinate_columns(n, diag == 0.0)
     _, vecs, rank = _validated_projector_eig(m, tol)
     basis_range = _ordered_basis(vecs[:, :rank])
     basis_kernel = _ordered_basis(vecs[:, rank:])
@@ -208,6 +236,27 @@ class BlockOperator:
         """T rebuilt from its four corners; equals T to working precision."""
         return self.lift(self.T11, self.T12, self.T21, self.T22)
 
+    @cached_property
+    def _t22(self) -> _SVDFactor:
+        """The one SVD T22 = W s V* that every corner system reads."""
+        return _svd_factor(self.T22)
+
+    @cached_property
+    def _sides(self):
+        """The two sides of T22 = W s V* as (basis, right-hand side C, ||C||,
+        basis* C): (W, T21, ...) on N_perp and (V, T12*, ...) on M_perp."""
+        f = self._t22
+        t12s = self.T12.conj().T
+        return (
+            (f.u, self.T21, opnorm(self.T21), f.u.conj().T @ self.T21),
+            (f.vh.conj().T, t12s, opnorm(t12s), f.vh @ t12s),
+        )
+
+    @cached_property
+    def _verdicts(self) -> dict:
+        """Inclusion verdicts by (side, rank, Tol); see :func:`_inclusion_at`."""
+        return {}
+
 
 def _lift(rows, cols, x11, x12, x21, x22) -> np.ndarray:
     """Sum of rows[i] @ x_ij @ cols[j]* over the pieces given (None = 0);
@@ -260,16 +309,18 @@ def partition(t, pm, pn, tol: Tol = DEFAULT_TOL) -> BlockOperator:
     if pnn.shape != (k, k):
         raise ShapeMismatch(f"PN must be {k}x{k} on the codomain, got {pnn.shape}")
     bm, bmp = _projector_bases(pmm, tol)
+    pm_h = _herm(pmm)
     if np.array_equal(pnn, pmm):
-        bn, bnp = bm, bmp
+        bn, bnp, pn_h = bm, bmp, pm_h
     else:
         bn, bnp = _projector_bases(pnn, tol)
+        pn_h = _herm(pnn)
     bn_h = bn.conj().T
     bnp_h = bnp.conj().T
     return BlockOperator(
         T=tm,
-        PM=(pmm + pmm.conj().T) / 2.0,
-        PN=(pnn + pnn.conj().T) / 2.0,
+        PM=pm_h,
+        PN=pn_h,
         basis_m=bm,
         basis_m_perp=bmp,
         basis_n=bn,
@@ -296,21 +347,46 @@ class Complementability:
     margins: tuple[float, float]
 
 
+def _half_power_rank(s: np.ndarray, tol: Tol) -> int:
+    """Rank rule of systems 2 and 3: sigma_i > max(eig_clamp_rel,
+    rank_rel^2) * sigma_1.  psd_power zeroes the eigenvalues of |T22| at or
+    below eig_clamp_rel * sigma_1, and the rank cutoff on the square roots
+    keeps sigma_i^(1/2) > rank_rel * sigma_1^(1/2)."""
+    scale = float(s[0]) if s.size else 0.0
+    return int(np.count_nonzero(s > max(tol.eig_clamp_rel, tol.rank_rel**2) * scale))
+
+
+def _inclusion_at(block: BlockOperator, side: int, r: int, tol: Tol) -> RangeInclusion:
+    """Verdict on T21 in R(W_r) (side 0) or T12* in R(V_r) (side 1).
+
+    Every system with that right-hand side and rank shares it, so each
+    margin is computed once per block.
+    """
+    key = (side, r, tol)
+    if key not in block._verdicts:
+        basis, c, c_norm, coords = block._sides[side]
+        block._verdicts[key] = _inclusion(basis[:, :r], coords[:r], c, c_norm, tol)
+    return block._verdicts[key]
+
+
+def _closed_form(block: BlockOperator, rhs: int, out: int, a: float, r: int) -> np.ndarray:
+    """B_out,r s_r^(-a) B_rhs,r* C: the reduced solution of
+    (B_rhs,r s_r^a B_out,r*) X = C, with B_0 = W, B_1 = V and C the
+    right-hand side of side ``rhs``."""
+    basis = block._sides[out][0][:, :r]
+    return (basis / block._t22.s[:r] ** a) @ block._sides[rhs][3][:r]
+
+
 def is_complementable(block: BlockOperator, tol: Tol = DEFAULT_TOL) -> Complementability:
     """Decide (M, N)-complementability and return the canonical witnesses."""
+    r = block._t22.rank(tol)
     witnesses = []
     margins = []
-    for aa, cc in (
-        (block.T22, block.T21),
-        (block.T22.conj().T, block.T12.conj().T),
-    ):
-        try:
-            sol = reduced_solution(aa, cc, tol)
-            witnesses.append(sol.D)
-            margins.append(sol.margin)
-        except NotSolvable as exc:
-            witnesses.append(None)
-            margins.append(exc.margin)
+    # T22 = W s V* and T22* = V s W*, both under the rank_rel rule
+    for rhs, out in ((0, 1), (1, 0)):
+        verdict = _inclusion_at(block, rhs, r, tol)
+        witnesses.append(_closed_form(block, rhs, out, 1.0, r) if verdict.included else None)
+        margins.append(verdict.margin)
     return Complementability(
         complementable=witnesses[0] is not None and witnesses[1] is not None,
         C=witnesses[0],
@@ -374,32 +450,28 @@ class WeakComplementData:
     solvable: tuple[bool, bool, bool, bool]
 
 
+# (right-hand side, solution side, rank rule) of systems 1-4: system i has
+# the operator B_rhs s^(1/2) B_out* over T22's first r singular triplets,
+# r under rank_rel (rule 0) or the half-power rule (rule 1)
+_WEAK_SYSTEMS = ((0, 1, 0), (1, 1, 1), (0, 0, 1), (1, 0, 0))
+
+
 def weak_complement_data(block: BlockOperator, tol: Tol = DEFAULT_TOL) -> WeakComplementData:
     """Solve the four half-power systems attached to the partition."""
-    t21 = block.T21
-    t12_star = block.T12.conj().T
-    v22 = v_operator(block.T22, tol)
-    half_right = psd_power(absolute_value(block.T22, "right", tol), 0.5, tol)
-    half_left = psd_power(absolute_value(block.T22, "left", tol), 0.5, tol)
-    systems = (
-        (v22, t21),
-        (half_right, t12_star),
-        (half_left, t21),
-        (v22.conj().T, t12_star),
-    )
+    f = block._t22
+    ranks = (f.rank(tol), _half_power_rank(f.s, tol))
     solutions = []
     residuals = []
     flags = []
-    for a, rhs in systems:
-        try:
-            sol = reduced_solution(a, rhs, tol)
-            solutions.append(sol.D)
-            residuals.append(sol.residual)
-            flags.append(True)
-        except NotSolvable as exc:
-            solutions.append(exc.candidate)
-            residuals.append(exc.residual)
-            flags.append(False)
+    for rhs, out, rule in _WEAK_SYSTEMS:
+        r = ranks[rule]
+        basis, c, c_norm, _ = block._sides[rhs]
+        d = _closed_form(block, rhs, out, 0.5, r)
+        root = f.s[:r] ** 0.5
+        applied = (basis[:, :r] * root) @ (block._sides[out][0][:, :r].conj().T @ d)
+        solutions.append(d)
+        residuals.append(opnorm(applied - c) / max(c_norm, 1.0))
+        flags.append(_inclusion_at(block, rhs, r, tol).included)
     return WeakComplementData(
         E=solutions[0],
         F=solutions[1],
@@ -448,9 +520,9 @@ def shorted(block: BlockOperator, tol: Tol = DEFAULT_TOL) -> ShortedResult:
         )
     fe = data.F.conj().T @ data.E
     fte = data.Ftilde.conj().T @ data.Etilde
-    gap = opnorm(fe - fte)
-    bound = 1e-9 * max(opnorm(block.T), 1.0)
-    if gap > bound:
+    if not _norm_within(fe - fte, 1e-9, block.T):
+        gap = opnorm(fe - fte)
+        bound = 1e-9 * max(opnorm(block.T), 1.0)
         raise InternalInvariantViolation(
             f"cross products F*E and Ftilde*Etilde disagree by {gap:.3e} "
             f"(bound {bound:.3e})"
@@ -524,7 +596,7 @@ def verify_range_kernel(
     rank_t = _rank(s_t, tol)
     range_t = u_t[:, :rank_t]
     p_range_t = range_t @ range_t.conj().T
-    p_range_t = (p_range_t + p_range_t.conj().T) / 2.0
+    p_range_t = _herm(p_range_t)
     inter = _intersection_basis(p_range_t, block.PN, tol)
     rank_inter = inter.shape[1]
 
@@ -559,19 +631,17 @@ def verify_range_kernel(
 def redundancy_report(block: BlockOperator, data: WeakComplementData, tol: Tol = DEFAULT_TOL) -> dict:
     """Per-instance data on whether systems 1 and 4 were redundant.
 
-    With U the polar factor of T22, the identities E = U* Etilde and
-    Ftilde = U F would make E and Ftilde derivable from the other two
-    solutions.  This reports the observed gaps without asserting the
-    general claim.
+    With U = W_r V_r* the polar factor of T22 (read from the block's SVD),
+    the identities E = U* Etilde and Ftilde = U F would make E and Ftilde
+    derivable from the other two solutions.  This reports the observed gaps
+    without asserting the general claim.
     """
-    u22 = polar_decompose(block.T22, tol).U
+    f = block._t22
+    u22 = f.power(0.0, f.rank(tol))
     gap_e = opnorm(data.E - u22.conj().T @ data.Etilde)
     gap_f = opnorm(data.Ftilde - u22 @ data.F)
-    scale = max(opnorm(block.T), 1.0)
     return {
         "gap_E_vs_U22star_Etilde": gap_e,
         "gap_Ftilde_vs_U22_F": gap_f,
-        "redundant_within_tol": bool(
-            gap_e <= tol.residual_rel * scale and gap_f <= tol.residual_rel * scale
-        ),
+        "redundant_within_tol": _norm_within(max(gap_e, gap_f), tol.residual_rel, block.T),
     }

@@ -65,3 +65,24 @@ def complementable_instance(rng, max_dim=12):
     pm = q[:, :dim_m] @ q[:, :dim_m].conj().T
     pn = w[:, :dim_n] @ w[:, :dim_n].conj().T
     return t, (pm + pm.conj().T) / 2.0, (pn + pn.conj().T) / 2.0
+
+
+def record_svd(monkeypatch):
+    """Record every LAPACK SVD call as (input, compute_uv).
+
+    Both bindings are patched: ``np.linalg.svd`` catches direct calls and
+    ``numpy.linalg._linalg.svd`` the singular values behind
+    ``np.linalg.norm(x, 2)``, i.e. behind every ``opnorm``.
+    """
+    import numpy.linalg._linalg as linalg_impl
+
+    calls = []
+    real = linalg_impl.svd
+
+    def recording(a, full_matrices=True, compute_uv=True, hermitian=False):
+        calls.append((np.asarray(a).copy(), compute_uv))
+        return real(a, full_matrices=full_matrices, compute_uv=compute_uv, hermitian=hermitian)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    monkeypatch.setattr(linalg_impl, "svd", recording)
+    return calls

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opshort import make_kit, save_matrix
+from opshort import hansen_inequality_check, load_matrix, make_kit, parallel, save_matrix
 from opshort.cli import dispatch
 
 RNG = np.random.default_rng(6006)
@@ -299,6 +299,47 @@ def test_hansen_probe_mode_deterministic(capsys, tmp_path):
     assert payload["probes"] == 50
     assert payload["seed"] == 7
     assert payload["lambda_min_worst"] >= -1e-8 * 4.0
+
+
+def test_hansen_probe_mode_computes_the_parallel_sum_once(capsys, tmp_path, monkeypatch):
+    # the probes share one validation and one A : B, and the worst value is
+    # the very float that one public call per probe gives
+    n, probes, seed = 5, 20, 3
+    x = RNG.standard_normal((n, 3)) + 1j * RNG.standard_normal((n, 3))
+    a = _write(tmp_path, "a.json", x @ x.conj().T)  # singular PSD
+    b = _write(tmp_path, "b.json", np.diag(np.arange(1.0, n + 1.0)))
+    calls = []
+    real = parallel.parallel_sum
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(parallel, "parallel_sum", counting)
+    argv = ["hansen-check", "--a", a, "--b", b, "--probes", str(probes), "--seed", str(seed)]
+    code, payload = _run_json(capsys, argv)
+    assert code == 0
+    assert calls == [(n, n)]
+
+    am, bm = load_matrix(a), load_matrix(b)
+    rng = np.random.default_rng(seed)
+    worst = min(
+        hansen_inequality_check(
+            am, bm, (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+        )
+        for _ in range(probes)
+    )
+    assert payload["lambda_min_worst"] == worst
+    assert len(calls) == 1 + probes
+
+
+def test_hansen_probe_mode_validates_once_with_the_same_errors(capsys, tmp_path):
+    bad = _write(tmp_path, "bad.json", np.diag([1.0, -1.0]))
+    good = _write(tmp_path, "good.json", np.eye(2))
+    wide = _write(tmp_path, "wide.json", np.eye(3))
+    for argv in (["--a", bad, "--b", good], ["--a", good, "--b", wide]):
+        code, out = _run(capsys, ["hansen-check", *argv, "--probes", "5"])
+        assert code == 2 and out == ""
 
 
 def test_hansen_explicit_probe(capsys, tmp_path):

@@ -11,9 +11,11 @@ from opshort import (
     range_projector,
     reduced_solution,
 )
+from opshort.douglas import _solve
 from opshort.errors import NotSolvable, ShapeMismatch
+from opshort.numkit import DEFAULT_TOL, _svd_factor
 
-from _util import rand_complex, rand_fullrank
+from _util import rand_complex, rand_fullrank, record_svd
 
 RNG = np.random.default_rng(3003)
 
@@ -160,6 +162,47 @@ def test_borderline_survives_into_solution():
     sol = reduced_solution(*_margin_probe(5e-9))
     assert sol.borderline
     assert sol.margin == pytest.approx(5e-9, rel=1e-9)
+
+
+# --- factor, then solve ------------------------------------------------------------
+
+
+def _outcome(fn):
+    try:
+        sol = fn()
+    except NotSolvable as exc:
+        return ("not solvable", exc.candidate, exc.residual, exc.margin, exc.borderline)
+    return ("solved", sol.D, sol.residual, sol.range_ok, sol.margin, sol.borderline)
+
+
+@pytest.mark.parametrize("delta", [0.0, 5e-9, 3e-8, 1e-3])
+def test_solve_step_on_a_held_factor_matches_reduced_solution(monkeypatch, delta):
+    # the solve step takes no factorization of its own: handed A's factor it
+    # returns exactly what reduced_solution returns, on either verdict
+    a = _rank_deficient(RNG, 7, 5, 3)
+    u, _, _ = np.linalg.svd(a)
+    c = a @ rand_complex(RNG, 5, 2) + delta * u[:, 5:6] @ np.ones((1, 2))
+    expected = _outcome(lambda: reduced_solution(a, c))
+    f = _svd_factor(a)
+    calls = record_svd(monkeypatch)
+    got = _outcome(lambda: _solve(a, f, c, DEFAULT_TOL))
+    assert not [uv for _, uv in calls if uv]
+    assert got[0] == expected[0]
+    assert np.array_equal(got[1], expected[1])
+    assert got[2:] == expected[2:]
+
+
+def test_reduced_solution_factors_a_once(monkeypatch):
+    a = _rank_deficient(RNG, 6, 5, 3)
+    c = a @ rand_complex(RNG, 5, 2)
+    calls = record_svd(monkeypatch)
+    sol = reduced_solution(a, c)
+    factored = [m for m, uv in calls if uv]
+    assert len(factored) == 1 and np.array_equal(factored[0], a)
+    # norms only for the reported margin, ||C|| and the residual; the range
+    # check is settled by Frobenius bounds
+    assert len(calls) == 4
+    assert sol.range_ok
 
 
 # --- verdict stability ------------------------------------------------------------

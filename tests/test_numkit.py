@@ -26,7 +26,9 @@ from opshort import (
     solve_parallel_equation,
     verify_range_kernel,
 )
+from opshort import numkit
 from opshort.errors import NotHermitian, NotPSD, ShapeMismatch
+from opshort.numkit import _norm_within, _svd_factor
 
 from _util import rand_complex, rand_psd, rand_unitary
 
@@ -283,6 +285,83 @@ def test_rank_rule_consumers_agree_at_the_cutoff():
     half = np.diag(s / 2.0)
     cond = solve_parallel_equation(half, half).diagnostics["cond_on_range"]
     assert cond == pytest.approx(1.0 / (2.0 * r), rel=1e-12)
+
+
+# --- the SVD factor and its views ------------------------------------------------
+
+
+def test_svd_factor_views_match_their_definitions():
+    # rank-deficient 7 x 5, so every view has to respect the rank cutoff
+    t = rand_complex(RNG, 7, 3) @ rand_complex(RNG, 3, 5)
+    f = _svd_factor(t)
+    r = f.rank(DEFAULT_TOL)
+    assert r == numerical_rank(t) == 3
+    assert opnorm(f.pinv(r) - np.linalg.pinv(t, rcond=1e-10)) <= 1e-10
+    u_polar = f.power(0.0, r)
+    assert opnorm(u_polar @ absolute_value(t, "right") - t) <= 1e-12 * opnorm(t)
+    # U s^(1/2) Vh squares to |T| and |T*| from either side
+    v = f.power(0.5, r)
+    assert opnorm(v.conj().T @ v - f.abs_power(1.0, "right")) <= 1e-12 * opnorm(t)
+    assert opnorm(v @ v.conj().T - f.abs_power(1.0, "left")) <= 1e-12 * opnorm(t)
+    for side in ("right", "left"):
+        old = psd_power(absolute_value(t, side), 0.5)
+        assert opnorm(f.abs_power(0.5, side) - old) <= 1e-7
+        assert np.array_equal(f.abs_power(1.0, side), absolute_value(t, side))
+
+
+# --- certified operator-norm bounds -------------------------------------------------
+
+
+def _count_opnorm(monkeypatch):
+    calls = []
+    real = numkit.opnorm
+
+    def counting(m):
+        calls.append(np.shape(m))
+        return real(m)
+
+    monkeypatch.setattr(numkit, "opnorm", counting)
+    return calls
+
+
+def test_norm_within_certain_pass_and_fail_skip_the_svd(monkeypatch):
+    # ||X||_F <= rel * ||Y||_F / sqrt(n) certifies a pass and
+    # ||X||_F / sqrt(n) > rel * ||Y||_F a failure, without singular values
+    calls = _count_opnorm(monkeypatch)
+    n, rel = 16, 1e-3
+    y = np.eye(n)
+    assert _norm_within(0.9 * rel / n * np.eye(n), rel, y, floor=0.0)
+    assert not _norm_within(1.1 * rel * np.sqrt(n) * np.eye(n), rel, y, floor=0.0)
+    # with no Y the bound is rel * floor
+    assert _norm_within(np.full((n, n), 0.9 * rel / n**1.5), rel)
+    assert not _norm_within(np.full((n, n), 1.1 * rel / n**0.5), rel)
+    assert _norm_within(np.zeros((0, 3)), rel, floor=0.0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("c,expected", [(0.5, True), (2.0, False)])
+def test_norm_within_band_falls_back_to_the_exact_norm(monkeypatch, c, expected):
+    # rank-one X and Y: the Frobenius norms equal the operator norms, but the
+    # helper only knows rank <= n, so for n = 16 its bounds are a factor 4
+    # loose on each side and c = 0.5 or 2 lands in the ambiguous band
+    calls = _count_opnorm(monkeypatch)
+    n, rel = 16, 1e-3
+    q = rand_unitary(RNG, n)
+    x = c * rel * np.outer(q[:, 0], q[:, 1].conj())
+    y = np.outer(q[:, 2], q[:, 3].conj())
+    x_lo, x_hi = numkit._norm_bounds(x)
+    y_lo, y_hi = numkit._norm_bounds(y)
+    assert x_hi > rel * y_lo and x_lo <= rel * y_hi
+    assert _norm_within(x, rel, y, floor=0.0) is expected
+    assert len(calls) == 2
+
+
+def test_norm_within_takes_exact_norms_as_floats(monkeypatch):
+    calls = _count_opnorm(monkeypatch)
+    assert _norm_within(1.0, 0.5, 2.0, floor=0.0)
+    assert not _norm_within(1.0 + 1e-15, 0.5, 2.0, floor=0.0)
+    assert _norm_within(0.5, 0.5)  # floor 1
+    assert calls == []
 
 
 def test_opnorm_empty_is_zero():

@@ -3,6 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from opshort import (
+    DEFAULT_TOL,
+    absolute_value,
     check_projector,
     complementable_idempotents,
     is_complementable,
@@ -11,21 +13,33 @@ from opshort import (
     opnorm,
     partition,
     pseudo_inverse,
+    psd_power,
     redundancy_report,
+    reduced_solution,
     shorted,
     v_operator,
     verify_range_kernel,
     weak_complement_data,
 )
+from opshort import shorting
 from opshort.errors import (
     NotAProjector,
+    NotSolvable,
     NotWeaklyComplementable,
     ShapeMismatch,
     WitnessInvalid,
 )
 from opshort.lab import kit_block_projector
+from opshort.shorting import _ordered_basis, _projector_bases, _validated_projector_eig
 
-from _util import complementable_instance, rand_complex, rand_projector, rand_psd
+from _util import (
+    complementable_instance,
+    rand_complex,
+    rand_projector,
+    rand_psd,
+    rand_unitary,
+    record_svd,
+)
 
 RNG = np.random.default_rng(4004)
 
@@ -68,6 +82,71 @@ def test_check_projector_eigenvalue_drift():
         check_projector(np.diag([1.0 + 1e-9, 0.0]))
     # drift below every gate is still a projector
     assert check_projector(np.diag([1.0 + 5e-11, 0.0])) == 1
+
+
+# --- exact coordinate projectors ----------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 64, 200])
+def test_coordinate_projector_bases_are_the_eigh_bytes(n):
+    # the shortcut for exact 0/1 diagonals returns, byte for byte, the bases
+    # that the eigh route and _ordered_basis produce
+    rng = np.random.default_rng(n)
+    patterns = [np.zeros(n), np.ones(n), (rng.uniform(size=n) < 0.5).astype(float)]
+    patterns[2][0] = 1.0 - patterns[2][-1]  # mixed whenever n > 1
+    for diag in patterns:
+        p = np.diag(diag).astype(np.complex128)
+        _, vecs, rank = _validated_projector_eig(p, DEFAULT_TOL)
+        expected = (_ordered_basis(vecs[:, :rank]), _ordered_basis(vecs[:, rank:]))
+        for got, want in zip(_projector_bases(p, DEFAULT_TOL), expected):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+
+
+def _spy_eig(monkeypatch):
+    calls = []
+    real = shorting._validated_projector_eig
+
+    def spy(m, tol):
+        calls.append(m.shape)
+        return real(m, tol)
+
+    monkeypatch.setattr(shorting, "_validated_projector_eig", spy)
+    return calls
+
+
+def test_coordinate_projector_skips_the_eigensolver(monkeypatch):
+    calls = _spy_eig(monkeypatch)
+    t = rand_complex(RNG, 6, 6)
+    block = partition(t, _coord_projector(6, 2), _coord_projector(6, 3))
+    assert calls == []
+    assert_allclose(block.T21, t[3:, :2], atol=0)
+    # a general projector still goes through validation and eigh
+    partition(t, rand_projector(RNG, 6, 2), _coord_projector(6, 3))
+    assert calls == [(6, 6)]
+
+
+@pytest.mark.parametrize(
+    "p,message",
+    [
+        (np.array([[1.0, 1e-6], [0.0, 0.0]]), r"\|\|P - P\*\|\| = 1\.000e-06 exceeds 1e-10"),
+        (np.diag([1.0, 0.5]), r"\|\|P\^2 - P\|\| = 2\.500e-01 exceeds 1e-10"),
+        (np.diag([1.0, 1.0 + 1e-9]), r"\|\|P\^2 - P\|\| = 1\.000e-09 exceeds 1e-10"),
+        (np.diag([1.0, 1.0 + 1e-11j]), None),
+    ],
+)
+def test_near_coordinate_projectors_take_the_general_path(monkeypatch, p, message):
+    # an off-diagonal entry or a diagonal 0.5, 1 + 1e-9 or 1 + 1e-11 i is not
+    # an exact 0/1 diagonal: it is validated, and accepted or rejected with
+    # the same message as before
+    calls = _spy_eig(monkeypatch)
+    if message is None:
+        assert partition(np.eye(2), p, p).dim_m == 2
+    else:
+        with pytest.raises(NotAProjector, match=message):
+            partition(np.eye(2), p, p)
+    assert calls == [(2, 2)]
 
 
 # --- partition ----------------------------------------------------------------------
@@ -252,6 +331,166 @@ def test_weak_flags_mark_unsolvable_systems():
     with pytest.raises(NotWeaklyComplementable) as err:
         shorted(block)
     assert err.value.failing == (1, 3)
+
+
+# --- closed forms from one SVD of T22 ------------------------------------------------
+
+
+def _old_route(block, tol=DEFAULT_TOL):
+    """The six corner systems solved one factorization at a time:
+    (solution or least-squares candidate, residual, margin, solvable)."""
+    t22, t21, t12s = block.T22, block.T21, block.T12.conj().T
+    v22 = v_operator(t22, tol)
+    systems = (
+        (v22, t21),
+        (psd_power(absolute_value(t22, "right", tol), 0.5, tol), t12s),
+        (psd_power(absolute_value(t22, "left", tol), 0.5, tol), t21),
+        (v22.conj().T, t12s),
+        (t22, t21),
+        (t22.conj().T, t12s),
+    )
+    out = []
+    for a, c in systems:
+        try:
+            sol = reduced_solution(a, c, tol)
+            out.append((sol.D, sol.residual, sol.margin, True))
+        except NotSolvable as exc:
+            out.append((exc.candidate, exc.residual, exc.margin, False))
+    return out
+
+
+def _rel_close(new, old, rel=1e-9):
+    return opnorm(np.asarray(new) - np.asarray(old)) <= rel * max(opnorm(np.atleast_2d(old)), 1.0)
+
+
+def _not_weak_instance(rng):
+    # complementable, then T21 pushed out of R(T22) along a left null vector
+    while True:
+        t, pm, pn = complementable_instance(rng)
+        block = partition(t, pm, pn)
+        u, s, _ = np.linalg.svd(block.T22)
+        r = int(np.count_nonzero(s > 1e-12 * s[0]))
+        if r < block.T22.shape[0]:
+            break
+    push = 1e-2 * np.outer(u[:, r], rand_complex(rng, 1, block.dim_m))
+    return block.lift(block.T11, block.T12, block.T21 + push, block.T22), pm, pn
+
+
+@pytest.mark.parametrize("kind", ["complementable", "not_weak", "kit"])
+def test_closed_forms_match_the_old_route(kind):
+    rng = np.random.default_rng({"complementable": 11, "not_weak": 12, "kit": 13}[kind])
+    deficient = 0
+    for trial in range(8 if kind != "kit" else 1):
+        if kind == "complementable":
+            t, pm, pn = complementable_instance(rng)
+        elif kind == "not_weak":
+            t, pm, pn = _not_weak_instance(rng)
+        else:
+            kit = make_kit(16)
+            t, pm = kit.bigT, kit_block_projector(16)
+            pn = pm
+        block = partition(t, pm, pn)
+        deficient += numerical_rank(block.T22) < min(block.T22.shape)
+        old = _old_route(block)
+        data = weak_complement_data(block)
+        comp = is_complementable(block)
+        new = list(zip((data.E, data.F, data.Etilde, data.Ftilde), data.residuals, data.solvable))
+        for (d, res, ok), (d_old, res_old, margin_old, ok_old) in zip(new, old):
+            assert ok == ok_old
+            assert _rel_close(d, d_old)
+            assert abs(res - res_old) <= 1e-9 * max(res_old, 1.0)
+        # the strong witnesses, their margins, and the margins the weak
+        # systems share with them (systems 1 and 3 read T21, 2 and 4 T12*)
+        for w, m, (d_old, _, margin_old, ok_old) in zip((comp.C, comp.D), comp.margins, old[4:]):
+            assert (w is not None) == ok_old
+            assert w is None or _rel_close(w, d_old)
+            assert abs(m - margin_old) <= 1e-9 * max(margin_old, 1.0)
+        f = block._t22
+        ranks = (f.rank(DEFAULT_TOL), shorting._half_power_rank(f.s, DEFAULT_TOL))
+        for (rhs, _, rule), (_, _, margin_old, _) in zip(shorting._WEAK_SYSTEMS, old[:4]):
+            margin = shorting._inclusion_at(block, rhs, ranks[rule], DEFAULT_TOL).margin
+            assert abs(margin - margin_old) <= 1e-9 * max(margin_old, 1.0)
+        if kind == "not_weak":
+            assert not comp.complementable and not data.solvable[0]
+            with pytest.raises(NotWeaklyComplementable) as err:
+                shorted(block)
+            assert err.value.failing == tuple(i + 1 for i, ok in enumerate(data.solvable) if not ok)
+        else:
+            assert all(data.solvable) and comp.complementable
+            result = shorted(block)
+            old_core = block.T11 - 0.5 * (
+                old[1][0].conj().T @ old[0][0] + old[3][0].conj().T @ old[2][0]
+            )
+            assert _rel_close(result.core, old_core)
+    # the random instances include rank-deficient corners
+    assert deficient > 0 or kind == "kit"
+
+
+def _two_rule_block(t21_out, t12_out):
+    """Coordinate partition whose square T22 has singular values
+    (1, 0.3, 0.01, 1e-11): 1e-11 * sigma_1 is kept by the rank_rel rule
+    (1e-12) and dropped by the half-power rule (1e-10), and the others sit
+    at least 10x away from both.  T22 is invertible, so the singular
+    direction of 1e-11 is well separated.  On request T21 and T12* get a
+    component along it."""
+    rng = np.random.default_rng(77)
+    w, v = rand_unitary(rng, 4), rand_unitary(rng, 4)
+    t22 = (w * np.array([1.0, 0.3, 0.01, 1e-11])) @ v.conj().T
+    t21 = t22 @ rand_complex(rng, 4, 3)
+    t12s = t22.conj().T @ rand_complex(rng, 4, 2)
+    if t21_out:
+        t21 = t21 + 0.5 * np.outer(w[:, 3], rand_complex(rng, 1, 3))
+    if t12_out:
+        t12s = t12s + 0.5 * np.outer(v[:, 3], rand_complex(rng, 1, 2))
+    t = np.block([[rand_complex(rng, 2, 3), t12s.conj().T], [t21, t22]])
+    return partition(t, _coord_projector(7, 3), _coord_projector(6, 2))
+
+
+@pytest.mark.parametrize(
+    "t21_out,t12_out,failing",
+    [(False, False, ()), (True, False, (3,)), (False, True, (2,)), (True, True, (2, 3))],
+)
+def test_the_two_rank_rules_reproduce_the_old_verdicts(t21_out, t12_out, failing):
+    block = _two_rule_block(t21_out, t12_out)
+    s = np.linalg.svd(block.T22, compute_uv=False)
+    assert s[3] == pytest.approx(1e-11, rel=1e-3)
+    old_flags = tuple(ok for _, _, _, ok in _old_route(block))
+    data = weak_complement_data(block)
+    assert data.solvable == old_flags[:4]
+    assert is_complementable(block).complementable == (old_flags[4] and old_flags[5])
+    assert tuple(i + 1 for i, ok in enumerate(old_flags[:4]) if not ok) == failing
+    if failing:
+        with pytest.raises(NotWeaklyComplementable) as err:
+            shorted(block)
+        assert err.value.failing == failing
+    else:
+        assert shorted(block).mode == "complementable"
+
+
+def test_shorted_takes_one_svd_of_t22(monkeypatch):
+    # 9 x 7 T with dim M = 3 and dim N = 2, so T22 is 7 x 4 and no corner
+    # has T's shape; T21 = T22 K keeps the partition complementable
+    t22 = rand_complex(RNG, 7, 4)
+    inner = np.block(
+        [[rand_complex(RNG, 2, 3), rand_complex(RNG, 2, 4)], [t22 @ rand_complex(RNG, 4, 3), t22]]
+    )
+    q, w = rand_unitary(RNG, 7), rand_unitary(RNG, 9)
+    t = w @ inner @ q.conj().T
+    pm = q[:, :3] @ q[:, :3].conj().T
+    pn = w[:, :2] @ w[:, :2].conj().T
+    block = partition(t, (pm + pm.conj().T) / 2.0, (pn + pn.conj().T) / 2.0)
+    calls = record_svd(monkeypatch)
+    result = shorted(block)
+    factored = [m for m, uv in calls if uv]
+    assert len(factored) == 1 and np.array_equal(factored[0], block.T22)
+    assert all(m.shape not in (t.shape, t.T.shape) for m, _ in calls)
+    # the factor, the margins and ||T21||, ||T12|| stay with the block
+    calls.clear()
+    data = weak_complement_data(block)
+    is_complementable(block)
+    redundancy_report(block, data)
+    assert not [uv for _, uv in calls if uv]
+    assert result.mode == "complementable"
 
 
 # --- shorted operator ----------------------------------------------------------------
