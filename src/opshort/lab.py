@@ -26,7 +26,7 @@ from .douglas import _solve
 from .errors import InternalInvariantViolation
 from .numkit import DEFAULT_TOL, Tol, _norm_within, _svd_factor, opnorm, psd_power, range_basis
 from .parallel import parallel_sum
-from .shorting import partition, shorted
+from .shorting import _coordinate_projector, partition, shorted
 
 __all__ = [
     "CounterexampleKit",
@@ -136,10 +136,7 @@ def sqrt_a0_closed_form(d: int) -> np.ndarray:
 
 def kit_block_projector(d: int) -> np.ndarray:
     """Projector onto the first 2d of 4d coordinates (the M = N corner of bigT)."""
-    p = np.zeros((4 * d, 4 * d))
-    for i in range(2 * d):
-        p[i, i] = 1.0
-    return p
+    return _coordinate_projector(4 * d, 2 * d, np.float64)
 
 
 @dataclass(frozen=True)

@@ -387,7 +387,13 @@ def matrix_from_json_dict(obj) -> np.ndarray:
             or not all(isinstance(x, (int, float)) for x in entry)
         ):
             raise ValueError(f"data[{i}] is not a [re, im] pair of numbers")
-        out[i] = complex(entry[0], entry[1])
+        try:
+            out[i] = complex(entry[0], entry[1])
+        except OverflowError:  # an integer literal beyond the float range
+            raise ValueError(f"data[{i}] is not finite") from None
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        raise ValueError(f"data[{bad[0]}] is not finite")
     return out.reshape(rows, cols)
 
 

@@ -15,13 +15,14 @@ import numpy as np
 from .douglas import _solve
 from .errors import InternalInvariantViolation, NotPositiveDefinite, NotPSD, ShapeMismatch
 from .numkit import DEFAULT_TOL, Tol, _eig_clamp, _herm, _herm_within, _svd_factor, as_matrix, opnorm
-from .shorting import partition, shorted
+from .shorting import _coordinate_projector, partition, shorted
 
 __all__ = [
     "ParallelSumResult",
     "Lemma69Result",
     "ParallelEquationSolution",
     "parallel_sum",
+    "regularized_trend",
     "hansen_inequality_check",
     "lemma_69_check",
     "solve_parallel_equation",
@@ -96,13 +97,6 @@ def _clamp_result_psd(value: np.ndarray, scale: float, tol: Tol) -> np.ndarray:
     return _herm((v * w) @ v.conj().T)
 
 
-def _coordinate_projector(total: int, count: int) -> np.ndarray:
-    p = np.zeros((total, total), dtype=np.complex128)
-    for i in range(count):
-        p[i, i] = 1.0
-    return p
-
-
 def _pd_formula(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _herm(np.linalg.inv(np.linalg.inv(a) + np.linalg.inv(b)))
 
@@ -114,15 +108,12 @@ class ParallelSumResult:
     ``route`` names the route that produced ``value`` (always the
     shorted-block construction); ``route_agreement`` is the maximum deviation
     between that value and any cross-check route that ran (0.0 when none
-    did).  ``regularized`` maps epsilon to the deviation of the regularized
-    sum (A + eps I) : (B + eps I) from ``value``, reported for its trend,
-    never folded into the agreement number.
+    did).
     """
 
     value: np.ndarray
     route: str
     route_agreement: float
-    regularized: dict
 
 
 def parallel_sum(a, b, tol: Tol = DEFAULT_TOL) -> ParallelSumResult:
@@ -154,18 +145,25 @@ def parallel_sum(a, b, tol: Tol = DEFAULT_TOL) -> ParallelSumResult:
     agreement = 0.0
     if _is_pd(wa, tol) and _is_pd(wb, tol):
         agreement = opnorm(_pd_formula(ah, bh) - value)
-
-    eye = np.eye(n, dtype=np.complex128)
-    regularized = {
-        eps: opnorm(_pd_formula(ah + eps * eye, bh + eps * eye) - value)
-        for eps in _REG_EPS
-    }
     return ParallelSumResult(
         value=value,
         route="shorted_block",
         route_agreement=float(agreement),
-        regularized=regularized,
     )
+
+
+def regularized_trend(a, b, value, tol: Tol = DEFAULT_TOL) -> dict:
+    """Map each eps in ``_REG_EPS`` to the deviation of the regularized sum
+    (A + eps I) : (B + eps I), by the inverse formula, from ``value``
+    (normally ``parallel_sum(a, b).value``).  A and B are validated as in
+    :func:`parallel_sum`; the trend is never folded into ``route_agreement``.
+    """
+    ah, _, bh, _ = _psd_pair(a, b, tol)
+    eye = np.eye(ah.shape[0], dtype=np.complex128)
+    return {
+        eps: opnorm(_pd_formula(ah + eps * eye, bh + eps * eye) - value)
+        for eps in _REG_EPS
+    }
 
 
 def hansen_inequality_check(a, b, c, tol: Tol = DEFAULT_TOL) -> float:

@@ -164,6 +164,13 @@ def _coordinate_columns(n: int, mask: np.ndarray) -> np.ndarray:
     return out
 
 
+def _coordinate_projector(n: int, k: int, dtype=np.complex128) -> np.ndarray:
+    """The n x n projector onto the first k coordinates, an exact 0/1 diagonal."""
+    p = np.zeros((n, n), dtype=dtype)
+    p[np.arange(k), np.arange(k)] = 1.0
+    return p
+
+
 def _projector_bases(p: np.ndarray, tol: Tol):
     """Orthonormal bases (range, kernel) of a validated projector, in the
     deterministic order used throughout the package."""

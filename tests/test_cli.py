@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from opshort import hansen_inequality_check, load_matrix, make_kit, parallel, save_matrix
-from opshort.cli import dispatch
+from opshort.cli import build_parser, dispatch
 
 RNG = np.random.default_rng(6006)
 
@@ -89,6 +89,58 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     _check_envelope(json.loads(target.read_text()), "v-op")
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "1" + "0" * 400])
+def test_non_finite_entries_rejected_at_load(capsys, tmp_path, recwarn, token):
+    path = tmp_path / "m.json"
+    path.write_text(f'{{"rows":1,"cols":2,"data":[[1.0,0.0],[{token},0.0]]}}')
+    code = dispatch(["v-op", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "data[1] is not finite" in captured.err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def _invocations(tmp_path):
+    """(argv, command) for every JSON-emitting invocation, each exiting 0."""
+    t = _write(tmp_path, "t.json", [[2.0, 1.0], [1.0, 1.0]])
+    p = _write(tmp_path, "p.json", np.diag([1.0, 0.0]))
+    i = _write(tmp_path, "i.json", np.eye(2))
+    h = _write(tmp_path, "h.json", np.eye(2) / 2.0)
+    return [
+        (["polar", "--input", t], "polar"),
+        (["polar", "--input", t, "--alpha", "0.5"], "polar"),
+        (["gpolar", "--input", t], "gpolar"),
+        (["v-op", "--input", t], "v-op"),
+        (["reduced-solve", "--a", t, "--c", i], "reduced-solve"),
+        (["partition", "--input", t, "--pm", p, "--pn", p], "partition"),
+        (["shorted", "--input", t, "--pm", p, "--pn", p], "shorted"),
+        (["parallel-sum", "--a", t, "--b", i], "parallel-sum"),
+        (["parallel-eq", "--a", t, "--b", i], "parallel-eq"),
+        (["hansen-check", "--a", t, "--b", i, "--probes", "2"], "hansen-check"),
+        (["hansen-check", "--a", t, "--b", i, "--c", h], "hansen-check"),
+        (["lemma69", "--x", t, "--y", h], "lemma69"),
+        (["lab", "verify", "--dim", "2"], "lab-verify"),
+    ]
+
+
+def test_every_invocation_carries_its_command(capsys, tmp_path):
+    for argv, command in _invocations(tmp_path):
+        code, payload = _run_json(capsys, argv)
+        assert code == 0, argv
+        _check_envelope(payload, command)
+
+
+def test_seed_is_accepted_only_by_hansen_check(capsys, tmp_path):
+    argvs = [argv for argv, _ in _invocations(tmp_path)] + [["lab", "sweep", "--dims", "2"]]
+    for argv in argvs:
+        code, out = _run(capsys, argv + ["--seed", "1"])
+        if argv[0] == "hansen-check":
+            assert code == 0
+        else:
+            assert code == 2 and out == "", argv
 
 
 # --- polar family ------------------------------------------------------------------
@@ -389,6 +441,16 @@ def test_lab_sweep_deterministic(capsys):
 def test_lab_sweep_rejects_bad_dims(capsys):
     code, _ = _run(capsys, ["lab", "sweep", "--dims", "8,4"])
     assert code == 2
+
+
+def test_lab_flags_go_after_the_leaf(capsys):
+    for flag, value in (("--tol", "1e-6"), ("--seed", "1"), ("--out", "x.csv")):
+        code, out = _run(capsys, ["lab", flag, value, "sweep", "--dims", "2"])
+        assert code == 2 and out == "", flag
+    args = build_parser().parse_args(["lab", "sweep", "--tol", "1e-6"])
+    assert args.tol == 1e-6
+    code, _ = _run(capsys, ["lab", "sweep", "--dims", "2", "--tol", "1e-6"])
+    assert code == 0
 
 
 def test_lab_verify(capsys):

@@ -12,6 +12,7 @@ from opshort import (
     opnorm,
     parallel_sum,
     psd_power,
+    regularized_trend,
     solve_parallel_equation,
 )
 from opshort.errors import NotHermitian, NotPSD, NotPositiveDefinite, ShapeMismatch
@@ -92,13 +93,29 @@ def test_parallel_sum_vanishes_on_kit():
 def test_parallel_sum_regularization_trend():
     # the deviation of (A + eps)(B + eps) from the limit shrinks with eps
     kit = make_kit(8)
-    reg = parallel_sum(kit.A0, kit.B0).regularized
+    reg = regularized_trend(kit.A0, kit.B0, parallel_sum(kit.A0, kit.B0).value)
     assert set(reg) == {1e-4, 1e-6}
     assert reg[1e-6] < reg[1e-4]
 
     a, b = rand_pd(RNG, 5), rand_pd(RNG, 5)
-    reg = parallel_sum(a, b).regularized
+    reg = regularized_trend(a, b, parallel_sum(a, b).value)
     assert reg[1e-6] < reg[1e-4]
+
+
+def test_parallel_sum_computes_no_inverse_on_singular_summands(monkeypatch):
+    # the inverse formula runs only as the cross-check on positive definite
+    # pairs; the regularized trend is computed on request, not per call
+    kit = make_kit(8)
+    calls = []
+    real = np.linalg.inv
+
+    def counting(m):
+        calls.append(m.shape)
+        return real(m)
+
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    parallel_sum(kit.A0, kit.B0)
+    assert calls == []
 
 
 def test_parallel_sum_range_intersection_rank():
