@@ -279,6 +279,19 @@ def _cmd_lab_verify(args, tol: Tol):
 # --- subcommand table -----------------------------------------------------------
 
 
+# the flags the leaves share, built once and copied into each leaf as parents
+_TOL, _SEED, _OUT = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+_TOL.add_argument(
+    "--tol",
+    type=float,
+    default=None,
+    help="residual tolerance; rank cutoff scales as tol*1e-4 and the "
+    "eigenvalue clamp as tol*1e-2 (default 1e-8)",
+)
+_SEED.add_argument("--seed", type=int, default=0, help="RNG seed for probe modes")
+_OUT.add_argument("--out", default=None, help="write JSON here instead of stdout")
+
+
 class _Subcommand(NamedTuple):
     # "lab sweep" is the leaf "sweep" of the group "lab"; the payload's
     # "command" is the name with the space as a dash
@@ -287,7 +300,7 @@ class _Subcommand(NamedTuple):
     files: tuple  # required matrix-file flags, loaded in this order
     handler: Callable
     options: tuple = ()  # further (flag, add_argument keywords) pairs
-    seed: bool = False  # takes --seed
+    shared: tuple = (_TOL, _OUT)  # parent parsers of the shared flags
     file_help: str | None = None  # help text of the file flags
 
 
@@ -316,15 +329,16 @@ _SUBCOMMANDS = (
             ("--c", dict(default=None, help="explicit C matrix file; omit to probe randomly")),
             ("--probes", dict(type=int, default=None, help="number of random probes (default 50)")),
         ),
-        seed=True,
+        shared=(_TOL, _SEED, _OUT),
     ),
     _Subcommand("lemma69", "inverse-shift inequality check", ("x", "y"), _cmd_lemma69),
     _Subcommand(
         "lab sweep", "divergence sweep as CSV", (), _cmd_lab_sweep,
         options=(
             ("--dims", dict(default=None, help="comma-separated ascending dimensions (default 8,16,32,64,128,256)")),
-            ("--csv", dict(default=None, help="write CSV here instead of stdout")),
+            ("--csv", dict(dest="out", metavar="CSV", default=None, help="write CSV here instead of stdout")),
         ),
+        shared=(_TOL,),
     ),
     _Subcommand(
         "lab verify", "closed-form cross-checks at one dimension", (), _cmd_lab_verify,
@@ -336,19 +350,6 @@ _GROUP_HELP = {"lab": "divergence lab"}
 
 
 # --- parser and dispatch ------------------------------------------------------
-
-
-# the flags every leaf shares, built once and copied into each leaf as parents
-_TOL, _SEED, _OUT = (argparse.ArgumentParser(add_help=False) for _ in range(3))
-_TOL.add_argument(
-    "--tol",
-    type=float,
-    default=None,
-    help="residual tolerance; rank cutoff scales as tol*1e-4 and the "
-    "eigenvalue clamp as tol*1e-2 (default 1e-8)",
-)
-_SEED.add_argument("--seed", type=int, default=0, help="RNG seed for probe modes")
-_OUT.add_argument("--out", default=None, help="write JSON here instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,8 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
         if group not in groups:
             gp = groups[""].add_parser(group, help=_GROUP_HELP[group])
             groups[group] = gp.add_subparsers(dest=f"{group}_command", required=True)
-        shared = [_TOL, _SEED, _OUT] if spec.seed else [_TOL, _OUT]
-        sp = groups[group].add_parser(leaf, help=spec.help, parents=shared)
+        sp = groups[group].add_parser(leaf, help=spec.help, parents=spec.shared)
         for name in spec.files:
             sp.add_argument(f"--{name}", required=True, help=spec.file_help)
         for flag, kwargs in spec.options:
@@ -374,12 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out_path) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+# parse_args leaves a parser unchanged, so one serves every dispatch
+_PARSER = build_parser()
 
 
 def _run(args, tol: Tol) -> int:
@@ -387,23 +383,27 @@ def _run(args, tol: Tol) -> int:
     matrices = [load_matrix(getattr(args, name)) for name in spec.files]
     fields, code = spec.handler(args, tol, *matrices)
     if isinstance(fields, str):
-        _emit(fields, args.csv or args.out)
-        return code
-    payload = {
-        "command": spec.name.replace(" ", "-"),
-        "version": __version__,
-        "tol": asdict(tol),
-        **fields,
-    }
-    _emit(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n", args.out)
+        text = fields
+    else:
+        payload = {
+            "command": spec.name.replace(" ", "-"),
+            "version": __version__,
+            "tol": asdict(tol),
+            **fields,
+        }
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
     return code
 
 
 def dispatch(argv) -> int:
     """Parse argv and run the matching subcommand; returns the exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _PARSER.parse_args(list(argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
 

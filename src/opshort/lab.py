@@ -20,11 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import subspace_angles
 
 from .douglas import _solve
 from .errors import InternalInvariantViolation
-from .numkit import DEFAULT_TOL, Tol, _norm_within, _svd_factor, opnorm, psd_power, range_basis
+from .numkit import DEFAULT_TOL, Tol, _angle_factors, _norm_within, _svd_factor, opnorm, psd_power, range_basis
 from .parallel import parallel_sum
 from .shorting import _coordinate_projector, partition, shorted
 
@@ -150,6 +149,17 @@ class SweepRow:
     shorted_norm: float
     cond_ApB: float
     min_principal_angle: float
+
+
+def subspace_angles(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
+    """Principal angles between the ranges of orthonormal bases, ascending:
+    from the sine where cos^2 >= 1/2 (arccos loses half the digits near 0)
+    and from the cosine otherwise."""
+    c, resid = _angle_factors(qa, qb)
+    cos = np.minimum(np.linalg.svd(c, compute_uv=False), 1.0)
+    # the sines ascend as the cosines descend; those past min(dims) are 1
+    sin = np.linalg.svd(resid, compute_uv=False)[::-1][: cos.size]
+    return np.where(cos**2 >= 0.5, np.arcsin(np.minimum(sin, 1.0)), np.arccos(cos))
 
 
 def _sweep_row(d: int, tol: Tol) -> SweepRow:

@@ -346,6 +346,14 @@ def range_projector(t, tol: Tol = DEFAULT_TOL) -> np.ndarray:
     return _herm(b @ b.conj().T)
 
 
+def _angle_factors(qa: np.ndarray, qb: np.ndarray):
+    """Q_A* Q_B and Q_B - Q_A (Q_A* Q_B), whose singular values are the cosines
+    and the sines of the principal angles between the ranges of orthonormal
+    Q_A and Q_B (Knyazev & Argentati, SIAM J. Sci. Comput. 23, 2002)."""
+    c = qa.conj().T @ qb
+    return c, qb - qa @ c
+
+
 # --- JSON matrix file format -------------------------------------------------
 #
 # {"rows": m, "cols": n, "data": [[re, im], ...]}  with data row-major and
@@ -371,7 +379,8 @@ def matrix_from_json_dict(obj) -> np.ndarray:
         if key not in obj:
             raise ValueError(f"matrix JSON is missing the {key!r} field")
     rows, cols, data = obj["rows"], obj["cols"], obj["data"]
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 0 or cols < 0:
+    # bool is an int subclass, but a JSON true is not a dimension or a number
+    if any(not isinstance(v, int) or isinstance(v, bool) or v < 0 for v in (rows, cols)):
         raise ValueError("rows and cols must be non-negative integers")
     if not isinstance(data, list):
         raise ValueError("data must be a list of [re, im] pairs")
@@ -384,7 +393,7 @@ def matrix_from_json_dict(obj) -> np.ndarray:
         if (
             not isinstance(entry, (list, tuple))
             or len(entry) != 2
-            or not all(isinstance(x, (int, float)) for x in entry)
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
         ):
             raise ValueError(f"data[{i}] is not a [re, im] pair of numbers")
         try:

@@ -58,6 +58,7 @@ from .errors import (
 from .numkit import (
     DEFAULT_TOL,
     Tol,
+    _angle_factors,
     _herm,
     _norm_within,
     _rank,
@@ -565,27 +566,9 @@ class RangeKernelReport:
 _SUBSPACE_GAP = 1e-6
 
 
-def _nullspace_basis(t: np.ndarray, tol: Tol) -> np.ndarray:
-    _, s, vh = np.linalg.svd(t)
-    return np.ascontiguousarray(vh[_rank(s, tol):].conj().T)
-
-
-def _intersection_basis(p1: np.ndarray, p2: np.ndarray, tol: Tol) -> np.ndarray:
-    # x lies in both ranges iff (I - P1) x = 0 and (I - P2) x = 0
-    n = p1.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
-    stacked = np.vstack([eye - p1, eye - p2])
-    return _nullspace_basis(stacked, tol)
-
-
 def _same_subspace(b1: np.ndarray, b2: np.ndarray) -> bool:
-    if b1.shape[1] != b2.shape[1]:
-        return False
-    if b1.shape[1] == 0:
-        return True
-    p1 = b1 @ b1.conj().T
-    p2 = b2 @ b2.conj().T
-    return opnorm(p1 - p2) <= _SUBSPACE_GAP
+    # for orthonormal bases of equal dimension, ||B2 - B1 (B1* B2)|| = ||P1 - P2||
+    return b1.shape[1] == b2.shape[1] and _norm_within(_angle_factors(b1, b2)[1], _SUBSPACE_GAP)
 
 
 def verify_range_kernel(
@@ -593,41 +576,36 @@ def verify_range_kernel(
 ) -> RangeKernelReport:
     """Check the range and kernel identities of the shorted operator.
 
-    Ranks are numerical ranks under tol.rank_rel; the intersection
-    R(T) intersect N is computed as the joint nullspace of the two
-    complementary projectors, never by multiplying projectors.
+    Ranks are numerical ranks under tol.rank_rel; R(T) intersect N is
+    U_r null(basis_n_perp* U_r) for the range basis U_r of T, never built
+    from n x n projectors.
     """
-    # one full SVD of T gives its rank, range projector, kernel basis and norm
+    # one full SVD of T gives its rank, range basis, kernel basis and norm
     t = block.T
     u_t, s_t, vh_t = np.linalg.svd(t)
     rank_t = _rank(s_t, tol)
     range_t = u_t[:, :rank_t]
-    p_range_t = range_t @ range_t.conj().T
-    p_range_t = _herm(p_range_t)
-    inter = _intersection_basis(p_range_t, block.PN, tol)
-    rank_inter = inter.shape[1]
+    # U_r has orthonormal columns, so the cutoff scale is 1; sigma_1 of the
+    # product is round-off when R(T) lies in N
+    _, s_c, vh_c = np.linalg.svd(block.basis_n_perp.conj().T @ range_t)
+    inter = range_t @ vh_c[_rank(s_c, tol, 1.0) :].conj().T
 
     # the shorted operator's rank is anchored to the scale of T, not to its
     # own top singular value: a shorted operator that is pure round-off dirt
     # must report rank 0, not the rank of its noise
     u, s, vh = np.linalg.svd(result.shorted)
     rank_short = _rank(s, tol, float(max(s_t.max(initial=0.0), s.max(initial=0.0))))
-    short_range = np.ascontiguousarray(u[:, :rank_short])
-    range_equal = rank_inter == rank_short and _same_subspace(inter, short_range)
+    range_equal = _same_subspace(inter, u[:, :rank_short])
 
-    ker_short = np.ascontiguousarray(vh[rank_short:].conj().T)
-    ker_t = np.ascontiguousarray(vh_t[rank_t:].conj().T)
-    sum_cols = np.hstack([block.basis_m_perp, ker_t])
+    ker_short = vh[rank_short:].conj().T
+    sum_cols = np.hstack([block.basis_m_perp, vh_t[rank_t:].conj().T])
     us, ss, _ = np.linalg.svd(sum_cols, full_matrices=False)
     rank_sum = _rank(ss, tol)
-    sum_basis = np.ascontiguousarray(us[:, :rank_sum])
-    kernel_equal = ker_short.shape[1] == rank_sum and _same_subspace(
-        ker_short, sum_basis
-    )
+    kernel_equal = _same_subspace(ker_short, us[:, :rank_sum])
     return RangeKernelReport(
         rank_T=rank_t,
         rank_shorted=rank_short,
-        rank_range_intersection=rank_inter,
+        rank_range_intersection=inter.shape[1],
         rank_kernel_shorted=ker_short.shape[1],
         rank_kernel_sum=rank_sum,
         range_equal=bool(range_equal),

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shutil
@@ -101,6 +102,80 @@ def test_non_finite_entries_rejected_at_load(capsys, tmp_path, recwarn, token):
     assert captured.out == ""
     assert "data[1] is not finite" in captured.err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"rows":1,"cols":2,"data":[[1.0,0.0],[true,false]]}', "data[1] is not a [re, im] pair"),
+        ('{"rows":1,"cols":2,"data":[[1.0,0.0],[0.0,true]]}', "data[1] is not a [re, im] pair"),
+        ('{"rows":true,"cols":1,"data":[[1.0,0.0]]}', "rows and cols"),
+        ('{"rows":1,"cols":true,"data":[[1.0,0.0]]}', "rows and cols"),
+    ],
+)
+def test_boolean_entries_rejected_at_load(capsys, tmp_path, text, message):
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    code = dispatch(["lemma69", "--x", str(path), "--y", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def _fresh_process(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "opshort.cli", *argv], capture_output=True, env=env, timeout=120
+    )
+    return proc.returncode, proc.stdout
+
+
+def test_dispatch_reuses_one_parser(capsysbinary, tmp_path, monkeypatch):
+    t = _write(tmp_path, "t.json", [[2.0, 1.0], [1.0, 1.0]])
+    h = _write(tmp_path, "h.json", np.eye(2) / 2.0)
+    argvs = [["v-op", "--input", t], ["lemma69", "--x", t, "--y", h], ["lab", "sweep", "--dims", "2"]]
+    expected = [_fresh_process(argv) for argv in argvs]
+    assert build_parser() is not build_parser()
+    # dispatch no longer builds a parser per call
+    monkeypatch.setattr("opshort.cli.build_parser", lambda: pytest.fail("parser rebuilt"))
+    for argv, (code, out) in zip(argvs, expected):
+        assert dispatch(argv) == code
+        assert capsysbinary.readouterr().out == out, argv
+
+
+def _settable_flags(parser):
+    """Every option a user can set, over all leaves (without -h/--version)."""
+    count = 0
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            count += sum(_settable_flags(sub) for sub in set(action.choices.values()))
+        elif action.option_strings and action.dest not in ("help", "version"):
+            count += 1
+    return count
+
+
+def test_lab_sweep_has_one_output_flag(capsys, tmp_path):
+    target = tmp_path / "sweep.csv"
+    code, out = _run(capsys, ["lab", "sweep", "--dims", "2", "--out", str(target)])
+    assert code == 2 and out == "" and not target.exists()
+    code, out = _run(capsys, ["lab", "sweep", "--dims", "2", "--csv", str(target)])
+    assert code == 0 and out == ""
+    assert target.read_text().startswith("d,norm_strong_solution")
+    assert _settable_flags(build_parser()) == 51
+
+
+def test_import_leaves_scipy_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, opshort.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        env=env,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def _invocations(tmp_path):

@@ -7,6 +7,7 @@ from opshort import (
     make_kit,
     numerical_rank,
     opnorm,
+    range_basis,
     sweep_to_csv,
     verify_closed_forms,
 )
@@ -15,7 +16,12 @@ from opshort.lab import (
     DEFAULT_SWEEP_DIMS,
     kit_block_projector,
     sqrt_a0_closed_form,
+    subspace_angles,
 )
+
+from _util import rand_complex, rand_unitary
+
+RNG = np.random.default_rng(7007)
 
 SQRT5 = np.sqrt(5.0)
 
@@ -85,6 +91,54 @@ def test_kit_ranks_and_angle():
 
     angles = subspace_angles(range_basis(kit.A0), range_basis(kit.B0))
     assert angles.min() == pytest.approx(np.arctan(0.25), abs=1e-12)
+
+
+@pytest.mark.parametrize("d", DEFAULT_SWEEP_DIMS)
+def test_min_principal_angle_is_arctan_one_over_d(d):
+    # the sweep's min_principal_angle column, computed as _sweep_row does
+    kit = make_kit(d)
+    angles = subspace_angles(range_basis(kit.A0), range_basis(kit.B0))
+    assert angles.shape == (d,)
+    assert angles.min() == pytest.approx(np.arctan(1.0 / d), rel=1e-14, abs=0.0)
+
+
+def _bases_at_angles(n, theta, extra=0):
+    """Orthonormal Q_A (k columns) and Q_B (k + extra columns) whose
+    principal angles are exactly ``theta``."""
+    k = len(theta)
+    u = rand_unitary(RNG, n)
+    qa = u[:, :k]
+    qb = np.hstack([qa * np.cos(theta) + u[:, k : 2 * k] * np.sin(theta), u[:, 2 * k : 2 * k + extra]])
+    return qa, qb
+
+
+@pytest.mark.parametrize("extra", [0, 2])
+def test_subspace_angles_on_known_angles(extra):
+    theta = np.array([0.0, 1e-9, 1e-5, 0.3, np.pi / 4, 1.2, np.pi / 2])
+    qa, qb = _bases_at_angles(20, theta, extra)
+    assert_allclose(subspace_angles(qa, qb), theta, rtol=1e-12, atol=1e-15)
+    assert_allclose(subspace_angles(qb, qa), theta, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (2, 5), (5, 2), (4, 4)])
+def test_min_angle_matches_scipy(dims):
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    n = 12
+    for trial in range(5):
+        # the second trial shares a direction, so the smallest angle is 0
+        a = rand_complex(RNG, n, dims[0])
+        b = rand_complex(RNG, n, dims[1])
+        if trial == 1:
+            b[:, 0] = a @ rand_complex(RNG, dims[0], 1)[:, 0]
+        ours = subspace_angles(np.linalg.qr(a)[0], np.linalg.qr(b)[0]).min()
+        ref = scipy_linalg.subspace_angles(a, b).min()
+        if ref > 1e-6:
+            assert ours == pytest.approx(ref, rel=1e-12, abs=0.0)
+        else:
+            # below 1e-6 scipy is no reference: it applies its cos^2 >= 1/2
+            # mask to the angles in reversed order, so a zero angle can come
+            # out of arccos as ~1.5e-8; the sine route stays at round-off
+            assert ours <= 1e-14
 
 
 def test_kit_block_projector_shape():

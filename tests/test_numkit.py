@@ -409,6 +409,9 @@ def test_json_dict_shape_and_layout():
         {"rows": 2.0, "cols": 2, "data": [[1, 0]] * 4},
         {"rows": 2, "cols": 2, "data": [[1, 0], [1, 0], [1, 0], [1]]},
         {"rows": 1, "cols": 1, "data": [["a", 0]]},
+        {"rows": 1, "cols": 1, "data": [[True, 0]]},
+        {"rows": True, "cols": 1, "data": [[1, 0]]},
+        {"rows": 1, "cols": False, "data": []},
     ],
 )
 def test_json_dict_rejects_malformed(obj):

@@ -592,6 +592,85 @@ def test_range_kernel_on_random_complementable():
         assert report.rank_shorted == report.rank_range_intersection
 
 
+def _reference_range_kernel(block, result, tol=DEFAULT_TOL):
+    """The stacked-projector route verify_range_kernel used to take: R(T)
+    intersect N as the joint nullspace of [I - P_R(T); I - P_N], and each
+    subspace pair compared through ||P1 - P2||."""
+
+    def nullspace(m):
+        _, s, vh = np.linalg.svd(m)
+        return vh[shorting._rank(s, tol) :].conj().T
+
+    def same(b1, b2):
+        if b1.shape[1] != b2.shape[1]:
+            return False
+        return b1.shape[1] == 0 or opnorm(b1 @ b1.conj().T - b2 @ b2.conj().T) <= 1e-6
+
+    u_t, s_t, vh_t = np.linalg.svd(block.T)
+    rank_t = shorting._rank(s_t, tol)
+    p_range = u_t[:, :rank_t] @ u_t[:, :rank_t].conj().T
+    eye = np.eye(block.T.shape[0])
+    inter = nullspace(np.vstack([eye - (p_range + p_range.conj().T) / 2.0, eye - block.PN]))
+    u, s, vh = np.linalg.svd(result.shorted)
+    rank_short = shorting._rank(s, tol, float(max(s_t.max(initial=0.0), s.max(initial=0.0))))
+    ker_short = vh[rank_short:].conj().T
+    us, ss, _ = np.linalg.svd(np.hstack([block.basis_m_perp, vh_t[rank_t:].conj().T]), full_matrices=False)
+    rank_sum = shorting._rank(ss, tol)
+    return shorting.RangeKernelReport(
+        rank_T=rank_t,
+        rank_shorted=rank_short,
+        rank_range_intersection=inter.shape[1],
+        rank_kernel_shorted=ker_short.shape[1],
+        rank_kernel_sum=rank_sum,
+        range_equal=rank_short == inter.shape[1] and same(inter, u[:, :rank_short]),
+        kernel_equal=same(ker_short, us[:, :rank_sum]),
+    )
+
+
+def _range_kernel_cases():
+    n = 8
+    p3 = rand_projector(RNG, n, 3)
+    yield "random complementable", *complementable_instance(RNG)
+    # rank 5 of 8: a rank-deficient T with R(T) meeting N in a 1-dim subspace
+    psd = rand_psd(RNG, n, 5)
+    p4 = rand_projector(RNG, n, 4)
+    yield "rank-deficient T", psd, p4, p4
+    # rank 3 with R(T) inside a 4-dim N and M_perp inside N(T), so the
+    # shorted operator is T itself and basis_n_perp* U_r is pure round-off
+    p4n, p5 = rand_projector(RNG, n, 4), rand_projector(RNG, n, 5)
+    yield "range inside N", p4n @ rand_complex(RNG, n, 3) @ rand_complex(RNG, 3, n) @ p5, p5, p4n
+    # rank 2 against a generic 3-dim N in 8 dimensions: R(T) meets N in {0}
+    yield "trivial intersection", rand_complex(RNG, n, 2) @ rand_complex(RNG, 2, n), p3, p3
+    kit = make_kit(4)
+    yield "kit", kit.bigT, kit_block_projector(4), kit_block_projector(4)
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_range_kernel_matches_stacked_projector_route(case):
+    name, t, pm, pn = list(_range_kernel_cases())[case]
+    block = partition(t, pm, pn)
+    result = shorted(block)
+    report = verify_range_kernel(block, result)
+    assert report == _reference_range_kernel(block, result), name
+    assert report.range_equal and report.kernel_equal, name
+    expected_inter = {"range inside N": report.rank_T, "trivial intersection": 0}
+    if name in expected_inter:
+        assert report.rank_range_intersection == expected_inter[name]
+
+
+def test_range_kernel_takes_no_stacked_svd(monkeypatch):
+    t, pm, pn = complementable_instance(np.random.default_rng(11), max_dim=12)
+    block = partition(t, pm, pn)
+    result = shorted(block)
+    calls = record_svd(monkeypatch)
+    verify_range_kernel(block, result)
+    k = t.shape[0]
+    # T, basis_n_perp* U_r, the shorted operator and [basis_m_perp, N(T)];
+    # the subspace comparisons settle from Frobenius bounds
+    assert len(calls) == 4
+    assert all(m.shape != (2 * k, k) for m, _ in calls)
+
+
 def test_redundancy_report_on_complementable():
     t, pm, pn = complementable_instance(RNG)
     block = partition(t, pm, pn)
