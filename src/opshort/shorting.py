@@ -32,10 +32,14 @@ reduced solution has a closed form over the first r singular triplets:
     Ftilde = W_r s_r^(-1/2) V_r* T12*
 
 and each system is solvable iff its right-hand side lies in R(W_r) (T21)
-or R(V_r) (T12*).  Two rank rules, both read from the one s, fix r:
+or R(V_r) (T12*).  Applying a weak system's operator to its solution
+gives W_r W_r* T21 or V_r V_r* T12*, so the four weak residuals are the
+four inclusion margins of their (side, rank).  Two rank rules, both read from the one s, fix
+r against scale = max(sigma_1, ||T21||, ||T12||), so a T22 that is pure
+round-off next to the corners the systems read has rank 0:
 
-* systems 1 and 4 and both strong systems keep sigma_i > rank_rel * sigma_1;
-* systems 2 and 3 keep sigma_i > max(eig_clamp_rel, rank_rel^2) * sigma_1,
+* systems 1 and 4 and both strong systems keep sigma_i > rank_rel * scale;
+* systems 2 and 3 keep sigma_i > max(eig_clamp_rel, rank_rel^2) * scale,
   the rank of the square root of |T22| (or |T22*|) once psd_power has
   clamped its small eigenvalues to zero.
 """
@@ -323,8 +327,8 @@ def partition(t, pm, pn, tol: Tol = DEFAULT_TOL) -> BlockOperator:
     else:
         bn, bnp = _projector_bases(pnn, tol)
         pn_h = _herm(pnn)
-    bn_h = bn.conj().T
-    bnp_h = bnp.conj().T
+    nt = bn.conj().T @ tm
+    npt = bnp.conj().T @ tm
     return BlockOperator(
         T=tm,
         PM=pm_h,
@@ -333,10 +337,10 @@ def partition(t, pm, pn, tol: Tol = DEFAULT_TOL) -> BlockOperator:
         basis_m_perp=bmp,
         basis_n=bn,
         basis_n_perp=bnp,
-        T11=bn_h @ tm @ bm,
-        T12=bn_h @ tm @ bmp,
-        T21=bnp_h @ tm @ bm,
-        T22=bnp_h @ tm @ bmp,
+        T11=nt @ bm,
+        T12=nt @ bmp,
+        T21=npt @ bm,
+        T22=npt @ bmp,
     )
 
 
@@ -355,13 +359,15 @@ class Complementability:
     margins: tuple[float, float]
 
 
-def _half_power_rank(s: np.ndarray, tol: Tol) -> int:
-    """Rank rule of systems 2 and 3: sigma_i > max(eig_clamp_rel,
-    rank_rel^2) * sigma_1.  psd_power zeroes the eigenvalues of |T22| at or
-    below eig_clamp_rel * sigma_1, and the rank cutoff on the square roots
-    keeps sigma_i^(1/2) > rank_rel * sigma_1^(1/2)."""
-    scale = float(s[0]) if s.size else 0.0
-    return int(np.count_nonzero(s > max(tol.eig_clamp_rel, tol.rank_rel**2) * scale))
+def _ranks(block: BlockOperator, tol: Tol) -> tuple[int, int]:
+    """Ranks of rule 0 (sigma_i > rank_rel * scale) and rule 1 (sigma_i >
+    max(eig_clamp_rel, rank_rel^2) * scale) with the anchored scale
+    max(sigma_1, ||T21||, ||T12||).  Rule 1 is the rank of |T22|^(1/2)
+    after psd_power's clamp and the rank_rel cutoff on the square roots."""
+    s = block._t22.s
+    scale = max(float(s[0]) if s.size else 0.0, block._sides[0][2], block._sides[1][2])
+    half = max(tol.eig_clamp_rel, tol.rank_rel**2) * scale
+    return _rank(s, tol, scale), int(np.count_nonzero(s > half))
 
 
 def _inclusion_at(block: BlockOperator, side: int, r: int, tol: Tol) -> RangeInclusion:
@@ -377,29 +383,42 @@ def _inclusion_at(block: BlockOperator, side: int, r: int, tol: Tol) -> RangeInc
     return block._verdicts[key]
 
 
-def _closed_form(block: BlockOperator, rhs: int, out: int, a: float, r: int) -> np.ndarray:
-    """B_out,r s_r^(-a) B_rhs,r* C: the reduced solution of
-    (B_rhs,r s_r^a B_out,r*) X = C, with B_0 = W, B_1 = V and C the
-    right-hand side of side ``rhs``."""
-    basis = block._sides[out][0][:, :r]
-    return (basis / block._t22.s[:r] ** a) @ block._sides[rhs][3][:r]
+# (right-hand side, solution side, exponent a, rank rule) of each corner
+# system (B_rhs,r s_r^a B_out,r*) X = C_rhs, with B_0 = W, C_0 = T21,
+# B_1 = V, C_1 = T12* and r from rule 0 or 1 of _ranks
+_CORNER_SYSTEMS = (
+    (0, 1, 0.5, 0),  # 1. V(T22) Y1 = T21
+    (1, 1, 0.5, 1),  # 2. |T22|^(1/2) Y2 = T12*
+    (0, 0, 0.5, 1),  # 3. |T22*|^(1/2) Z1 = T21
+    (1, 0, 0.5, 0),  # 4. V(T22)* Z2 = T12*
+    (0, 1, 1.0, 0),  # T22 X = T21
+    (1, 0, 1.0, 0),  # T22* Y = T12*
+)
+
+
+def _solve_corners(block: BlockOperator, systems, tol: Tol):
+    """(closed form B_out,r s_r^(-a) B_rhs,r* C_rhs, inclusion verdict) of
+    each row of ``systems``; the solution is a least-squares candidate when
+    the verdict excludes C_rhs from R(B_rhs,r)."""
+    s = block._t22.s
+    ranks = _ranks(block, tol)
+    out = []
+    for rhs, side, a, rule in systems:
+        r = ranks[rule]
+        basis = block._sides[side][0][:, :r]
+        solution = (basis / s[:r] ** a) @ block._sides[rhs][3][:r]
+        out.append((solution, _inclusion_at(block, rhs, r, tol)))
+    return out
 
 
 def is_complementable(block: BlockOperator, tol: Tol = DEFAULT_TOL) -> Complementability:
     """Decide (M, N)-complementability and return the canonical witnesses."""
-    r = block._t22.rank(tol)
-    witnesses = []
-    margins = []
-    # T22 = W s V* and T22* = V s W*, both under the rank_rel rule
-    for rhs, out in ((0, 1), (1, 0)):
-        verdict = _inclusion_at(block, rhs, r, tol)
-        witnesses.append(_closed_form(block, rhs, out, 1.0, r) if verdict.included else None)
-        margins.append(verdict.margin)
+    (c, to_c), (d, to_d) = _solve_corners(block, _CORNER_SYSTEMS[4:], tol)
     return Complementability(
-        complementable=witnesses[0] is not None and witnesses[1] is not None,
-        C=witnesses[0],
-        D=witnesses[1],
-        margins=(margins[0], margins[1]),
+        complementable=to_c.included and to_d.included,
+        C=c if to_c.included else None,
+        D=d if to_d.included else None,
+        margins=(to_c.margin, to_d.margin),
     )
 
 
@@ -447,7 +466,8 @@ class WeakComplementData:
     Order: 1 -> E, 2 -> F, 3 -> Etilde, 4 -> Ftilde (see module docstring).
     When a system is unsolvable its slot holds the least-squares candidate
     and the matching ``solvable`` flag is False; ``residuals`` always holds
-    the four relative equation residuals.
+    the four inclusion margins, each system's relative equation residual
+    in exact arithmetic.
     """
 
     E: np.ndarray
@@ -458,35 +478,13 @@ class WeakComplementData:
     solvable: tuple[bool, bool, bool, bool]
 
 
-# (right-hand side, solution side, rank rule) of systems 1-4: system i has
-# the operator B_rhs s^(1/2) B_out* over T22's first r singular triplets,
-# r under rank_rel (rule 0) or the half-power rule (rule 1)
-_WEAK_SYSTEMS = ((0, 1, 0), (1, 1, 1), (0, 0, 1), (1, 0, 0))
-
-
 def weak_complement_data(block: BlockOperator, tol: Tol = DEFAULT_TOL) -> WeakComplementData:
     """Solve the four half-power systems attached to the partition."""
-    f = block._t22
-    ranks = (f.rank(tol), _half_power_rank(f.s, tol))
-    solutions = []
-    residuals = []
-    flags = []
-    for rhs, out, rule in _WEAK_SYSTEMS:
-        r = ranks[rule]
-        basis, c, c_norm, _ = block._sides[rhs]
-        d = _closed_form(block, rhs, out, 0.5, r)
-        root = f.s[:r] ** 0.5
-        applied = (basis[:, :r] * root) @ (block._sides[out][0][:, :r].conj().T @ d)
-        solutions.append(d)
-        residuals.append(opnorm(applied - c) / max(c_norm, 1.0))
-        flags.append(_inclusion_at(block, rhs, r, tol).included)
+    solutions, verdicts = zip(*_solve_corners(block, _CORNER_SYSTEMS[:4], tol))
     return WeakComplementData(
-        E=solutions[0],
-        F=solutions[1],
-        Etilde=solutions[2],
-        Ftilde=solutions[3],
-        residuals=tuple(residuals),
-        solvable=tuple(flags),
+        *solutions,
+        residuals=tuple(v.margin for v in verdicts),
+        solvable=tuple(v.included for v in verdicts),
     )
 
 
@@ -621,8 +619,7 @@ def redundancy_report(block: BlockOperator, data: WeakComplementData, tol: Tol =
     derivable from the other two solutions.  This reports the observed gaps
     without asserting the general claim.
     """
-    f = block._t22
-    u22 = f.power(0.0, f.rank(tol))
+    u22 = block._t22.power(0.0, _ranks(block, tol)[0])
     gap_e = opnorm(data.E - u22.conj().T @ data.Etilde)
     gap_f = opnorm(data.Ftilde - u22 @ data.F)
     return {

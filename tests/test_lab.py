@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from opshort import (
+    DEFAULT_TOL,
     divergence_sweep,
     make_kit,
     numerical_rank,
@@ -11,6 +12,7 @@ from opshort import (
     sweep_to_csv,
     verify_closed_forms,
 )
+from opshort import lab
 from opshort.lab import (
     CSV_COLUMNS,
     DEFAULT_SWEEP_DIMS,
@@ -19,7 +21,7 @@ from opshort.lab import (
     subspace_angles,
 )
 
-from _util import rand_complex, rand_unitary
+from _util import rand_complex, rand_unitary, record_svd
 
 RNG = np.random.default_rng(7007)
 
@@ -191,6 +193,14 @@ def test_sweep_row_values():
     assert row.shorted_norm <= 1e-12
     assert row.min_principal_angle == pytest.approx(np.arctan(1.0 / 8.0), abs=1e-12)
     assert row.cond_ApB > 100.0
+
+
+def test_sweep_row_svd_budget(monkeypatch):
+    # 5 of them per partition (the row's and parallel_sum's): T22, ||T21||,
+    # ||T12|| and one margin per side, which the weak residuals reuse
+    calls = record_svd(monkeypatch)
+    lab._sweep_row(16, DEFAULT_TOL)
+    assert len(calls) == 25
 
 
 def test_sweep_divergence_slopes():

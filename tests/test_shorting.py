@@ -405,11 +405,13 @@ def test_closed_forms_match_the_old_route(kind):
             assert (w is not None) == ok_old
             assert w is None or _rel_close(w, d_old)
             assert abs(m - margin_old) <= 1e-9 * max(margin_old, 1.0)
-        f = block._t22
-        ranks = (f.rank(DEFAULT_TOL), shorting._half_power_rank(f.s, DEFAULT_TOL))
-        for (rhs, _, rule), (_, _, margin_old, _) in zip(shorting._WEAK_SYSTEMS, old[:4]):
+        ranks = shorting._ranks(block, DEFAULT_TOL)
+        weak_rows = zip(shorting._CORNER_SYSTEMS, old[:4], data.residuals)
+        for (rhs, _, _, rule), (_, _, margin_old, _), res in weak_rows:
             margin = shorting._inclusion_at(block, rhs, ranks[rule], DEFAULT_TOL).margin
             assert abs(margin - margin_old) <= 1e-9 * max(margin_old, 1.0)
+            # each weak residual is the margin of its (side, rank)
+            assert res == margin
         if kind == "not_weak":
             assert not comp.complementable and not data.solvable[0]
             with pytest.raises(NotWeaklyComplementable) as err:
@@ -481,6 +483,9 @@ def test_shorted_takes_one_svd_of_t22(monkeypatch):
     block = partition(t, (pm + pm.conj().T) / 2.0, (pn + pn.conj().T) / 2.0)
     calls = record_svd(monkeypatch)
     result = shorted(block)
+    # T22, ||T21||, ||T12|| and one margin per side; the weak residuals are
+    # those margins
+    assert len(calls) == 5
     factored = [m for m, uv in calls if uv]
     assert len(factored) == 1 and np.array_equal(factored[0], block.T22)
     assert all(m.shape not in (t.shape, t.T.shape) for m, _ in calls)
@@ -491,6 +496,35 @@ def test_shorted_takes_one_svd_of_t22(monkeypatch):
     redundancy_report(block, data)
     assert not [uv for _, uv in calls if uv]
     assert result.mode == "complementable"
+
+
+def test_round_off_t22_has_rank_zero():
+    # R(T) lies in N, so T21 and T22 vanish in exact arithmetic while T12
+    # does not: T22* D = T12* and systems 2 and 4 have no solution
+    rng = np.random.default_rng(0)
+    pm, pn = rand_projector(rng, 8, 5), rand_projector(rng, 8, 3)
+    x = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    block = partition(pn @ x, pm, pn)
+    s = np.linalg.svd(block.T22, compute_uv=False)
+    assert s.max() < 1e-14 and opnorm(block.T12) > 1.0
+    assert shorting._ranks(block, DEFAULT_TOL) == (0, 0)
+    assert not is_complementable(block).complementable
+    with pytest.raises(NotWeaklyComplementable) as err:
+        shorted(block)
+    assert err.value.failing == (2, 4)
+
+
+@pytest.mark.parametrize("factor,counted", [(2.0, True), (0.5, False)])
+def test_rank_cutoff_is_anchored_to_the_corners(factor, counted):
+    # ||T12|| = 10 sigma_1(T22) sets the scale of the rank_rel rule
+    tol = DEFAULT_TOL
+    tail = factor * tol.rank_rel * 10.0
+    t = np.zeros((3, 4))
+    t[0, 1] = 10.0
+    t[1, 1], t[2, 2] = 1.0, tail
+    block = partition(t, _coord_projector(4, 1), _coord_projector(3, 1))
+    assert opnorm(block.T12) == 10.0 * np.linalg.svd(block.T22, compute_uv=False)[0]
+    assert shorting._ranks(block, tol)[0] == 1 + counted
 
 
 # --- shorted operator ----------------------------------------------------------------
