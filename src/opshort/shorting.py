@@ -34,14 +34,14 @@ reduced solution has a closed form over the first r singular triplets:
 and each system is solvable iff its right-hand side lies in R(W_r) (T21)
 or R(V_r) (T12*).  Applying a weak system's operator to its solution
 gives W_r W_r* T21 or V_r V_r* T12*, so the four weak residuals are the
-four inclusion margins of their (side, rank).  Two rank rules, both read from the one s, fix
-r against scale = max(sigma_1, ||T21||, ||T12||), so a T22 that is pure
-round-off next to the corners the systems read has rank 0:
+four inclusion margins of their (side, rank).  Two rank rules read from s
+fix r.  Both keep only sigma_i > rank_rel * max(sigma_1, ||T21||, ||T12||),
+so a T22 that is pure round-off next to the corners it meets has rank 0:
 
-* systems 1 and 4 and both strong systems keep sigma_i > rank_rel * scale;
-* systems 2 and 3 keep sigma_i > max(eig_clamp_rel, rank_rel^2) * scale,
-  the rank of the square root of |T22| (or |T22*|) once psd_power has
-  clamped its small eigenvalues to zero.
+* systems 1 and 4 and both strong systems need nothing more;
+* systems 2 and 3 also keep only sigma_i > sigma_1 * max(eig_clamp_rel,
+  rank_rel^2), the rank of the square root of |T22| (or |T22*|) once
+  psd_power has clamped its eigenvalues relative to its own top one.
 """
 
 from __future__ import annotations
@@ -360,13 +360,13 @@ class Complementability:
 
 
 def _ranks(block: BlockOperator, tol: Tol) -> tuple[int, int]:
-    """Ranks of rule 0 (sigma_i > rank_rel * scale) and rule 1 (sigma_i >
-    max(eig_clamp_rel, rank_rel^2) * scale) with the anchored scale
-    max(sigma_1, ||T21||, ||T12||).  Rule 1 is the rank of |T22|^(1/2)
-    after psd_power's clamp and the rank_rel cutoff on the square roots."""
+    """Ranks of rule 0 (sigma_i > rank_rel * scale, scale = max(sigma_1,
+    ||T21||, ||T12||)) and rule 1, which also cuts at max(eig_clamp_rel,
+    rank_rel^2) * sigma_1 as psd_power's clamp and the root cutoff do."""
     s = block._t22.s
-    scale = max(float(s[0]) if s.size else 0.0, block._sides[0][2], block._sides[1][2])
-    half = max(tol.eig_clamp_rel, tol.rank_rel**2) * scale
+    top = float(s[0]) if s.size else 0.0
+    scale = max(top, block._sides[0][2], block._sides[1][2])
+    half = max(max(tol.eig_clamp_rel, tol.rank_rel**2) * top, tol.rank_rel * scale)
     return _rank(s, tol, scale), int(np.count_nonzero(s > half))
 
 

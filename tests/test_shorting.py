@@ -376,19 +376,26 @@ def _not_weak_instance(rng):
     return block.lift(block.T11, block.T12, block.T21 + push, block.T22), pm, pn
 
 
-@pytest.mark.parametrize("kind", ["complementable", "not_weak", "kit"])
+@pytest.mark.parametrize("kind", ["complementable", "not_weak", "kit", "tiny_t22"])
 def test_closed_forms_match_the_old_route(kind):
-    rng = np.random.default_rng({"complementable": 11, "not_weak": 12, "kit": 13}[kind])
+    rng = np.random.default_rng({"complementable": 11, "not_weak": 12}.get(kind, 13))
+    single = kind in ("kit", "tiny_t22")
     deficient = 0
-    for trial in range(8 if kind != "kit" else 1):
+    for trial in range(1 if single else 8):
         if kind == "complementable":
             t, pm, pn = complementable_instance(rng)
         elif kind == "not_weak":
             t, pm, pn = _not_weak_instance(rng)
-        else:
+        elif kind == "kit":
             kit = make_kit(16)
             t, pm = kit.bigT, kit_block_projector(16)
             pn = pm
+        else:
+            # T22 = 1e-11 I is perfectly conditioned, yet below eig_clamp_rel
+            # times the unit corners T21 = T12 = I
+            eye = np.eye(2)
+            t = np.block([[0.0 * eye, eye], [eye, 1e-11 * eye]])
+            pm = pn = _coord_projector(4, 2)
         block = partition(t, pm, pn)
         deficient += numerical_rank(block.T22) < min(block.T22.shape)
         old = _old_route(block)
@@ -420,12 +427,15 @@ def test_closed_forms_match_the_old_route(kind):
         else:
             assert all(data.solvable) and comp.complementable
             result = shorted(block)
+            assert result.mode == "complementable"
+            if kind == "tiny_t22":
+                assert ranks == (2, 2)
             old_core = block.T11 - 0.5 * (
                 old[1][0].conj().T @ old[0][0] + old[3][0].conj().T @ old[2][0]
             )
             assert _rel_close(result.core, old_core)
     # the random instances include rank-deficient corners
-    assert deficient > 0 or kind == "kit"
+    assert deficient > 0 or single
 
 
 def _two_rule_block(t21_out, t12_out):
@@ -524,7 +534,8 @@ def test_rank_cutoff_is_anchored_to_the_corners(factor, counted):
     t[1, 1], t[2, 2] = 1.0, tail
     block = partition(t, _coord_projector(4, 1), _coord_projector(3, 1))
     assert opnorm(block.T12) == 10.0 * np.linalg.svd(block.T22, compute_uv=False)[0]
-    assert shorting._ranks(block, tol)[0] == 1 + counted
+    # the half-power rule keeps its clamp at eig_clamp_rel * sigma_1
+    assert shorting._ranks(block, tol) == (1 + counted, 1)
 
 
 # --- shorted operator ----------------------------------------------------------------
