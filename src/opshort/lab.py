@@ -21,11 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .douglas import _solve
 from .errors import InternalInvariantViolation
-from .numkit import DEFAULT_TOL, Tol, _angle_factors, _norm_within, _svd_factor, opnorm, psd_power, range_basis
+from .numkit import DEFAULT_TOL, Tol, _angle_factors, _norm_within, opnorm, psd_power, range_basis
 from .parallel import parallel_sum
-from .shorting import _coordinate_projector, partition, shorted
+from .shorting import _coordinate_columns, _coordinate_projector, is_complementable, partition, shorted
 
 __all__ = [
     "CounterexampleKit",
@@ -76,6 +75,13 @@ def _f(t: np.ndarray) -> np.ndarray:
     return np.sqrt(t * t + 2.0 * t + 2.0)
 
 
+def _integer(d) -> int:
+    """``d`` as an int; bools, floats and other non-integers raise ValueError."""
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
+        raise ValueError(f"dimension must be an integer, got {d!r}")
+    return int(d)
+
+
 def make_kit(d: int) -> CounterexampleKit:
     """Build the d-mode kit and fail fast if a closed form is off.
 
@@ -86,11 +92,14 @@ def make_kit(d: int) -> CounterexampleKit:
 
     Raises
     ------
+    ValueError
+        If d is not a Python or numpy integer >= 1 (bools and floats are not).
     InternalInvariantViolation
         If sqrtAB^2 != A0 + B0 or sqrtAB @ Xunique != B0 beyond 1e-10;
         every sweep metric silently depends on these two identities.
     """
-    if not isinstance(d, int) or d < 1:
+    d = _integer(d)
+    if d < 1:
         raise ValueError(f"d must be an integer >= 1, got {d!r}")
     t = _weights(d)
     eye = np.eye(d)
@@ -164,30 +173,35 @@ def subspace_angles(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
 
 def _sweep_row(d: int, tol: Tol) -> SweepRow:
     kit = make_kit(d)
-    # one SVD of A0 + B0 gives the strong solution and cond(A0 + B0)
-    apb = kit.A0 + kit.B0
-    factor = _svd_factor(apb)
-    strong = _solve(apb, factor, kit.B0, tol)
-
-    # the partition (with its cached SVD of T22) is freed before parallel_sum
     proj = kit_block_projector(d)
-    short = shorted(partition(kit.bigT, proj, proj, tol), tol)
+    block = partition(kit.bigT, proj, proj, tol)
+    short = shorted(block, tol)
     wd = short.witnesses
     norm_weak = max(opnorm(wd.E), opnorm(wd.F), opnorm(wd.Etilde), opnorm(wd.Ftilde))
 
+    # bigT's T22 C = T21 is (A0 + B0) C = B0, which shorted solved from its one
+    # SVD of T22 = A0 + B0; that SVD also gives cond(A0 + B0)
+    strong = is_complementable(block, tol).C
+    if strong is None:
+        raise InternalInvariantViolation(f"(A0 + B0) X = B0 is unsolvable at d={d}")
+    cond = float(block._t22.s[0] / block._t22.s[-1])
+    del block  # freed before parallel_sum builds its own partition
+
     psum = parallel_sum(kit.A0, kit.B0, tol)
 
-    angles = subspace_angles(range_basis(kit.A0, tol), range_basis(kit.B0, tol))
+    # B0 projects onto coordinates, so those columns are its range basis
+    b0_basis = _coordinate_columns(2 * d, np.diagonal(kit.B0) == 1.0)
+    angles = subspace_angles(range_basis(kit.A0, tol), b0_basis)
     min_angle = float(angles.min()) if angles.size else 0.0
 
     return SweepRow(
         d=d,
-        norm_strong_solution=opnorm(strong.D),
+        norm_strong_solution=opnorm(strong),
         norm_weak_solutions=norm_weak,
         norm_parallel_sum=opnorm(psum.value),
         # the ambient shorted operator is the core lifted by orthonormal bases
         shorted_norm=opnorm(short.core),
-        cond_ApB=float(factor.s[0] / factor.s[-1]),
+        cond_ApB=cond,
         min_principal_angle=min_angle,
     )
 
@@ -202,7 +216,7 @@ def divergence_sweep(dims=None, tol: Tol = DEFAULT_TOL):
     Parameters
     ----------
     dims : sequence of int, optional
-        Strictly ascending dimensions, default (8, 16, 32, 64, 128, 256).
+        Strictly ascending integers, default (8, 16, 32, 64, 128, 256).
     tol : Tol
 
     Returns
@@ -211,7 +225,7 @@ def divergence_sweep(dims=None, tol: Tol = DEFAULT_TOL):
     """
     if dims is None:
         dims = DEFAULT_SWEEP_DIMS
-    dims = [int(d) for d in dims]
+    dims = [_integer(d) for d in dims]
     if not dims:
         raise ValueError("dims must be non-empty")
     if any(d < 1 for d in dims):

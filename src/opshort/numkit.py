@@ -130,14 +130,21 @@ def _norm_within(x, rel: float, y=0.0, floor: float = 1.0) -> bool:
     return exact[0] <= rel * max(exact[1], floor)
 
 
-def _herm_within(m: np.ndarray, rel: float) -> bool:
-    """True iff ||M - M*|| <= rel * ||M|| in the operator norm."""
-    return _norm_within(m - m.conj().T, rel, m, floor=0.0)
-
-
 def _herm(a: np.ndarray) -> np.ndarray:
     """Hermitian part (A + A*) / 2."""
     return (a + a.conj().T) / 2.0
+
+
+def _hermitian(a, tol: Tol, name: str = "A", error: type = NotHermitian) -> np.ndarray:
+    """The one Hermitian check: ``a`` must be square with ||A - A*|| <=
+    residual_rel * ||A||.  Returns the Hermitian part; failures raise
+    ``error`` naming the operand ``name``."""
+    m = as_matrix(a, name)
+    if m.shape[0] != m.shape[1]:
+        raise error(f"{name} must be square, got shape {m.shape}")
+    if not _norm_within(m - m.conj().T, tol.residual_rel, m, floor=0.0):
+        raise error(f"{name} is not Hermitian within residual_rel * ||{name}||")
+    return _herm(m)
 
 
 @dataclass(frozen=True)
@@ -173,12 +180,7 @@ def herm_eig(a, tol: Tol = DEFAULT_TOL) -> HermEig:
     NotHermitian
         If the input is not square or departs from A = A* beyond tolerance.
     """
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise NotHermitian(f"expected a square matrix, got shape {m.shape}")
-    if not _herm_within(m, tol.residual_rel):
-        raise NotHermitian("matrix is not Hermitian within residual_rel * ||A||")
-    w, v = np.linalg.eigh(_herm(m))
+    w, v = np.linalg.eigh(_hermitian(a, tol))
     # eigh returns ascending order; the package contract is descending
     return HermEig(
         eigenvalues=np.ascontiguousarray(w[::-1]),
@@ -195,21 +197,16 @@ def _eig_clamp(w: np.ndarray, tol: Tol) -> float:
     return tol.eig_clamp_rel * float(np.abs(w).max())
 
 
-def _clamped_psd_eigenvalues(w: np.ndarray, tol: Tol) -> np.ndarray:
-    """Clamp spectral dirt to exact zero; reject genuine negativity.
-
-    |lambda| <= eig_clamp_rel * ||A|| -> 0.  lambda < -eig_clamp_rel * ||A||
-    raises NotPSD.  Keeping tiny positives would poison later fractional
-    powers, so they are zeroed as well.
-    """
+def _psd_clamp(w: np.ndarray, tol: Tol, name: str = "A") -> float:
+    """The one PSD rule: raise NotPSD, naming the operand, if an eigenvalue
+    of the Hermitian spectrum ``w`` lies below -clamp; else return the clamp
+    (0.0 for an empty spectrum)."""
     if w.size == 0:
-        return w
+        return 0.0
     clamp = _eig_clamp(w, tol)
     if float(w.min()) < -clamp:
-        raise NotPSD(
-            f"eigenvalue {w.min():.6e} below the PSD clamp -{clamp:.6e}"
-        )
-    return np.where(np.abs(w) <= clamp, 0.0, w)
+        raise NotPSD(f"{name} has eigenvalue {w.min():.6e} below the PSD clamp")
+    return clamp
 
 
 def psd_power(a, p: float, tol: Tol = DEFAULT_TOL) -> np.ndarray:
@@ -233,6 +230,8 @@ def psd_power(a, p: float, tol: Tol = DEFAULT_TOL) -> np.ndarray:
 
     Raises
     ------
+    NotHermitian
+        If the input fails :func:`herm_eig`'s check.
     NotPSD
         If an eigenvalue falls below the negative clamp.
     ValueError
@@ -241,8 +240,9 @@ def psd_power(a, p: float, tol: Tol = DEFAULT_TOL) -> np.ndarray:
     if not isinstance(p, (int, float)) or not np.isfinite(p) or p <= 0:
         raise ValueError(f"exponent must be a positive real number, got {p!r}")
     eig = herm_eig(a, tol)
-    w = _clamped_psd_eigenvalues(eig.eigenvalues, tol)
-    v = eig.eigenvectors
+    w, v = eig.eigenvalues, eig.eigenvectors
+    # |lambda| <= clamp is dirt; tiny positives would poison the power too
+    w = np.where(np.abs(w) <= _psd_clamp(w, tol), 0.0, w)
     return _herm((v * w ** float(p)) @ v.conj().T)
 
 
@@ -275,13 +275,10 @@ class _SVDFactor:
         """u_r s_r^a vh_r: the polar factor at a = 0, V(T) at a = 1/2."""
         return (self.u[:, :r] * self.s[:r] ** a) @ self.vh[:r]
 
-    def abs_power(self, p: float, side: str) -> np.ndarray:
-        """|T|^p ("right", on the domain) or |T*|^p ("left", on the codomain)."""
-        if side == "right":
-            out = (self.vh.conj().T * self.s**p) @ self.vh
-        else:
-            out = (self.u * self.s**p) @ self.u.conj().T
-        return _herm(out)
+    def abs_power(self, side: str) -> np.ndarray:
+        """|T| ("right", on the domain) or |T*| ("left", on the codomain)."""
+        b = self.vh.conj().T if side == "right" else self.u
+        return _herm((b * self.s) @ b.conj().T)
 
     def pinv(self, r: int) -> np.ndarray:
         """vh_r* s_r^-1 u_r*: the pseudo-inverse when r is the rank."""
@@ -315,7 +312,7 @@ def absolute_value(t, side: str = "right", tol: Tol = DEFAULT_TOL) -> np.ndarray
     """
     if side not in ("right", "left"):
         raise ValueError(f'side must be "right" or "left", got {side!r}')
-    return _svd_factor(as_matrix(t)).abs_power(1.0, side)
+    return _svd_factor(as_matrix(t)).abs_power(side)
 
 
 def pseudo_inverse(t, tol: Tol = DEFAULT_TOL) -> np.ndarray:

@@ -4,6 +4,9 @@ The parallel sum A : B is defined through the bilateral shorted operator of
 the block matrix [[A, A], [A, A + B]] relative to the first-summand corner;
 for positive definite inputs it agrees with (A^-1 + B^-1)^-1, which is kept
 as an independent cross-check route rather than folded into the primary one.
+
+The block's lower-right corner is A + B, so :func:`solve_parallel_equation`
+solves (A + B) X = B from the SVD that the partition behind A : B holds.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ import numpy as np
 
 from .douglas import _solve
 from .errors import InternalInvariantViolation, NotPositiveDefinite, NotPSD, ShapeMismatch
-from .numkit import DEFAULT_TOL, Tol, _eig_clamp, _herm, _herm_within, _svd_factor, as_matrix, opnorm
-from .shorting import _coordinate_projector, partition, shorted
+from .numkit import DEFAULT_TOL, Tol, _eig_clamp, _herm, _hermitian, _psd_clamp, as_matrix, opnorm
+from .shorting import BlockOperator, _coordinate_projector, partition, shorted
 
 __all__ = [
     "ParallelSumResult",
@@ -32,35 +35,16 @@ __all__ = [
 _REG_EPS = (1e-4, 1e-6)
 
 
-def _hermitian_spectrum(a, tol: Tol, name: str, error: type):
-    """Validate a square matrix as Hermitian within residual_rel * ||A||.
-
-    Returns the Hermitian part and its eigenvalues (ascending); failures
-    raise ``error``.
-    """
-    m = as_matrix(a, name)
-    if m.shape[0] != m.shape[1]:
-        raise error(f"{name} must be square, got shape {m.shape}")
-    if not _herm_within(m, tol.residual_rel):
-        raise error(f"{name} is not Hermitian within residual_rel * ||{name}||")
-    h = _herm(m)
-    return h, np.linalg.eigvalsh(h)
-
-
-def _psd_part(a, tol: Tol, name: str):
-    """Validate Hermitian + PSD (up to the eigenvalue clamp); return the
-    Hermitian part and its eigenvalues."""
-    h, w = _hermitian_spectrum(a, tol, name, NotPSD)
-    if w.size and float(w.min()) < -_eig_clamp(w, tol):
-        raise NotPSD(f"{name} has eigenvalue {w.min():.6e} below the PSD clamp")
-    return h, w
-
-
 def _psd_pair(a, b, tol: Tol):
-    """Validate A and B as PSD matrices of one shape; returns (A, wA, B, wB)
-    with the Hermitian parts and their eigenvalues."""
-    ah, wa = _psd_part(a, tol, "A")
-    bh, wb = _psd_part(b, tol, "B")
+    """Validate A, then B, as PSD matrices of one shape; returns (A, wA, B, wB)
+    with the Hermitian parts and their eigenvalues (ascending)."""
+    parts = []
+    for m, name in ((a, "A"), (b, "B")):
+        h = _hermitian(m, tol, name, NotPSD)
+        w = np.linalg.eigvalsh(h)
+        _psd_clamp(w, tol, name)
+        parts += (h, w)
+    ah, wa, bh, wb = parts
     if ah.shape != bh.shape:
         raise ShapeMismatch(f"A is {ah.shape} but B is {bh.shape}")
     return ah, wa, bh, wb
@@ -116,6 +100,20 @@ class ParallelSumResult:
     route_agreement: float
 
 
+def _parallel_core(ah, wa, bh, wb, tol: Tol) -> tuple[np.ndarray, BlockOperator]:
+    """A : B of operands validated by :func:`_psd_pair`, with the partition of
+    [[A, A], [A, A + B]] it came from; that partition's T22 is A + B, and
+    its SVD is cached once :func:`shorted` has run."""
+    n = ah.shape[0]
+    big = np.block([[ah, ah], [ah, ah + bh]])
+    corner = _coordinate_projector(2 * n, n)
+    blk = partition(big, corner, corner, tol)
+    res = shorted(blk, tol)
+    # the ambient shorted matrix is [[A:B, 0], [0, 0]]; the corner block is
+    # basis-independent, unlike the core's internal coordinates
+    return _clamp_result_psd(res.shorted[:n, :n], _norm(wa) + _norm(wb), tol), blk
+
+
 def parallel_sum(a, b, tol: Tol = DEFAULT_TOL) -> ParallelSumResult:
     """Parallel sum A : B of two PSD matrices of the same size.
 
@@ -133,15 +131,7 @@ def parallel_sum(a, b, tol: Tol = DEFAULT_TOL) -> ParallelSumResult:
         If the shapes differ.
     """
     ah, wa, bh, wb = _psd_pair(a, b, tol)
-    n = ah.shape[0]
-    big = np.block([[ah, ah], [ah, ah + bh]])
-    corner = _coordinate_projector(2 * n, n)
-    blk = partition(big, corner, corner, tol)
-    res = shorted(blk, tol)
-    # the ambient shorted matrix is [[A:B, 0], [0, 0]]; the corner block is
-    # basis-independent, unlike the core's internal coordinates
-    value = _clamp_result_psd(res.shorted[:n, :n], _norm(wa) + _norm(wb), tol)
-
+    value, _ = _parallel_core(ah, wa, bh, wb, tol)
     agreement = 0.0
     if _is_pd(wa, tol) and _is_pd(wb, tol):
         agreement = opnorm(_pd_formula(ah, bh) - value)
@@ -178,24 +168,20 @@ def hansen_inequality_check(a, b, c, tol: Tol = DEFAULT_TOL) -> float:
 def _hansen_worst(a, b, probes, tol: Tol) -> float:
     """Smallest :func:`hansen_inequality_check` value over the probes C.
 
-    A and B are validated and A : B computed once for all probes.
+    A and B are validated and A : B computed once for all probes, without
+    :func:`parallel_sum`'s cross-check.
     """
-    ah, _, bh, _ = _psd_pair(a, b, tol)
+    ah, wa, bh, wb = _psd_pair(a, b, tol)
     n = ah.shape[0]
+    ps = _parallel_core(ah, wa, bh, wb, tol)[0]
     eye = np.eye(n, dtype=np.complex128)
-    ps = None
     worst = None
     for c in probes:
         cm = as_matrix(c, "C")
         if cm.shape != ah.shape:
             raise ShapeMismatch(f"C must match A's shape {ah.shape}, got {cm.shape}")
-        if n == 0:
-            lam = 0.0
-        else:
-            if ps is None:
-                ps = parallel_sum(ah, bh, tol).value
-            rhs = cm.conj().T @ ah @ cm + (eye - cm).conj().T @ bh @ (eye - cm)
-            lam = float(np.linalg.eigvalsh(_herm(rhs - ps)).min())
+        rhs = cm.conj().T @ ah @ cm + (eye - cm).conj().T @ bh @ (eye - cm)
+        lam = float(np.linalg.eigvalsh(_herm(rhs - ps)).min()) if n else 0.0
         worst = lam if worst is None else min(worst, lam)
     return worst
 
@@ -229,7 +215,8 @@ def lemma_69_check(x, y, tol: Tol = DEFAULT_TOL) -> Lemma69Result:
     NotPositiveDefinite
         If X is not Hermitian positive definite beyond the clamp.
     """
-    xh, w = _hermitian_spectrum(x, tol, "X", NotPositiveDefinite)
+    xh = _hermitian(x, tol, "X", NotPositiveDefinite)
+    w = np.linalg.eigvalsh(xh)
     n = xh.shape[0]
     if n == 0:
         return Lemma69Result(lambda_min=0.0, equality_gap=0.0)
@@ -268,6 +255,8 @@ def solve_parallel_equation(a, b, tol: Tol = DEFAULT_TOL) -> ParallelEquationSol
     """Solve (A + B) X = B in the reduced sense and certify the variational
     identity X* A X + (I - X)* B (I - X) = A : B.
 
+    A + B is T22 of the partition behind A : B; the solve reads its SVD.
+
     Raises
     ------
     InternalInvariantViolation
@@ -277,11 +266,10 @@ def solve_parallel_equation(a, b, tol: Tol = DEFAULT_TOL) -> ParallelEquationSol
     """
     ah, wa, bh, wb = _psd_pair(a, b, tol)
     n = ah.shape[0]
-    total = ah + bh
-    f = _svd_factor(total)
-    sol = _solve(total, f, bh, tol)
+    ps, blk = _parallel_core(ah, wa, bh, wb, tol)
+    f = blk._t22
+    sol = _solve(blk.T22, f, bh, tol)
     x = sol.D
-    ps = parallel_sum(ah, bh, tol).value
     eye = np.eye(n, dtype=np.complex128)
     attained = x.conj().T @ ah @ x + (eye - x).conj().T @ bh @ (eye - x)
     eq_residual = opnorm(attained - ps)

@@ -61,7 +61,7 @@ def polar_decompose(t, tol: Tol = DEFAULT_TOL) -> PolarForm:
         of T*, and UU* is the projector onto the range of T.
     """
     f = _svd_factor(as_matrix(t))
-    return PolarForm(U=f.power(0.0, f.rank(tol)), absT=f.abs_power(1.0, "right"), alpha=1.0)
+    return PolarForm(U=f.power(0.0, f.rank(tol)), absT=f.abs_power("right"), alpha=1.0)
 
 
 def gpolar(t, alpha: float, tol: Tol = DEFAULT_TOL) -> PolarForm:
@@ -84,7 +84,7 @@ def gpolar(t, alpha: float, tol: Tol = DEFAULT_TOL) -> PolarForm:
     f = _svd_factor(as_matrix(t))
     return PolarForm(
         U=f.power(1.0 - alpha, f.rank(tol)),
-        absT=f.abs_power(1.0, "right"),
+        absT=f.abs_power("right"),
         alpha=float(alpha),
     )
 
@@ -118,15 +118,15 @@ def gpolar_iterative(t, alpha: float, n: int, tol: Tol = DEFAULT_TOL) -> np.ndar
     m = as_matrix(t)
     k, p = m.shape
     if k == p:
-        return _iterate_square(m, float(alpha), n, tol)
+        return _iterate_square(m, float(alpha), n)
     # square embedding: domain (+) codomain, T in the lower-left corner
     emb = np.zeros((p + k, p + k), dtype=np.complex128)
     emb[p:, :p] = m
-    out = _iterate_square(emb, float(alpha), n, tol)
+    out = _iterate_square(emb, float(alpha), n)
     return np.ascontiguousarray(out[p:, :p])
 
 
-def _iterate_square(m: np.ndarray, alpha: float, n: int, tol: Tol) -> np.ndarray:
+def _iterate_square(m: np.ndarray, alpha: float, n: int) -> np.ndarray:
     gram = _herm(m.conj().T @ m)
     w, v = np.linalg.eigh(gram)
     w = np.maximum(w, 0.0)  # T*T is PSD; strip round-off negatives

@@ -67,22 +67,36 @@ def complementable_instance(rng, max_dim=12):
     return t, (pm + pm.conj().T) / 2.0, (pn + pn.conj().T) / 2.0
 
 
-def record_svd(monkeypatch):
-    """Record every LAPACK SVD call as (input, compute_uv).
+def record_linalg(monkeypatch, name, detail=dict):
+    """Record every call of the ``numpy.linalg`` kernel ``name`` (``svd``,
+    ``inv``, ``eigvalsh``, ...) as (copy of its input, detail).
 
-    Both bindings are patched: ``np.linalg.svd`` catches direct calls and
-    ``numpy.linalg._linalg.svd`` the singular values behind
-    ``np.linalg.norm(x, 2)``, i.e. behind every ``opnorm``.
+    ``detail`` maps the call's arguments by name, defaults filled in, to what
+    is kept beside the input; by default all of them.  Both bindings are
+    patched: ``np.linalg.<name>`` catches direct calls and
+    ``numpy.linalg._linalg.<name>`` numpy's own, such as the singular values
+    behind ``np.linalg.norm(x, 2)``, i.e. behind every ``opnorm``.
     """
+    import inspect
+
     import numpy.linalg._linalg as linalg_impl
 
     calls = []
-    real = linalg_impl.svd
+    real = getattr(linalg_impl, name)
+    signature = inspect.signature(real)
 
-    def recording(a, full_matrices=True, compute_uv=True, hermitian=False):
-        calls.append((np.asarray(a).copy(), compute_uv))
-        return real(a, full_matrices=full_matrices, compute_uv=compute_uv, hermitian=hermitian)
+    def recording(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        operand = next(iter(bound.arguments.values()))
+        calls.append((np.asarray(operand).copy(), detail(bound.arguments)))
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", recording)
-    monkeypatch.setattr(linalg_impl, "svd", recording)
+    monkeypatch.setattr(np.linalg, name, recording)
+    monkeypatch.setattr(linalg_impl, name, recording)
     return calls
+
+
+def record_svd(monkeypatch):
+    """Record every LAPACK SVD call as (input, compute_uv)."""
+    return record_linalg(monkeypatch, "svd", lambda arguments: arguments["compute_uv"])

@@ -436,13 +436,13 @@ def test_hansen_probe_mode_computes_the_parallel_sum_once(capsys, tmp_path, monk
     a = _write(tmp_path, "a.json", x @ x.conj().T)  # singular PSD
     b = _write(tmp_path, "b.json", np.diag(np.arange(1.0, n + 1.0)))
     calls = []
-    real = parallel.parallel_sum
+    real = parallel._parallel_core
 
     def counting(*args, **kwargs):
         calls.append(args[0].shape)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(parallel, "parallel_sum", counting)
+    monkeypatch.setattr(parallel, "_parallel_core", counting)
     argv = ["hansen-check", "--a", a, "--b", b, "--probes", str(probes), "--seed", str(seed)]
     code, payload = _run_json(capsys, argv)
     assert code == 0

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -13,6 +15,8 @@ from opshort import (
     verify_closed_forms,
 )
 from opshort import lab
+from opshort.douglas import _solve
+from opshort.numkit import _svd_factor
 from opshort.lab import (
     CSV_COLUMNS,
     DEFAULT_SWEEP_DIMS,
@@ -50,6 +54,26 @@ def test_kit_single_mode_closed_forms():
 def test_kit_rejects_bad_dimension(bad):
     with pytest.raises(ValueError):
         make_kit(bad)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [True, False, 8.7, 8.0, np.float64(8.0), np.bool_(True)],
+    ids=["True", "False", "8.7", "8.0", "float64", "bool_"],
+)
+@pytest.mark.parametrize("entry", ["make_kit", "divergence_sweep"])
+def test_dimension_must_be_an_integer(entry, bad):
+    # neither truncated (8.7 -> 8) nor read as 1 (True), nor left to numpy
+    call = {"make_kit": lambda: make_kit(bad), "divergence_sweep": lambda: divergence_sweep([bad])}
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        call[entry]()
+
+
+@pytest.mark.parametrize("d", [np.int64(4), np.int32(4), np.uint8(4)])
+def test_numpy_integer_dimensions_pass(d):
+    kit = make_kit(d)
+    assert type(kit.d) is int and kit.d == 4
+    assert divergence_sweep([d]) == divergence_sweep([4])
 
 
 def test_kit_block_layout():
@@ -196,11 +220,29 @@ def test_sweep_row_values():
 
 
 def test_sweep_row_svd_budget(monkeypatch):
-    # 5 of them per partition (the row's and parallel_sum's): T22, ||T21||,
-    # ||T12|| and one margin per side, which the weak residuals reuse
+    # 5 per partition (the row's and parallel_sum's): T22, ||T21||, ||T12||
+    # and one margin per side, which the weak residuals reuse; 7 reported
+    # norms; range_basis(A0) and the 2 angle SVDs.  The strong solution and
+    # cond(A0 + B0) are read from the row's partition, whose T22 is A0 + B0
     calls = record_svd(monkeypatch)
     lab._sweep_row(16, DEFAULT_TOL)
-    assert len(calls) == 25
+    assert len(calls) == 20
+
+
+@pytest.mark.parametrize("d", [8, 16, 64])
+def test_sweep_row_matches_the_separate_factor_route(d):
+    # the route before the row read bigT's partition: its own SVD of A0 + B0,
+    # a reduced solve of (A0 + B0) X = B0 and an SVD of B0 for its range
+    kit = make_kit(d)
+    apb = kit.A0 + kit.B0
+    f = _svd_factor(apb)
+    strong = _solve(apb, f, kit.B0, DEFAULT_TOL)
+    angles = subspace_angles(range_basis(kit.A0), range_basis(kit.B0))
+    row = lab._sweep_row(d, DEFAULT_TOL)
+    # the complex SVD of T22 may differ from the real one in the last bit
+    assert row.norm_strong_solution == pytest.approx(opnorm(strong.D), rel=5e-16, abs=0)
+    assert row.cond_ApB == pytest.approx(f.s[0] / f.s[-1], rel=5e-16, abs=0)
+    assert row.min_principal_angle == float(angles.min())
 
 
 def test_sweep_divergence_slopes():

@@ -301,12 +301,12 @@ def test_svd_factor_views_match_their_definitions():
     assert opnorm(u_polar @ absolute_value(t, "right") - t) <= 1e-12 * opnorm(t)
     # U s^(1/2) Vh squares to |T| and |T*| from either side
     v = f.power(0.5, r)
-    assert opnorm(v.conj().T @ v - f.abs_power(1.0, "right")) <= 1e-12 * opnorm(t)
-    assert opnorm(v @ v.conj().T - f.abs_power(1.0, "left")) <= 1e-12 * opnorm(t)
-    for side in ("right", "left"):
-        old = psd_power(absolute_value(t, side), 0.5)
-        assert opnorm(f.abs_power(0.5, side) - old) <= 1e-7
-        assert np.array_equal(f.abs_power(1.0, side), absolute_value(t, side))
+    assert opnorm(v.conj().T @ v - f.abs_power("right")) <= 1e-12 * opnorm(t)
+    assert opnorm(v @ v.conj().T - f.abs_power("left")) <= 1e-12 * opnorm(t)
+    # |T| = (T*T)^(1/2) and |T*| = (TT*)^(1/2)
+    for side, gram in (("right", t.conj().T @ t), ("left", t @ t.conj().T)):
+        assert opnorm(f.abs_power(side) - psd_power(gram, 0.5)) <= 1e-7
+        assert np.array_equal(f.abs_power(side), absolute_value(t, side))
 
 
 # --- certified operator-norm bounds -------------------------------------------------

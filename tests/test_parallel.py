@@ -15,9 +15,12 @@ from opshort import (
     regularized_trend,
     solve_parallel_equation,
 )
+from opshort import parallel
+from opshort.douglas import _solve
 from opshort.errors import NotHermitian, NotPSD, NotPositiveDefinite, ShapeMismatch
+from opshort.numkit import _herm, _svd_factor
 
-from _util import rand_pd, rand_psd, rand_unitary
+from _util import rand_pd, rand_psd, rand_unitary, record_linalg, record_svd
 
 RNG = np.random.default_rng(5005)
 
@@ -255,7 +258,9 @@ def test_hermitian_validator_edge(c, accepted):
     eye = np.eye(n)
     calls = (
         (lambda: herm_eig(m), NotHermitian),
+        (lambda: psd_power(m, 0.5), NotHermitian),
         (lambda: parallel_sum(m, b), NotPSD),
+        (lambda: regularized_trend(m, b, eye), NotPSD),
         (lambda: solve_parallel_equation(m, b), NotPSD),
         (lambda: hansen_inequality_check(m, b, eye), NotPSD),
         (lambda: lemma_69_check(m, eye), NotPositiveDefinite),
@@ -265,6 +270,33 @@ def test_hermitian_validator_edge(c, accepted):
             call()
         else:
             with pytest.raises(error, match="not Hermitian"):
+                call()
+
+
+@pytest.mark.parametrize("c,accepted", [(2.0, False), (0.5, True)])
+def test_psd_negativity_edge(c, accepted):
+    # lambda_min = -c * clamp with clamp = eig_clamp_rel * max|lambda| and
+    # max|lambda| = 1; every PSD entry point applies the one rule
+    n = 6
+    q = rand_unitary(RNG, n)
+    w = np.linspace(1.0, 0.1, n)
+    w[-1] = -c * DEFAULT_TOL.eig_clamp_rel
+    m = _herm((q * w) @ q.conj().T)
+    assert np.linalg.eigvalsh(m)[0] == pytest.approx(w[-1], rel=1e-4)
+    b = rand_pd(RNG, n)
+    eye = np.eye(n)
+    calls = (
+        lambda: psd_power(m, 0.5),
+        lambda: parallel_sum(m, b),
+        lambda: solve_parallel_equation(m, b),
+        lambda: hansen_inequality_check(m, b, eye),
+        lambda: regularized_trend(m, b, eye),
+    )
+    for call in calls:
+        if accepted:
+            call()
+        else:
+            with pytest.raises(NotPSD, match="below the PSD clamp"):
                 call()
 
 
@@ -322,3 +354,53 @@ def test_equation_rejects_bad_inputs():
         solve_parallel_equation(np.diag([1.0, -1.0]), np.eye(2))
     with pytest.raises(ShapeMismatch):
         solve_parallel_equation(np.eye(2), np.eye(3))
+
+
+def _reference_equation(a, b):
+    """solve_parallel_equation with its own SVD of A + B, the route taken
+    before the solve read the partition behind A : B."""
+    ah, wa, bh, wb = parallel._psd_pair(a, b, DEFAULT_TOL)
+    total = ah + bh
+    f = _svd_factor(total)
+    sol = _solve(total, f, bh, DEFAULT_TOL)
+    x = sol.D
+    eye = np.eye(ah.shape[0])
+    attained = x.conj().T @ ah @ x + (eye - x).conj().T @ bh @ (eye - x)
+    r = f.rank(DEFAULT_TOL)
+    return x, {
+        "equation_residual": opnorm(attained - parallel_sum(ah, bh).value),
+        "solve_residual": sol.residual,
+        "norm_X": opnorm(x),
+        "cond_on_range": float(f.s[0] / f.s[r - 1]),
+    }
+
+
+@pytest.mark.parametrize("kind", ["pd", "singular"])
+def test_equation_factors_a_plus_b_once(kind, monkeypatch):
+    n = 32
+    rank = n if kind == "pd" else 3 * n // 4
+    a, b = _herm(rand_psd(RNG, n, rank)), _herm(rand_psd(RNG, n, rank))
+    x_ref, diag_ref = _reference_equation(a, b)
+    svds = record_svd(monkeypatch)
+    invs = record_linalg(monkeypatch, "inv")
+    eigs = record_linalg(monkeypatch, "eigvalsh")
+    sol = solve_parallel_equation(a, b)
+    total = a + b
+    assert sum(uv and np.array_equal(m, total) for m, uv in svds) == 1
+    assert invs == []
+    # A and B are validated once each
+    assert [m.shape for m, _ in eigs] == [(n, n), (n, n)]
+    assert np.array_equal(sol.X, x_ref)
+    assert sol.diagnostics == diag_ref
+
+
+def test_hansen_check_validates_once_without_the_cross_check(monkeypatch):
+    a, b = rand_pd(RNG, 8), rand_pd(RNG, 8)
+    c = rand_pd(RNG, 8)
+    expected = hansen_inequality_check(a, b, c)
+    invs = record_linalg(monkeypatch, "inv")
+    eigs = record_linalg(monkeypatch, "eigvalsh")
+    assert hansen_inequality_check(a, b, c) == expected
+    assert invs == []
+    # one per operand and one for the probe
+    assert len(eigs) == 3
