@@ -22,7 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInvariantViolation
-from .numkit import DEFAULT_TOL, Tol, _angle_factors, _norm_within, opnorm, psd_power, range_basis
+from .numkit import (
+    DEFAULT_TOL, Tol, _angle_factors, _integer, _norm_within, opnorm, psd_power, range_basis
+)
 from .parallel import parallel_sum
 from .shorting import _coordinate_columns, _coordinate_projector, is_complementable, partition, shorted
 
@@ -73,13 +75,6 @@ def _weights(d: int) -> np.ndarray:
 def _f(t: np.ndarray) -> np.ndarray:
     # per-mode normalizer of the closed-form square root
     return np.sqrt(t * t + 2.0 * t + 2.0)
-
-
-def _integer(d) -> int:
-    """``d`` as an int; bools, floats and other non-integers raise ValueError."""
-    if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
-        raise ValueError(f"dimension must be an integer, got {d!r}")
-    return int(d)
 
 
 def make_kit(d: int) -> CounterexampleKit:
@@ -177,7 +172,9 @@ def _sweep_row(d: int, tol: Tol) -> SweepRow:
     block = partition(kit.bigT, proj, proj, tol)
     short = shorted(block, tol)
     wd = short.witnesses
-    norm_weak = max(opnorm(wd.E), opnorm(wd.F), opnorm(wd.Etilde), opnorm(wd.Ftilde))
+    # Etilde = W_r1 G[:r1] and E = V_r0 G share the coordinates G with r1 <= r0,
+    # so ||Etilde|| <= ||E||; likewise ||F|| <= ||Ftilde||
+    norm_weak = max(opnorm(wd.E), opnorm(wd.Ftilde))
 
     # bigT's T22 C = T21 is (A0 + B0) C = B0, which shorted solved from its one
     # SVD of T22 = A0 + B0; that SVD also gives cond(A0 + B0)
@@ -190,7 +187,7 @@ def _sweep_row(d: int, tol: Tol) -> SweepRow:
     psum = parallel_sum(kit.A0, kit.B0, tol)
 
     # B0 projects onto coordinates, so those columns are its range basis
-    b0_basis = _coordinate_columns(2 * d, np.diagonal(kit.B0) == 1.0)
+    b0_basis = _coordinate_columns(2 * d, np.arange(d))
     angles = subspace_angles(range_basis(kit.A0, tol), b0_basis)
     min_angle = float(angles.min()) if angles.size else 0.0
 
@@ -239,15 +236,8 @@ def sweep_to_csv(rows) -> str:
     """Render sweep rows as CSV with the fixed column schema (deterministic bytes)."""
     lines = [",".join(CSV_COLUMNS)]
     for row in rows:
-        lines.append(
-            ",".join(
-                [str(row.d)]
-                + [
-                    repr(float(getattr(row, name)))
-                    for name in CSV_COLUMNS[1:]
-                ]
-            )
-        )
+        values = [repr(float(getattr(row, name))) for name in CSV_COLUMNS[1:]]
+        lines.append(",".join([str(row.d)] + values))
     return "\n".join(lines) + "\n"
 
 

@@ -130,6 +130,14 @@ def _norm_within(x, rel: float, y=0.0, floor: float = 1.0) -> bool:
     return exact[0] <= rel * max(exact[1], floor)
 
 
+def _integer(x, message: str = "dimension must be an integer") -> int:
+    """The one integer check: Python and numpy integers pass as int; bools
+    (ints to Python), floats and the rest raise ValueError(message, x)."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ValueError(f"{message}, got {x!r}")
+    return int(x)
+
+
 def _herm(a: np.ndarray) -> np.ndarray:
     """Hermitian part (A + A*) / 2."""
     return (a + a.conj().T) / 2.0
@@ -235,10 +243,12 @@ def psd_power(a, p: float, tol: Tol = DEFAULT_TOL) -> np.ndarray:
     NotPSD
         If an eigenvalue falls below the negative clamp.
     ValueError
-        If p is not a positive real number.
+        If p is not a positive real number (a bool is not).
     """
-    if not isinstance(p, (int, float)) or not np.isfinite(p) or p <= 0:
-        raise ValueError(f"exponent must be a positive real number, got {p!r}")
+    message = "exponent must be a positive real number"
+    p = p if isinstance(p, (float, np.floating)) else _integer(p, message)
+    if not np.isfinite(p) or p <= 0:
+        raise ValueError(f"{message}, got {p!r}")
     eig = herm_eig(a, tol)
     w, v = eig.eigenvalues, eig.eigenvectors
     # |lambda| <= clamp is dirt; tiny positives would poison the power too

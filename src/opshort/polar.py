@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlphaOutOfRange
-from .numkit import DEFAULT_TOL, Tol, _herm, _svd_factor, as_matrix
+from .numkit import DEFAULT_TOL, Tol, _herm, _integer, _svd_factor, as_matrix
 
 __all__ = [
     "PolarForm",
@@ -104,7 +104,7 @@ def gpolar_iterative(t, alpha: float, n: int, tol: Tol = DEFAULT_TOL) -> np.ndar
     alpha : float
         Interpolation exponent in (0, 1).
     n : int
-        Iteration index, n >= 1.
+        Iteration index, a Python or numpy integer >= 1 (a bool is not).
 
     Returns
     -------
@@ -113,8 +113,10 @@ def gpolar_iterative(t, alpha: float, n: int, tol: Tol = DEFAULT_TOL) -> np.ndar
     """
     if not isinstance(alpha, (int, float)) or not (0.0 < alpha < 1.0):
         raise AlphaOutOfRange(f"alpha must lie in (0, 1), got {alpha!r}")
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"iteration index must be an integer >= 1, got {n!r}")
+    message = "iteration index must be an integer >= 1"
+    n = _integer(n, message)
+    if n < 1:
+        raise ValueError(f"{message}, got {n!r}")
     m = as_matrix(t)
     k, p = m.shape
     if k == p:

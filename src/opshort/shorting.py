@@ -42,6 +42,10 @@ so a T22 that is pure round-off next to the corners it meets has rank 0:
 * systems 2 and 3 also keep only sigma_i > sigma_1 * max(eig_clamp_rel,
   rank_rel^2), the rank of the square root of |T22| (or |T22*|) once
   psd_power has clamped its eigenvalues relative to its own top one.
+
+A projector that is an exact 0/1 diagonal has coordinate columns as bases,
+so its corners are gathered as sub-blocks of T and its lifts scattered,
+equal in value to the products; the sign of an exact zero follows T.
 """
 
 from __future__ import annotations
@@ -161,9 +165,8 @@ def _ordered_basis(vectors: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(cols[:, order])
 
 
-def _coordinate_columns(n: int, mask: np.ndarray) -> np.ndarray:
-    """The columns e_i of the n x n identity where ``mask`` is set, in order."""
-    rows = np.flatnonzero(mask)
+def _coordinate_columns(n: int, rows: np.ndarray) -> np.ndarray:
+    """The columns e_i, i in ``rows``, of the n x n identity, in that order."""
     out = np.zeros((n, rows.size), dtype=np.complex128)
     out[rows, np.arange(rows.size)] = 1.0
     return out
@@ -178,13 +181,14 @@ def _coordinate_projector(n: int, k: int, dtype=np.complex128) -> np.ndarray:
 
 def _projector_bases(p: np.ndarray, tol: Tol):
     """Orthonormal bases (range, kernel) of a validated projector, in the
-    deterministic order used throughout the package."""
+    deterministic order used throughout the package, and the coordinates
+    (range, kernel) they pick when they are coordinate columns, else None."""
     m = as_matrix(p, "projector")
     if m.shape[0] != m.shape[1]:
         raise NotAProjector(f"projector must be square, got shape {m.shape}")
     if m.shape[0] == 0:
         empty = np.zeros((0, 0), dtype=np.complex128)
-        return empty, empty
+        return empty, empty, None
     diag = np.diagonal(m)
     if np.count_nonzero(m) == np.count_nonzero(diag) and np.all(
         (diag == 0.0) | (diag == 1.0)
@@ -192,11 +196,10 @@ def _projector_bases(p: np.ndarray, tol: Tol):
         # an exact 0/1 diagonal is exactly a projector; its bases are the
         # coordinate columns in ascending order, as _ordered_basis sorts them
         n = m.shape[0]
-        return _coordinate_columns(n, diag == 1.0), _coordinate_columns(n, diag == 0.0)
+        index = (np.flatnonzero(diag == 1.0), np.flatnonzero(diag == 0.0))
+        return _coordinate_columns(n, index[0]), _coordinate_columns(n, index[1]), index
     _, vecs, rank = _validated_projector_eig(m, tol)
-    basis_range = _ordered_basis(vecs[:, :rank])
-    basis_kernel = _ordered_basis(vecs[:, rank:])
-    return basis_range, basis_kernel
+    return _ordered_basis(vecs[:, :rank]), _ordered_basis(vecs[:, rank:]), None
 
 
 @dataclass(frozen=True)
@@ -206,6 +209,10 @@ class BlockOperator:
     The corner blocks are stored in coordinates of the orthonormal basis
     columns ``basis_m``, ``basis_m_perp``, ``basis_n``, ``basis_n_perp``;
     conjugating the block matrix back by these bases reproduces T.
+    ``index_m`` (``index_n``) holds the coordinates that the domain's
+    (codomain's) bases pick when they are coordinate columns, else None;
+    corners and lifts are then gathered and scattered (module docstring),
+    and PM (PN), an exact 0/1 diagonal, is kept as given, as T is.
     """
 
     T: np.ndarray
@@ -219,6 +226,8 @@ class BlockOperator:
     T12: np.ndarray
     T21: np.ndarray
     T22: np.ndarray
+    index_m: tuple | None = None
+    index_n: tuple | None = None
 
     @property
     def dim_m(self) -> int:
@@ -232,17 +241,17 @@ class BlockOperator:
         """Ambient domain -> codomain matrix from block pieces (None = 0)."""
         rows = (self.basis_n, self.basis_n_perp)
         cols = (self.basis_m, self.basis_m_perp)
-        return _lift(rows, cols, x11, x12, x21, x22)
+        return _lift(rows, cols, self.index_n, self.index_m, x11, x12, x21, x22)
 
     def lift_domain(self, x11=None, x12=None, x21=None, x22=None) -> np.ndarray:
         """Ambient domain -> domain matrix from M (+) M_perp block pieces."""
         bases = (self.basis_m, self.basis_m_perp)
-        return _lift(bases, bases, x11, x12, x21, x22)
+        return _lift(bases, bases, self.index_m, self.index_m, x11, x12, x21, x22)
 
     def lift_codomain(self, x11=None, x12=None, x21=None, x22=None) -> np.ndarray:
         """Ambient codomain -> codomain matrix from N (+) N_perp block pieces."""
         bases = (self.basis_n, self.basis_n_perp)
-        return _lift(bases, bases, x11, x12, x21, x22)
+        return _lift(bases, bases, self.index_n, self.index_n, x11, x12, x21, x22)
 
     def reassembled(self) -> np.ndarray:
         """T rebuilt from its four corners; equals T to working precision."""
@@ -259,9 +268,12 @@ class BlockOperator:
         basis* C): (W, T21, ...) on N_perp and (V, T12*, ...) on M_perp."""
         f = self._t22
         t12s = self.T12.conj().T
+        n21 = opnorm(self.T21)
+        # one norm for equal values: T12* = T21 if T = T* exactly, PM = PN, gathered
+        n12 = n21 if np.array_equal(t12s, self.T21) else opnorm(t12s)
         return (
-            (f.u, self.T21, opnorm(self.T21), f.u.conj().T @ self.T21),
-            (f.vh.conj().T, t12s, opnorm(t12s), f.vh @ t12s),
+            (f.u, self.T21, n21, f.u.conj().T @ self.T21),
+            (f.vh.conj().T, t12s, n12, f.vh @ t12s),
         )
 
     @cached_property
@@ -270,25 +282,24 @@ class BlockOperator:
         return {}
 
 
-def _lift(rows, cols, x11, x12, x21, x22) -> np.ndarray:
+def _lift(rows, cols, row_index, col_index, x11, x12, x21, x22) -> np.ndarray:
     """Sum of rows[i] @ x_ij @ cols[j]* over the pieces given (None = 0);
-    ``rows`` and ``cols`` are the (first, second) bases of the two sides."""
+    ``rows`` and ``cols`` are the (first, second) bases of the two sides,
+    and with both sides' coordinate indices each x_ij is added in place."""
     out = np.zeros((rows[0].shape[0], cols[0].shape[0]), dtype=np.complex128)
-    for x, left, right in (
-        (x11, rows[0], cols[0]),
-        (x12, rows[0], cols[1]),
-        (x21, rows[1], cols[0]),
-        (x22, rows[1], cols[1]),
-    ):
+    for x, i, j in ((x11, 0, 0), (x12, 0, 1), (x21, 1, 0), (x22, 1, 1)):
         if x is None:
             continue
         xm = as_matrix(x, "block piece")
-        if xm.shape != (left.shape[1], right.shape[1]):
+        if xm.shape != (rows[i].shape[1], cols[j].shape[1]):
             raise ShapeMismatch(
                 f"block piece has shape {xm.shape}, expected "
-                f"{(left.shape[1], right.shape[1])}"
+                f"{(rows[i].shape[1], cols[j].shape[1])}"
             )
-        out += left @ xm @ right.conj().T
+        if row_index is None or col_index is None:
+            out += rows[i] @ xm @ cols[j].conj().T
+        else:
+            out[np.ix_(row_index[i], col_index[j])] += xm
     return out
 
 
@@ -314,34 +325,28 @@ def partition(t, pm, pn, tol: Tol = DEFAULT_TOL) -> BlockOperator:
     """
     tm = as_matrix(t, "T")
     pmm = as_matrix(pm, "PM")
-    pnn = as_matrix(pn, "PN")
+    pnn = pmm if pn is pm else as_matrix(pn, "PN")
     k, n = tm.shape
     if pmm.shape != (n, n):
         raise ShapeMismatch(f"PM must be {n}x{n} on the domain, got {pmm.shape}")
     if pnn.shape != (k, k):
         raise ShapeMismatch(f"PN must be {k}x{k} on the codomain, got {pnn.shape}")
-    bm, bmp = _projector_bases(pmm, tol)
-    pm_h = _herm(pmm)
-    if np.array_equal(pnn, pmm):
-        bn, bnp, pn_h = bm, bmp, pm_h
+    bm, bmp, im = _projector_bases(pmm, tol)
+    # an exact 0/1 diagonal is already Hermitian
+    pm_h = _herm(pmm) if im is None else pmm
+    if pnn is pmm or np.array_equal(pnn, pmm):
+        bn, bnp, in_, pn_h = bm, bmp, im, pm_h
     else:
-        bn, bnp = _projector_bases(pnn, tol)
-        pn_h = _herm(pnn)
-    nt = bn.conj().T @ tm
-    npt = bnp.conj().T @ tm
-    return BlockOperator(
-        T=tm,
-        PM=pm_h,
-        PN=pn_h,
-        basis_m=bm,
-        basis_m_perp=bmp,
-        basis_n=bn,
-        basis_n_perp=bnp,
-        T11=nt @ bm,
-        T12=nt @ bmp,
-        T21=npt @ bm,
-        T22=npt @ bmp,
-    )
+        bn, bnp, in_ = _projector_bases(pnn, tol)
+        pn_h = _herm(pnn) if in_ is None else pnn
+    if im is not None and in_ is not None:
+        # coordinate columns: each corner is a sub-block of T
+        corners = [tm[np.ix_(rows, cols)] for rows in in_ for cols in im]
+    else:
+        nt = bn.conj().T @ tm
+        npt = bnp.conj().T @ tm
+        corners = [nt @ bm, nt @ bmp, npt @ bm, npt @ bmp]
+    return BlockOperator(tm, pm_h, pn_h, bm, bmp, bn, bnp, *corners, im, in_)
 
 
 @dataclass(frozen=True)

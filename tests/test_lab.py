@@ -10,11 +10,14 @@ from opshort import (
     make_kit,
     numerical_rank,
     opnorm,
+    partition,
     range_basis,
+    shorted,
     sweep_to_csv,
     verify_closed_forms,
+    weak_complement_data,
 )
-from opshort import lab
+from opshort import lab, shorting
 from opshort.douglas import _solve
 from opshort.numkit import _svd_factor
 from opshort.lab import (
@@ -220,13 +223,41 @@ def test_sweep_row_values():
 
 
 def test_sweep_row_svd_budget(monkeypatch):
-    # 5 per partition (the row's and parallel_sum's): T22, ||T21||, ||T12||
-    # and one margin per side, which the weak residuals reuse; 7 reported
-    # norms; range_basis(A0) and the 2 angle SVDs.  The strong solution and
+    # 16: 4 per partition (the row's and parallel_sum's): T22, ||T21|| (both
+    # partitions have T12* = T21, so ||T12|| is the same number) and one
+    # margin per side, which the weak residuals reuse; 5 reported norms:
+    # ||E||, ||Ftilde||, the strong solution, A0 : B0 and the shorted core;
+    # range_basis(A0) and the 2 angle SVDs.  The strong solution and
     # cond(A0 + B0) are read from the row's partition, whose T22 is A0 + B0
     calls = record_svd(monkeypatch)
     lab._sweep_row(16, DEFAULT_TOL)
-    assert len(calls) == 20
+    assert len(calls) == 16
+
+
+@pytest.mark.parametrize("d", [8, 64])
+def test_norm_weak_solutions_bounds_all_four(d):
+    # the row takes ||E|| and ||Ftilde|| only; the other two never exceed them
+    kit = make_kit(d)
+    proj = kit_block_projector(d)
+    wd = shorted(partition(kit.bigT, proj, proj)).witnesses
+    row = lab._sweep_row(d, DEFAULT_TOL)
+    for x in (wd.E, wd.F, wd.Etilde, wd.Ftilde):
+        norm = opnorm(x)
+        assert row.norm_weak_solutions >= norm - 4 * np.spacing(norm)
+
+
+def test_weak_norm_order_holds_below_the_rule_0_rank():
+    # T22 = diag(1, 1e-11): rule 0 keeps rank 2, the half-power rule 1 rank 1,
+    # so Etilde and F drop the coordinate that E and Ftilde keep
+    rng = np.random.default_rng(11)
+    t = rand_complex(rng, 4, 4)
+    t[2:, 2:] = rand_unitary(rng, 2) @ np.diag([1.0, 1e-11]) @ rand_unitary(rng, 2)
+    block = partition(t, np.diag([1.0, 1.0, 0.0, 0.0]), np.diag([1.0, 1.0, 0.0, 0.0]))
+    assert shorting._ranks(block, DEFAULT_TOL) == (2, 1)
+    wd = weak_complement_data(block)
+    assert opnorm(wd.Etilde) <= opnorm(wd.E)
+    assert opnorm(wd.F) <= opnorm(wd.Ftilde)
+    assert opnorm(wd.E) > 1e4 * opnorm(wd.Etilde)
 
 
 @pytest.mark.parametrize("d", [8, 16, 64])

@@ -140,6 +140,21 @@ def test_psd_power_rejects_bad_exponent(p):
         psd_power(np.eye(2), p)
 
 
+@pytest.mark.parametrize(
+    "p,accepted",
+    [(True, False), (np.bool_(True), False), (np.int64(2), True), (np.float64(2.0), True), (2.0, True)],
+    ids=["True", "bool_", "int64", "float64", "2.0"],
+)
+def test_psd_power_exponent_types(p, accepted):
+    # a bool is not an exponent (True used to give A^1); numpy integers are
+    a = np.diag([4.0, 1.0])
+    if accepted:
+        assert np.array_equal(psd_power(a, p), psd_power(a, 2))
+    else:
+        with pytest.raises(ValueError, match="exponent must be a positive real number"):
+            psd_power(a, p)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     p=st.floats(min_value=0.25, max_value=4.0),

@@ -181,6 +181,21 @@ def test_iterative_rejects_bad_index(n):
         gpolar_iterative(np.eye(2), 0.5, n)
 
 
+@pytest.mark.parametrize(
+    "n,accepted",
+    [(True, False), (np.bool_(True), False), (np.int64(2), True), (np.float64(2.0), False), (2.0, False)],
+    ids=["True", "bool_", "int64", "float64", "2.0"],
+)
+def test_iterative_index_types(n, accepted):
+    # a bool is not an index (True used to run n = 1); numpy integers are
+    t = np.diag([2.0, 1.0])
+    if accepted:
+        assert np.array_equal(gpolar_iterative(t, 0.5, n), gpolar_iterative(t, 0.5, 2))
+    else:
+        with pytest.raises(ValueError, match="iteration index must be an integer >= 1"):
+            gpolar_iterative(t, 0.5, n)
+
+
 # --- canonical half-power factor ----------------------------------------------------
 
 

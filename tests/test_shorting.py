@@ -149,6 +149,115 @@ def test_near_coordinate_projectors_take_the_general_path(monkeypatch, p, messag
     assert calls == [(2, 2)]
 
 
+# --- gathered corners and scattered lifts --------------------------------------------
+
+
+def _product_corners(block):
+    # the route that exact coordinate projectors took before: N* T M and so on
+    nt = block.basis_n.conj().T @ block.T
+    npt = block.basis_n_perp.conj().T @ block.T
+    return [nt @ block.basis_m, nt @ block.basis_m_perp, npt @ block.basis_m, npt @ block.basis_m_perp]
+
+
+def _product_lift(rows, cols, pieces):
+    out = np.zeros((rows[0].shape[0], cols[0].shape[0]), dtype=np.complex128)
+    for (i, j), x in zip([(0, 0), (0, 1), (1, 0), (1, 1)], pieces):
+        if x is not None:
+            out += rows[i] @ x @ cols[j].conj().T
+    return out
+
+
+def _with_signed_zeros(rng, x):
+    # exact +0.0 and -0.0 in about a third of the real and imaginary parts
+    re, im = x.real.copy(), x.imag.copy()
+    for part in (re, im):
+        hit = rng.uniform(size=part.shape) < 1 / 3
+        part[hit] = np.where(rng.uniform(size=part.shape) < 0.5, 0.0, -0.0)[hit]
+    return re + 1j * im
+
+
+# (rows of T, diagonal of PM, diagonal of PN or None for PN = PM)
+_COORDINATE_CASES = {
+    "pm_eq_pn": (6, [1, 0, 1, 1, 0, 0], None),
+    "pm_ne_pn": (6, [0, 1, 1, 0, 0, 1], [1, 1, 0, 0, 0, 1]),
+    "rectangular": (5, [1, 0, 0, 1, 1, 0, 1], [0, 1, 1, 0, 0]),
+    "empty_m": (6, [0] * 6, [1, 0, 0, 1, 0, 0]),
+    "full_m": (6, [1] * 6, None),
+}
+
+
+def _coordinate_block(case, zeros, seed):
+    rng = np.random.default_rng(seed)
+    k, dm, dn = _COORDINATE_CASES[case]
+    t = rand_complex(rng, k, len(dm))
+    if zeros:
+        t = _with_signed_zeros(rng, t)
+    pm = np.diag(np.array(dm, dtype=float))
+    pn = pm if dn is None else np.diag(np.array(dn, dtype=float))
+    block = partition(t, pm, pn)
+    assert block.index_m is not None and block.index_n is not None
+    # exact 0/1 diagonals are Hermitian already and are kept as given
+    assert np.array_equal(block.PM, pm) and np.array_equal(block.PN, pn)
+    return rng, block
+
+
+def _same(got, want, zeros):
+    # gemm's sign of an exact zero depends on the data, so with zeros only
+    # the values are compared; otherwise the bytes
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want) if zeros else got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("zeros", [False, True], ids=["no_zeros", "signed_zeros"])
+@pytest.mark.parametrize("case", sorted(_COORDINATE_CASES))
+def test_coordinate_corners_match_the_product_route(case, zeros):
+    _, block = _coordinate_block(case, zeros, 17)
+    got = [block.T11, block.T12, block.T21, block.T22]
+    for g, w in zip(got, _product_corners(block)):
+        _same(g, w, zeros)
+    # each corner is T's own sub-block, so the sign of an exact zero follows T
+    (rm, rmp), (rn, rnp) = block.index_m, block.index_n
+    subs = [block.T[np.ix_(r, c)] for r in (rn, rnp) for c in (rm, rmp)]
+    assert [g.tobytes() for g in got] == [x.tobytes() for x in subs]
+
+
+@pytest.mark.parametrize("zeros", [False, True], ids=["no_zeros", "signed_zeros"])
+@pytest.mark.parametrize("case", sorted(_COORDINATE_CASES))
+def test_coordinate_lifts_match_the_product_route(case, zeros):
+    rng, block = _coordinate_block(case, zeros, 29)
+    m = (block.basis_m, block.basis_m_perp)
+    n = (block.basis_n, block.basis_n_perp)
+    for lift, rows, cols in (
+        (block.lift, n, m),
+        (block.lift_domain, m, m),
+        (block.lift_codomain, n, n),
+    ):
+        pieces = [rand_complex(rng, r.shape[1], c.shape[1]) for r in rows for c in cols]
+        if zeros:
+            pieces = [_with_signed_zeros(rng, x) for x in pieces]
+        # both routes add each piece to +0.0, so even signed zeros keep their bytes
+        for given in (pieces, [pieces[0], None, None, pieces[3]]):
+            _same(lift(*given), _product_lift(rows, cols, given), zeros=False)
+
+
+def test_general_projector_keeps_the_product_route(monkeypatch):
+    t = rand_complex(RNG, 6, 6)
+    pm = rand_projector(RNG, 6, 2)
+    gathers = []
+    real_ix = np.ix_
+    monkeypatch.setattr(np, "ix_", lambda *a: gathers.append(a) or real_ix(*a))
+    block = partition(t, pm, _coord_projector(6, 3))
+    assert block.index_m is None and block.index_n is not None
+    for g, w in zip([block.T11, block.T12, block.T21, block.T22], _product_corners(block)):
+        assert g.tobytes() == w.tobytes()
+    block.lift(x11=block.T11)
+    block.lift_domain(x11=np.eye(block.dim_m))
+    assert gathers == []
+    # the codomain's bases alone are coordinate columns, so its lift scatters
+    block.lift_codomain(x11=np.eye(block.dim_n))
+    assert len(gathers) == 1
+
+
 # --- partition ----------------------------------------------------------------------
 
 
@@ -506,6 +615,24 @@ def test_shorted_takes_one_svd_of_t22(monkeypatch):
     redundancy_report(block, data)
     assert not [uv for _, uv in calls if uv]
     assert result.mode == "complementable"
+
+
+@pytest.mark.parametrize("same_projector", [True, False])
+def test_equal_right_hand_sides_share_one_norm(monkeypatch, same_projector):
+    # exactly Hermitian T with gathered corners and PM = PN has T12* = T21,
+    # so ||T12|| is ||T21||: one SVD fewer; with PN != PM the norms are two
+    t = rand_psd(RNG, 6)
+    t = (t + t.conj().T) / 2.0
+    pm = _coord_projector(6, 2)
+    pn = pm if same_projector else np.diag([0.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+    block = partition(t, pm, pn)
+    assert np.array_equal(block.T12.conj().T, block.T21) == same_projector
+    calls = record_svd(monkeypatch)
+    sides = block._sides
+    # the factor of T22 and the norms
+    assert len(calls) == (2 if same_projector else 3)
+    assert sides[0][2] == opnorm(block.T21)
+    assert sides[1][2] == opnorm(block.T12.conj().T)
 
 
 def test_round_off_t22_has_rank_zero():
