@@ -187,7 +187,7 @@ def _sweep_row(d: int, tol: Tol) -> SweepRow:
     psum = parallel_sum(kit.A0, kit.B0, tol)
 
     # B0 projects onto coordinates, so those columns are its range basis
-    b0_basis = _coordinate_columns(2 * d, np.arange(d))
+    b0_basis = _coordinate_columns(2 * d, np.flatnonzero(np.diagonal(kit.B0) == 1.0))
     angles = subspace_angles(range_basis(kit.A0, tol), b0_basis)
     min_angle = float(angles.min()) if angles.size else 0.0
 
@@ -236,8 +236,15 @@ def sweep_to_csv(rows) -> str:
     """Render sweep rows as CSV with the fixed column schema (deterministic bytes)."""
     lines = [",".join(CSV_COLUMNS)]
     for row in rows:
-        values = [repr(float(getattr(row, name))) for name in CSV_COLUMNS[1:]]
-        lines.append(",".join([str(row.d)] + values))
+        lines.append(
+            ",".join(
+                [str(row.d)]
+                + [
+                    repr(float(getattr(row, name)))
+                    for name in CSV_COLUMNS[1:]
+                ]
+            )
+        )
     return "\n".join(lines) + "\n"
 
 

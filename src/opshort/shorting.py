@@ -186,15 +186,12 @@ def _projector_bases(p: np.ndarray, tol: Tol):
     m = as_matrix(p, "projector")
     if m.shape[0] != m.shape[1]:
         raise NotAProjector(f"projector must be square, got shape {m.shape}")
-    if m.shape[0] == 0:
-        empty = np.zeros((0, 0), dtype=np.complex128)
-        return empty, empty, None
     diag = np.diagonal(m)
     if np.count_nonzero(m) == np.count_nonzero(diag) and np.all(
         (diag == 0.0) | (diag == 1.0)
     ):
-        # an exact 0/1 diagonal is exactly a projector; its bases are the
-        # coordinate columns in ascending order, as _ordered_basis sorts them
+        # an exact 0/1 diagonal (0 x 0 included) is exactly a projector; its bases
+        # are the coordinate columns in ascending order, as _ordered_basis sorts them
         n = m.shape[0]
         index = (np.flatnonzero(diag == 1.0), np.flatnonzero(diag == 0.0))
         return _coordinate_columns(n, index[0]), _coordinate_columns(n, index[1]), index
@@ -325,7 +322,7 @@ def partition(t, pm, pn, tol: Tol = DEFAULT_TOL) -> BlockOperator:
     """
     tm = as_matrix(t, "T")
     pmm = as_matrix(pm, "PM")
-    pnn = pmm if pn is pm else as_matrix(pn, "PN")
+    pnn = as_matrix(pn, "PN")
     k, n = tm.shape
     if pmm.shape != (n, n):
         raise ShapeMismatch(f"PM must be {n}x{n} on the domain, got {pmm.shape}")
@@ -334,19 +331,33 @@ def partition(t, pm, pn, tol: Tol = DEFAULT_TOL) -> BlockOperator:
     bm, bmp, im = _projector_bases(pmm, tol)
     # an exact 0/1 diagonal is already Hermitian
     pm_h = _herm(pmm) if im is None else pmm
-    if pnn is pmm or np.array_equal(pnn, pmm):
+    if np.array_equal(pnn, pmm):
         bn, bnp, in_, pn_h = bm, bmp, im, pm_h
     else:
         bn, bnp, in_ = _projector_bases(pnn, tol)
         pn_h = _herm(pnn) if in_ is None else pnn
     if im is not None and in_ is not None:
         # coordinate columns: each corner is a sub-block of T
-        corners = [tm[np.ix_(rows, cols)] for rows in in_ for cols in im]
+        t11, t12, t21, t22 = (tm[np.ix_(rows, cols)] for rows in in_ for cols in im)
     else:
         nt = bn.conj().T @ tm
         npt = bnp.conj().T @ tm
-        corners = [nt @ bm, nt @ bmp, npt @ bm, npt @ bmp]
-    return BlockOperator(tm, pm_h, pn_h, bm, bmp, bn, bnp, *corners, im, in_)
+        t11, t12, t21, t22 = nt @ bm, nt @ bmp, npt @ bm, npt @ bmp
+    return BlockOperator(
+        T=tm,
+        PM=pm_h,
+        PN=pn_h,
+        basis_m=bm,
+        basis_m_perp=bmp,
+        basis_n=bn,
+        basis_n_perp=bnp,
+        T11=t11,
+        T12=t12,
+        T21=t21,
+        T22=t22,
+        index_m=im,
+        index_n=in_,
+    )
 
 
 @dataclass(frozen=True)

@@ -183,6 +183,7 @@ _COORDINATE_CASES = {
     "rectangular": (5, [1, 0, 0, 1, 1, 0, 1], [0, 1, 1, 0, 0]),
     "empty_m": (6, [0] * 6, [1, 0, 0, 1, 0, 0]),
     "full_m": (6, [1] * 6, None),
+    "zero_dim_domain": (4, [], [1, 0, 0, 1]),
 }
 
 
