@@ -2,9 +2,10 @@
 powers, absolute values, pseudo-inverses, range projectors, and the JSON
 matrix file format.
 
-All operators are dense complex128 numpy arrays.  Every function that makes a
-rank or positivity decision takes a :class:`Tol` so the whole package shares
-one tolerance policy.
+All operators are dense complex128 numpy arrays; real-valued ones (every
+imaginary part exactly zero) run LAPACK's real SVD and, in :mod:`parallel`,
+eigen drivers.  Every function that makes a rank or positivity decision takes
+a :class:`Tol` so the whole package shares one tolerance policy.
 """
 
 from __future__ import annotations
@@ -90,12 +91,19 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def _lapack_operand(m: np.ndarray) -> np.ndarray:
+    """``m.real`` when ``m`` is complex and no imaginary part is nonzero (-0.0
+    counts as zero), else ``m``: the one choice of the real LAPACK driver."""
+    return m.real if np.iscomplexobj(m) and not m.imag.any() else m
+
+
 def opnorm(a) -> float:
-    """Operator 2-norm (largest singular value).  Empty matrices have norm 0."""
+    """Operator 2-norm (largest singular value), by the real driver when the
+    operand is real-valued.  Empty matrices have norm 0."""
     m = np.asarray(a)
     if m.size == 0:
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    return float(np.linalg.norm(_lapack_operand(m), 2))
 
 
 def _norm_bounds(m) -> tuple[float, float]:
@@ -296,7 +304,9 @@ class _SVDFactor:
 
 
 def _svd_factor(m: np.ndarray) -> _SVDFactor:
-    return _SVDFactor(*np.linalg.svd(m, full_matrices=False))
+    """Compact SVD, by the real driver if ``m`` is real-valued; u, vh keep its dtype."""
+    u, s, vh = np.linalg.svd(_lapack_operand(m), full_matrices=False)
+    return _SVDFactor(u.astype(m.dtype, copy=False), s, vh.astype(m.dtype, copy=False))
 
 
 def numerical_rank(t, tol: Tol = DEFAULT_TOL) -> int:

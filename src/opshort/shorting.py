@@ -68,6 +68,7 @@ from .numkit import (
     Tol,
     _angle_factors,
     _herm,
+    _lapack_operand,
     _norm_within,
     _rank,
     _svd_factor,
@@ -596,24 +597,24 @@ def verify_range_kernel(
     """
     # one full SVD of T gives its rank, range basis, kernel basis and norm
     t = block.T
-    u_t, s_t, vh_t = np.linalg.svd(t)
+    u_t, s_t, vh_t = np.linalg.svd(_lapack_operand(t))
     rank_t = _rank(s_t, tol)
     range_t = u_t[:, :rank_t]
     # U_r has orthonormal columns, so the cutoff scale is 1; sigma_1 of the
     # product is round-off when R(T) lies in N
-    _, s_c, vh_c = np.linalg.svd(block.basis_n_perp.conj().T @ range_t)
+    _, s_c, vh_c = np.linalg.svd(_lapack_operand(block.basis_n_perp.conj().T @ range_t))
     inter = range_t @ vh_c[_rank(s_c, tol, 1.0) :].conj().T
 
     # the shorted operator's rank is anchored to the scale of T, not to its
     # own top singular value: a shorted operator that is pure round-off dirt
     # must report rank 0, not the rank of its noise
-    u, s, vh = np.linalg.svd(result.shorted)
+    u, s, vh = np.linalg.svd(_lapack_operand(result.shorted))
     rank_short = _rank(s, tol, float(max(s_t.max(initial=0.0), s.max(initial=0.0))))
     range_equal = _same_subspace(inter, u[:, :rank_short])
 
     ker_short = vh[rank_short:].conj().T
     sum_cols = np.hstack([block.basis_m_perp, vh_t[rank_t:].conj().T])
-    us, ss, _ = np.linalg.svd(sum_cols, full_matrices=False)
+    us, ss, _ = np.linalg.svd(_lapack_operand(sum_cols), full_matrices=False)
     rank_sum = _rank(ss, tol)
     kernel_equal = _same_subspace(ker_short, us[:, :rank_sum])
     return RangeKernelReport(

@@ -28,7 +28,7 @@ from opshort.lab import (
     subspace_angles,
 )
 
-from _util import rand_complex, rand_unitary, record_svd
+from _util import rand_complex, rand_unitary, record_linalg, record_svd
 
 RNG = np.random.default_rng(7007)
 
@@ -228,10 +228,15 @@ def test_sweep_row_svd_budget(monkeypatch):
     # margin per side, which the weak residuals reuse; 5 reported norms:
     # ||E||, ||Ftilde||, the strong solution, A0 : B0 and the shorted core;
     # range_basis(A0) and the 2 angle SVDs.  The strong solution and
-    # cond(A0 + B0) are read from the row's partition, whose T22 is A0 + B0
+    # cond(A0 + B0) are read from the row's partition, whose T22 is A0 + B0.
+    # The kit is real, so every SVD and every eigenvalue call of the row
+    # (parallel_sum's two validations and its PSD clamp) takes the real driver
     calls = record_svd(monkeypatch)
+    eig_calls = [record_linalg(monkeypatch, k, lambda _: None) for k in ("eigvalsh", "eigh")]
     lab._sweep_row(16, DEFAULT_TOL)
     assert len(calls) == 16
+    assert [len(c) for c in eig_calls] == [2, 1]
+    assert {x.dtype for x, _ in calls + eig_calls[0] + eig_calls[1]} == {np.dtype(np.float64)}
 
 
 @pytest.mark.parametrize("d", [8, 64])

@@ -26,11 +26,21 @@ from opshort import (
     solve_parallel_equation,
     verify_range_kernel,
 )
-from opshort import numkit
-from opshort.errors import NotHermitian, NotPSD, ShapeMismatch
-from opshort.numkit import _norm_within, _svd_factor
+from opshort import (
+    hansen_inequality_check,
+    is_complementable,
+    lab,
+    lemma_69_check,
+    numkit,
+    parallel,
+    parallel_sum,
+    range_included,
+    shorting,
+)
+from opshort.errors import NotHermitian, NotPSD, NotWeaklyComplementable, ShapeMismatch
+from opshort.numkit import _norm_within, _svd_factor, as_matrix
 
-from _util import rand_complex, rand_psd, rand_unitary
+from _util import rand_complex, rand_psd, rand_unitary, record_linalg
 
 RNG = np.random.default_rng(1001)
 
@@ -437,3 +447,169 @@ def test_json_dict_rejects_malformed(obj):
 def test_as_matrix_shape_guard():
     with pytest.raises(ShapeMismatch):
         herm_eig(np.ones(3))
+
+
+# --- real drivers for real-valued operands ------------------------------------
+
+
+def _with_imag(x, imag):
+    """complex128 copy of real ``x`` whose imaginary parts are all ``imag``,
+    except (0, 1) in the "one_nonzero" case."""
+    m = np.empty(x.shape, dtype=np.complex128)
+    m.real = x
+    m.imag = -0.0 if imag == "-0.0" else 0.0
+    if imag == "one_nonzero":
+        m[0, 1] += 1e-300j  # far below any tolerance, but not zero
+    return m
+
+
+_IMAG_DTYPE = {"+0.0": np.float64, "-0.0": np.float64, "one_nonzero": np.complex128}
+
+
+@pytest.mark.parametrize("imag", sorted(_IMAG_DTYPE))
+def test_real_valued_operands_reach_the_real_drivers(monkeypatch, imag):
+    rng = np.random.default_rng(47)
+    g = rng.normal(size=(6, 6))
+    a, b = _with_imag(g @ g.T + np.eye(6), imag), _with_imag(np.diag([1.0, 2, 3, 0, 0, 0]), imag)
+    calls = {k: record_linalg(monkeypatch, k, lambda _: None) for k in ("svd", "eigvalsh", "eigh")}
+    opnorm(a)
+    f = _svd_factor(a)
+    pm = shorting._coordinate_projector(6, 3)
+    block = partition(a, pm, pm)
+    verify_range_kernel(block, shorted(block))
+    value = parallel_sum(a, b).value
+    hansen_inequality_check(a, b, np.eye(6) / 2)
+    lemma_69_check(a, b)
+    # SVDs: opnorm, _svd_factor, 4 in verify_range_kernel and the pipeline's;
+    # eigvalsh: 2 validations in parallel_sum, 2 + 1 in hansen, 1 + 1 in lemma
+    # 69; eigh: the PSD clamp of A : B in parallel_sum and in hansen
+    assert len(calls["svd"]) >= 6 and len(calls["eigvalsh"]) == 7 and len(calls["eigh"]) == 2
+    want = np.dtype(_IMAG_DTYPE[imag])
+    # the first two SVDs are opnorm's and _svd_factor's A, the first two
+    # eigvalsh parallel_sum's A and B; each holds the (0, 1) entry.  Without a
+    # nonzero part every operand is real; with one, a corner that misses the
+    # entry still is
+    direct = calls["svd"][:2] + calls["eigvalsh"][:2]
+    assert {x.dtype for x, _ in direct} == {want}
+    if want == np.float64:
+        assert {x.dtype for k in calls for x, _ in calls[k]} == {want}
+    # what leaves the kernels keeps the complex128 contract either way
+    assert f.u.dtype == f.vh.dtype == value.dtype == np.complex128
+    assert numkit._lapack_operand(a).dtype == want
+
+
+def test_real_driver_choice_is_by_value_not_by_dtype():
+    x = np.arange(6.0).reshape(2, 3)
+    # a real array passes through; so does a complex one with any nonzero part
+    assert numkit._lapack_operand(x) is x
+    z = _with_imag(x, "one_nonzero")
+    assert numkit._lapack_operand(z) is z
+    assert numkit._lapack_operand(_with_imag(x, "-0.0")).tobytes() == x.tobytes()
+    nan = _with_imag(x, "+0.0")
+    nan[1, 1] = complex(1.0, np.nan)  # NaN is not zero
+    assert numkit._lapack_operand(nan) is nan
+
+
+@pytest.fixture
+def complex_route(monkeypatch):
+    """The route before real-valued operands took the real drivers: every
+    operand reaches LAPACK as complex128.  Call to switch it on."""
+
+    def switch_on():
+        for module in (numkit, shorting, parallel, lab):
+            monkeypatch.setattr(module, "_lapack_operand", lambda m: m)
+
+    return switch_on
+
+
+_REAL_CASES = {
+    "full_rank": lambda rng: rng.normal(size=(9, 9)),
+    "rank_deficient": lambda rng: rng.normal(size=(9, 4)) @ rng.normal(size=(4, 9)),
+    "empty": lambda rng: np.zeros((0, 0)),
+    "one_row": lambda rng: rng.normal(size=(1, 9)),
+}
+
+
+def _ulps_of_sigma1(x, y, scale):
+    return float(np.max(np.abs(x - y), initial=0.0)) / (np.finfo(float).eps * max(scale, 1e-300))
+
+
+def _matrix_route(x, c_in, c_out):
+    f = _svd_factor(as_matrix(x))
+    return {
+        "opnorm": opnorm(x),
+        "s": f.s,
+        "rank": f.rank(DEFAULT_TOL),
+        "inclusions": [range_included(x, c) for c in (c_in, c_out)],
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_REAL_CASES))
+def test_real_driver_matches_the_complex_route_on_matrices(case, complex_route):
+    rng = np.random.default_rng([53, len(case)])
+    x = _REAL_CASES[case](rng)
+    c_in = x @ rng.normal(size=(x.shape[1], 3))
+    c_out = c_in + 1e-3 * rng.normal(size=c_in.shape)
+    real = _matrix_route(x, c_in, c_out)
+    complex_route()
+    ref = _matrix_route(x, c_in, c_out)
+    sigma1 = ref["opnorm"]
+    assert _ulps_of_sigma1(real["s"], ref["s"], sigma1) <= 8
+    assert _ulps_of_sigma1(np.array(real["opnorm"]), np.array(sigma1), sigma1) <= 8
+    assert real["rank"] == ref["rank"]
+    for got, want in zip(real["inclusions"], ref["inclusions"]):
+        assert (got.included, got.borderline) == (want.included, want.borderline)
+        assert got.margin == pytest.approx(want.margin, rel=1e-9, abs=1e-13)
+
+
+def _psd_of(x):
+    return x.T @ x
+
+
+def _pipeline_route(t, p, a, b):
+    block = partition(t, p, p)
+    comp = is_complementable(block)
+    try:
+        res = shorted(block)
+        short = (res.mode, res.shorted, verify_range_kernel(block, res))
+    except NotWeaklyComplementable:
+        short = None
+    return {
+        "ranks": shorting._ranks(block, DEFAULT_TOL),
+        "complementable": comp.complementable,
+        "margins": comp.margins,
+        "shorted": short,
+        "parallel": parallel_sum(a, b).value,
+    }
+
+
+@pytest.mark.parametrize("projector", ["coordinate", "general"])
+@pytest.mark.parametrize("case", sorted(_REAL_CASES))
+def test_real_driver_matches_the_complex_route_on_the_pipeline(case, projector, complex_route):
+    rng = np.random.default_rng([59, len(case)])
+    x = _REAL_CASES[case](rng)
+    n = x.shape[1]
+    # a PSD T on two copies of the domain, of rank up to twice x's, shorted
+    # to its first copy
+    t = sum(_psd_of(np.hstack([_REAL_CASES[case](rng) for _ in "MN"])) for _ in "12")
+    if projector == "coordinate":
+        p = shorting._coordinate_projector(2 * n, n, np.float64)
+    else:
+        q = np.linalg.qr(rng.normal(size=(2 * n, 2 * n)))[0][:, :n]
+        p = q @ q.T
+    a, b = _psd_of(x), _psd_of(_REAL_CASES[case](rng))
+    real = _pipeline_route(t, p, a, b)
+    complex_route()
+    ref = _pipeline_route(t, p, a, b)
+    scale = max(opnorm(t), 1.0)
+    assert real["ranks"] == ref["ranks"]
+    assert real["complementable"] == ref["complementable"]
+    assert_allclose(real["margins"], ref["margins"], rtol=1e-9, atol=1e-13)
+    assert (real["shorted"] is None) == (ref["shorted"] is None)
+    if ref["shorted"] is not None:
+        (mode, value, report), (ref_mode, ref_value, ref_report) = real["shorted"], ref["shorted"]
+        assert (mode, report) == (ref_mode, ref_report)
+        assert value.dtype == np.complex128
+        assert_allclose(value, ref_value, atol=1e-12 * scale)
+    assert real["parallel"].dtype == np.complex128
+    assert_allclose(real["parallel"], ref["parallel"], atol=1e-12 * max(opnorm(a) + opnorm(b), 1.0))
