@@ -1,151 +1,27 @@
 """opshort: generalized polar factorizations, reduced operator equations,
-bilateral shorted operators, and parallel sums for dense complex matrices."""
+bilateral shorted operators, and parallel sums for dense complex matrices.
 
-from .douglas import RangeInclusion, ReducedSolution, range_included, reduced_solution
-from .errors import (
-    AlphaOutOfRange,
-    InternalInvariantViolation,
-    NotAProjector,
-    NotHermitian,
-    NotPSD,
-    NotPositiveDefinite,
-    NotSolvable,
-    NotWeaklyComplementable,
-    OpshortError,
-    ShapeMismatch,
-    WitnessInvalid,
-)
-from .lab import (
-    CounterexampleKit,
-    SweepRow,
-    divergence_sweep,
-    make_kit,
-    sweep_to_csv,
-    verify_closed_forms,
-)
-from .numkit import (
-    DEFAULT_TOL,
-    HermEig,
-    Tol,
-    absolute_value,
-    herm_eig,
-    load_matrix,
-    matrix_from_json_dict,
-    matrix_to_json_dict,
-    numerical_rank,
-    opnorm,
-    pseudo_inverse,
-    psd_power,
-    range_basis,
-    range_projector,
-    save_matrix,
-)
-from .parallel import (
-    Lemma69Result,
-    ParallelEquationSolution,
-    ParallelSumResult,
-    hansen_inequality_check,
-    lemma_69_check,
-    parallel_sum,
-    regularized_trend,
-    solve_parallel_equation,
-)
-from .polar import (
-    DEFAULT_ALPHA,
-    PolarForm,
-    gpolar,
-    gpolar_iterative,
-    polar_decompose,
-    v_operator,
-)
-from .shorting import (
-    BlockOperator,
-    Complementability,
-    RangeKernelReport,
-    ShortedResult,
-    WeakComplementData,
-    check_projector,
-    complementable_idempotents,
-    is_complementable,
-    partition,
-    redundancy_report,
-    shorted,
-    verify_range_kernel,
-    weak_complement_data,
-)
+Each module's ``__all__`` is its public list; the package republishes them.
+"""
+
+from . import douglas, errors, lab, numkit, parallel, polar, shorting
+from .douglas import *
+from .errors import *
+from .lab import *
+from .numkit import *
+from .parallel import *
+from .polar import *
+from .shorting import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # numkit
-    "Tol",
-    "DEFAULT_TOL",
-    "HermEig",
-    "herm_eig",
-    "psd_power",
-    "absolute_value",
-    "pseudo_inverse",
-    "range_projector",
-    "range_basis",
-    "numerical_rank",
-    "opnorm",
-    "load_matrix",
-    "save_matrix",
-    "matrix_to_json_dict",
-    "matrix_from_json_dict",
-    # polar
-    "PolarForm",
-    "DEFAULT_ALPHA",
-    "polar_decompose",
-    "gpolar",
-    "gpolar_iterative",
-    "v_operator",
-    # douglas
-    "RangeInclusion",
-    "ReducedSolution",
-    "range_included",
-    "reduced_solution",
-    # shorting
-    "BlockOperator",
-    "Complementability",
-    "WeakComplementData",
-    "ShortedResult",
-    "RangeKernelReport",
-    "check_projector",
-    "partition",
-    "is_complementable",
-    "complementable_idempotents",
-    "weak_complement_data",
-    "shorted",
-    "verify_range_kernel",
-    "redundancy_report",
-    # parallel
-    "ParallelSumResult",
-    "Lemma69Result",
-    "ParallelEquationSolution",
-    "parallel_sum",
-    "regularized_trend",
-    "hansen_inequality_check",
-    "lemma_69_check",
-    "solve_parallel_equation",
-    # lab
-    "CounterexampleKit",
-    "SweepRow",
-    "make_kit",
-    "divergence_sweep",
-    "sweep_to_csv",
-    "verify_closed_forms",
-    # errors
-    "OpshortError",
-    "NotHermitian",
-    "NotPSD",
-    "NotPositiveDefinite",
-    "ShapeMismatch",
-    "NotSolvable",
-    "NotAProjector",
-    "WitnessInvalid",
-    "NotWeaklyComplementable",
-    "AlphaOutOfRange",
-    "InternalInvariantViolation",
+    *numkit.__all__,
+    *polar.__all__,
+    *douglas.__all__,
+    *shorting.__all__,
+    *parallel.__all__,
+    *lab.__all__,
+    *errors.__all__,
 ]

@@ -209,15 +209,7 @@ def _cmd_shorted(args, tol: Tol, t, pm, pn):
         },
         cross_gap=opnorm(wd.F.conj().T @ wd.E - wd.Ftilde.conj().T @ wd.Etilde),
         redundancy=redundancy_report(blk, wd, tol),
-        report={
-            "rank_T": report.rank_T,
-            "rank_shorted": report.rank_shorted,
-            "rank_range_intersection": report.rank_range_intersection,
-            "rank_kernel_shorted": report.rank_kernel_shorted,
-            "rank_kernel_sum": report.rank_kernel_sum,
-            "range_equal": report.range_equal,
-            "kernel_equal": report.kernel_equal,
-        },
+        report=asdict(report),
     ), 0
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InternalInvariantViolation
 from .numkit import (
-    DEFAULT_TOL, Tol, _angle_factors, _integer, _lapack_operand, _norm_within, opnorm, psd_power,
+    DEFAULT_TOL, Tol, _angle_factors, _integer, _norm_within, _singular_values, opnorm, psd_power,
     range_basis,
 )
 from .parallel import parallel_sum
@@ -161,9 +161,9 @@ def subspace_angles(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
     from the sine where cos^2 >= 1/2 (arccos loses half the digits near 0)
     and from the cosine otherwise."""
     c, resid = _angle_factors(qa, qb)
-    cos = np.minimum(np.linalg.svd(_lapack_operand(c), compute_uv=False), 1.0)
+    cos = np.minimum(_singular_values(c), 1.0)
     # the sines ascend as the cosines descend; those past min(dims) are 1
-    sin = np.linalg.svd(_lapack_operand(resid), compute_uv=False)[::-1][: cos.size]
+    sin = _singular_values(resid)[::-1][: cos.size]
     return np.where(cos**2 >= 0.5, np.arcsin(np.minimum(sin, 1.0)), np.arccos(cos))
 
 

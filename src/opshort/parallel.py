@@ -18,7 +18,7 @@ import numpy as np
 from .douglas import _solve
 from .errors import InternalInvariantViolation, NotPositiveDefinite, NotPSD, ShapeMismatch
 from .numkit import (
-    DEFAULT_TOL, Tol, _eig_clamp, _herm, _hermitian, _lapack_operand, _psd_clamp, as_matrix, opnorm
+    DEFAULT_TOL, Tol, _eig_clamp, _eigh, _eigvalsh, _herm, _hermitian, _psd_clamp, as_matrix, opnorm
 )
 from .shorting import BlockOperator, _coordinate_projector, partition, shorted
 
@@ -43,7 +43,7 @@ def _psd_pair(a, b, tol: Tol):
     parts = []
     for m, name in ((a, "A"), (b, "B")):
         h = _hermitian(m, tol, name, NotPSD)
-        w = np.linalg.eigvalsh(_lapack_operand(h))
+        w = _eigvalsh(h)
         _psd_clamp(w, tol, name)
         parts += (h, w)
     ah, wa, bh, wb = parts
@@ -73,8 +73,7 @@ def _clamp_result_psd(value: np.ndarray, scale: float, tol: Tol) -> np.ndarray:
     h = _herm(value)
     if h.shape[0] == 0:
         return h
-    w, v = np.linalg.eigh(_lapack_operand(h))
-    v = v.astype(h.dtype, copy=False)
+    w, v = _eigh(h)
     clamp = tol.eig_clamp_rel * max(scale, float(np.abs(w).max()))
     if float(w.min()) < -clamp:
         raise InternalInvariantViolation(
@@ -184,7 +183,7 @@ def _hansen_worst(a, b, probes, tol: Tol) -> float:
         if cm.shape != ah.shape:
             raise ShapeMismatch(f"C must match A's shape {ah.shape}, got {cm.shape}")
         rhs = cm.conj().T @ ah @ cm + (eye - cm).conj().T @ bh @ (eye - cm)
-        lam = float(np.linalg.eigvalsh(_lapack_operand(_herm(rhs - ps))).min()) if n else 0.0
+        lam = float(_eigvalsh(_herm(rhs - ps)).min()) if n else 0.0
         worst = lam if worst is None else min(worst, lam)
     return worst
 
@@ -219,7 +218,7 @@ def lemma_69_check(x, y, tol: Tol = DEFAULT_TOL) -> Lemma69Result:
         If X is not Hermitian positive definite beyond the clamp.
     """
     xh = _hermitian(x, tol, "X", NotPositiveDefinite)
-    w = np.linalg.eigvalsh(_lapack_operand(xh))
+    w = _eigvalsh(xh)
     n = xh.shape[0]
     if n == 0:
         return Lemma69Result(lambda_min=0.0, equality_gap=0.0)
@@ -235,7 +234,7 @@ def lemma_69_check(x, y, tol: Tol = DEFAULT_TOL) -> Lemma69Result:
     lhs = np.linalg.inv(eye + xh)
     rhs = ym.conj().T @ ym + (eye - ym).conj().T @ np.linalg.inv(xh) @ (eye - ym)
     return Lemma69Result(
-        lambda_min=float(np.linalg.eigvalsh(_lapack_operand(_herm(rhs - lhs))).min()),
+        lambda_min=float(_eigvalsh(_herm(rhs - lhs)).min()),
         equality_gap=opnorm(ym - lhs),
     )
 

@@ -93,9 +93,8 @@ def gpolar_iterative(t, alpha: float, n: int, tol: Tol = DEFAULT_TOL) -> np.ndar
     """n-th iterate U_n = T (I/n + T*T)^(-1/2) (T*T)^((1-alpha)/2).
 
     The iterates converge to the gpolar factor at rate O(1/n) on matrices
-    with trivial kernel.  Rectangular inputs are handled by embedding T as
-    the lower-left corner of a square operator on domain (+) codomain,
-    running the same formula there, and extracting the lower-left block.
+    with trivial kernel.  The formula acts on the domain through T*T, so
+    rectangular T needs no special handling.
 
     Parameters
     ----------
@@ -118,21 +117,9 @@ def gpolar_iterative(t, alpha: float, n: int, tol: Tol = DEFAULT_TOL) -> np.ndar
     if n < 1:
         raise ValueError(f"{message}, got {n!r}")
     m = as_matrix(t)
-    k, p = m.shape
-    if k == p:
-        return _iterate_square(m, float(alpha), n)
-    # square embedding: domain (+) codomain, T in the lower-left corner
-    emb = np.zeros((p + k, p + k), dtype=np.complex128)
-    emb[p:, :p] = m
-    out = _iterate_square(emb, float(alpha), n)
-    return np.ascontiguousarray(out[p:, :p])
-
-
-def _iterate_square(m: np.ndarray, alpha: float, n: int) -> np.ndarray:
-    gram = _herm(m.conj().T @ m)
-    w, v = np.linalg.eigh(gram)
+    w, v = np.linalg.eigh(_herm(m.conj().T @ m))
     w = np.maximum(w, 0.0)  # T*T is PSD; strip round-off negatives
-    factor = (1.0 / n + w) ** -0.5 * w ** ((1.0 - alpha) / 2.0)
+    factor = (1.0 / n + w) ** -0.5 * w ** ((1.0 - float(alpha)) / 2.0)
     return m @ ((v * factor) @ v.conj().T)
 
 

@@ -68,7 +68,6 @@ from .numkit import (
     Tol,
     _angle_factors,
     _herm,
-    _lapack_operand,
     _norm_within,
     _rank,
     _svd_factor,
@@ -99,7 +98,8 @@ _PROJ_IDEM_BOUND = 1e-10
 
 
 def _validated_projector_eig(m: np.ndarray, tol: Tol):
-    """Validate a square nonempty projector candidate; return its spectrum.
+    """Validate a square nonempty projector candidate; return its
+    eigenvectors, eigenvalue 1 first, and its rank.
 
     The two gap tests are settled by :func:`numkit._norm_within`, which
     computes exact singular values only near the bound.
@@ -123,7 +123,7 @@ def _validated_projector_eig(m: np.ndarray, tol: Tol):
         )
     rank = int(np.count_nonzero(w > 0.5))
     # descending order puts the rank-1 cluster first
-    return np.ascontiguousarray(w[::-1]), np.ascontiguousarray(v[:, ::-1]), rank
+    return np.ascontiguousarray(v[:, ::-1]), rank
 
 
 def check_projector(p, tol: Tol = DEFAULT_TOL) -> int:
@@ -138,7 +138,7 @@ def check_projector(p, tol: Tol = DEFAULT_TOL) -> int:
         raise NotAProjector(f"projector must be square, got shape {m.shape}")
     if m.shape[0] == 0:
         return 0
-    return _validated_projector_eig(m, tol)[2]
+    return _validated_projector_eig(m, tol)[1]
 
 
 def _ordered_basis(vectors: np.ndarray) -> np.ndarray:
@@ -196,7 +196,7 @@ def _projector_bases(p: np.ndarray, tol: Tol):
         n = m.shape[0]
         index = (np.flatnonzero(diag == 1.0), np.flatnonzero(diag == 0.0))
         return _coordinate_columns(n, index[0]), _coordinate_columns(n, index[1]), index
-    _, vecs, rank = _validated_projector_eig(m, tol)
+    vecs, rank = _validated_projector_eig(m, tol)
     return _ordered_basis(vecs[:, :rank]), _ordered_basis(vecs[:, rank:]), None
 
 
@@ -586,45 +586,47 @@ def _same_subspace(b1: np.ndarray, b2: np.ndarray) -> bool:
     return b1.shape[1] == b2.shape[1] and _norm_within(_angle_factors(b1, b2)[1], _SUBSPACE_GAP)
 
 
+def _meet(q: np.ndarray, basis: np.ndarray, tol: Tol) -> np.ndarray:
+    """Orthonormal basis of R(q) intersect R(basis), both bases orthonormal:
+    q times the nullspace of the sine factor q - basis (basis* q).  That
+    factor is tall, so its thin SVD holds the whole nullspace.  Its norm is
+    at most 1, so the cutoff scale is 1: a factor that is pure round-off
+    (R(q) inside R(basis)) keeps all of R(q).  Its columns lie in R(basis)_perp,
+    so at most dim R(basis)_perp of its singular values are nonzero; the rest
+    are round-off at any rank_rel and are not ranked."""
+    f = _svd_factor(_angle_factors(basis, q)[1])
+    return q @ f.vh[_rank(f.s[: q.shape[0] - basis.shape[1]], tol, 1.0) :].conj().T
+
+
 def verify_range_kernel(
     block: BlockOperator, result: ShortedResult, tol: Tol = DEFAULT_TOL
 ) -> RangeKernelReport:
-    """Check the range and kernel identities of the shorted operator.
+    """Check the range and kernel identities of the shorted operator S.
 
-    Ranks are numerical ranks under tol.rank_rel; R(T) intersect N is
-    U_r null(basis_n_perp* U_r) for the range basis U_r of T, never built
-    from n x n projectors.
+    Ranks are numerical ranks under tol.rank_rel.  The kernel identity
+    N(S) = M_perp + N(T) is checked in its complement form
+    R(S*) = R(T*) intersect M, so both identities are one intersection rule
+    (:func:`_meet`) on the singular vectors of T and S, never built from
+    n x n projectors or a stacked basis.
     """
-    # one full SVD of T gives its rank, range basis, kernel basis and norm
-    t = block.T
-    u_t, s_t, vh_t = np.linalg.svd(_lapack_operand(t))
-    rank_t = _rank(s_t, tol)
-    range_t = u_t[:, :rank_t]
-    # U_r has orthonormal columns, so the cutoff scale is 1; sigma_1 of the
-    # product is round-off when R(T) lies in N
-    _, s_c, vh_c = np.linalg.svd(_lapack_operand(block.basis_n_perp.conj().T @ range_t))
-    inter = range_t @ vh_c[_rank(s_c, tol, 1.0) :].conj().T
-
+    t = _svd_factor(block.T)
+    rank_t = t.rank(tol)
     # the shorted operator's rank is anchored to the scale of T, not to its
     # own top singular value: a shorted operator that is pure round-off dirt
     # must report rank 0, not the rank of its noise
-    u, s, vh = np.linalg.svd(_lapack_operand(result.shorted))
-    rank_short = _rank(s, tol, float(max(s_t.max(initial=0.0), s.max(initial=0.0))))
-    range_equal = _same_subspace(inter, u[:, :rank_short])
-
-    ker_short = vh[rank_short:].conj().T
-    sum_cols = np.hstack([block.basis_m_perp, vh_t[rank_t:].conj().T])
-    us, ss, _ = np.linalg.svd(_lapack_operand(sum_cols), full_matrices=False)
-    rank_sum = _rank(ss, tol)
-    kernel_equal = _same_subspace(ker_short, us[:, :rank_sum])
+    s = _svd_factor(result.shorted)
+    rank_short = _rank(s.s, tol, float(max(t.s.max(initial=0.0), s.s.max(initial=0.0))))
+    inter = _meet(t.u[:, :rank_t], block.basis_n, tol)
+    co_inter = _meet(t.vh[:rank_t].conj().T, block.basis_m, tol)
+    n = block.T.shape[1]
     return RangeKernelReport(
         rank_T=rank_t,
         rank_shorted=rank_short,
         rank_range_intersection=inter.shape[1],
-        rank_kernel_shorted=ker_short.shape[1],
-        rank_kernel_sum=rank_sum,
-        range_equal=bool(range_equal),
-        kernel_equal=bool(kernel_equal),
+        rank_kernel_shorted=n - rank_short,
+        rank_kernel_sum=n - co_inter.shape[1],
+        range_equal=_same_subspace(inter, s.u[:, :rank_short]),
+        kernel_equal=_same_subspace(co_inter, s.vh[:rank_short].conj().T),
     )
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import opshort
 from opshort import (
     DEFAULT_TOL,
     Tol,
@@ -27,6 +28,8 @@ from opshort import (
     verify_range_kernel,
 )
 from opshort import (
+    douglas,
+    errors,
     hansen_inequality_check,
     is_complementable,
     lab,
@@ -34,6 +37,7 @@ from opshort import (
     numkit,
     parallel,
     parallel_sum,
+    polar,
     range_included,
     shorting,
 )
@@ -510,14 +514,31 @@ def test_real_driver_choice_is_by_value_not_by_dtype():
     assert numkit._lapack_operand(nan) is nan
 
 
+def test_numkit_alone_picks_the_lapack_driver():
+    # every routed kernel call goes through numkit, so patching numkit alone
+    # switches the whole package between drivers
+    for module in (lab, parallel, shorting, polar):
+        assert not hasattr(module, "_lapack_operand"), module.__name__
+
+
+def test_package_republishes_every_module_list():
+    modules = (numkit, polar, douglas, shorting, parallel, lab, errors)
+    names = {"__version__"}.union(*(m.__all__ for m in modules))
+    assert len(opshort.__all__) == len(names) and set(opshort.__all__) == names
+    new = {"as_matrix", "CSV_COLUMNS", "DEFAULT_SWEEP_DIMS", "sqrt_a0_closed_form",
+           "kit_block_projector", "ClosedFormReport"}
+    assert new <= names
+    for name in opshort.__all__:
+        assert hasattr(opshort, name), name
+
+
 @pytest.fixture
 def complex_route(monkeypatch):
     """The route before real-valued operands took the real drivers: every
     operand reaches LAPACK as complex128.  Call to switch it on."""
 
     def switch_on():
-        for module in (numkit, shorting, parallel, lab):
-            monkeypatch.setattr(module, "_lapack_operand", lambda m: m)
+        monkeypatch.setattr(numkit, "_lapack_operand", lambda m: m)
 
     return switch_on
 

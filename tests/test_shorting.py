@@ -96,7 +96,7 @@ def test_coordinate_projector_bases_are_the_eigh_bytes(n):
     patterns[2][0] = 1.0 - patterns[2][-1]  # mixed whenever n > 1
     for diag in patterns:
         p = np.diag(diag).astype(np.complex128)
-        _, vecs, rank = _validated_projector_eig(p, DEFAULT_TOL)
+        vecs, rank = _validated_projector_eig(p, DEFAULT_TOL)
         expected = (_ordered_basis(vecs[:, :rank]), _ordered_basis(vecs[:, rank:]))
         for got, want in zip(_projector_bases(p, DEFAULT_TOL), expected):
             assert got.shape == want.shape and got.dtype == want.dtype
@@ -771,8 +771,10 @@ def _reference_range_kernel(block, result, tol=DEFAULT_TOL):
     subspace pair compared through ||P1 - P2||."""
 
     def nullspace(m):
+        # the stack has norm at most sqrt(2), so the cutoff scale is 1: a
+        # stack that is pure round-off (R(T) = N = the codomain) has no rank
         _, s, vh = np.linalg.svd(m)
-        return vh[shorting._rank(s, tol) :].conj().T
+        return vh[shorting._rank(s, tol, 1.0) :].conj().T
 
     def same(b1, b2):
         if b1.shape[1] != b2.shape[1]:
@@ -816,9 +818,19 @@ def _range_kernel_cases():
     yield "trivial intersection", rand_complex(RNG, n, 2) @ rand_complex(RNG, 2, n), p3, p3
     kit = make_kit(4)
     yield "kit", kit.bigT, kit_block_projector(4), kit_block_projector(4)
+    rng = np.random.default_rng(775)
+    # real 5 x 7 of rank 4, with M and N real; T22 is a generic 3 x 3
+    qm, qn = np.linalg.qr(rng.normal(size=(7, 4)))[0], np.linalg.qr(rng.normal(size=(5, 2)))[0]
+    t = rng.normal(size=(5, 4)) @ rng.normal(size=(4, 7))
+    yield "rectangular real", t, qm @ qm.T, qn @ qn.T
+    # real 3 x 4 of rank 3, so R(T) is the codomain; with N the codomain and
+    # M = R(T*), the shorted operator is T and R(T) intersect N is everything
+    t = rng.normal(size=(3, 4))
+    q = np.linalg.qr(t.T)[0]
+    yield "range is the codomain", t, q @ q.T, np.eye(3)
 
 
-@pytest.mark.parametrize("case", range(5))
+@pytest.mark.parametrize("case", range(7))
 def test_range_kernel_matches_stacked_projector_route(case):
     name, t, pm, pn = list(_range_kernel_cases())[case]
     block = partition(t, pm, pn)
@@ -826,7 +838,7 @@ def test_range_kernel_matches_stacked_projector_route(case):
     report = verify_range_kernel(block, result)
     assert report == _reference_range_kernel(block, result), name
     assert report.range_equal and report.kernel_equal, name
-    expected_inter = {"range inside N": report.rank_T, "trivial intersection": 0}
+    expected_inter = {"range inside N": report.rank_T, "trivial intersection": 0, "range is the codomain": 3}
     if name in expected_inter:
         assert report.rank_range_intersection == expected_inter[name]
 
@@ -838,8 +850,8 @@ def test_range_kernel_takes_no_stacked_svd(monkeypatch):
     calls = record_svd(monkeypatch)
     verify_range_kernel(block, result)
     k = t.shape[0]
-    # T, basis_n_perp* U_r, the shorted operator and [basis_m_perp, N(T)];
-    # the subspace comparisons settle from Frobenius bounds
+    # T, the shorted operator and the two sine factors: R(T) against N and
+    # R(T*) against M; the subspace comparisons settle from Frobenius bounds
     assert len(calls) == 4
     assert all(m.shape != (2 * k, k) for m, _ in calls)
 
