@@ -54,13 +54,7 @@ from .parallel import (
     solve_parallel_equation,
 )
 from .polar import DEFAULT_ALPHA, gpolar, gpolar_iterative, polar_decompose, v_operator
-from .shorting import (
-    partition,
-    redundancy_report,
-    shorted,
-    verify_range_kernel,
-    weak_complement_data,
-)
+from .shorting import _ranks, partition, shorted, verify_range_kernel, weak_complement_data
 
 __all__ = ["main", "dispatch", "build_parser"]
 
@@ -208,7 +202,7 @@ def _cmd_shorted(args, tol: Tol, t, pm, pn):
             "solvable": list(wd.solvable),
         },
         cross_gap=opnorm(wd.F.conj().T @ wd.E - wd.Ftilde.conj().T @ wd.Etilde),
-        redundancy=redundancy_report(blk, wd, tol),
+        ranks=list(_ranks(blk, tol)),
         report=asdict(report),
     ), 0
 

@@ -23,8 +23,7 @@ import numpy as np
 
 from .errors import InternalInvariantViolation
 from .numkit import (
-    DEFAULT_TOL, Tol, _angle_factors, _integer, _norm_within, _singular_values, opnorm, psd_power,
-    range_basis,
+    DEFAULT_TOL, Tol, _angle_factors, _integer, _norm_within, opnorm, psd_power, range_basis
 )
 from .parallel import parallel_sum
 from .shorting import _coordinate_columns, _coordinate_projector, is_complementable, partition, shorted
@@ -140,7 +139,7 @@ def sqrt_a0_closed_form(d: int) -> np.ndarray:
 
 def kit_block_projector(d: int) -> np.ndarray:
     """Projector onto the first 2d of 4d coordinates (the M = N corner of bigT)."""
-    return _coordinate_projector(4 * d, 2 * d, np.float64)
+    return _coordinate_projector(4 * d, 2 * d)
 
 
 @dataclass(frozen=True)
@@ -161,9 +160,9 @@ def subspace_angles(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
     from the sine where cos^2 >= 1/2 (arccos loses half the digits near 0)
     and from the cosine otherwise."""
     c, resid = _angle_factors(qa, qb)
-    cos = np.minimum(_singular_values(c), 1.0)
+    cos = np.minimum(np.linalg.svd(c, compute_uv=False), 1.0)
     # the sines ascend as the cosines descend; those past min(dims) are 1
-    sin = _singular_values(resid)[::-1][: cos.size]
+    sin = np.linalg.svd(resid, compute_uv=False)[::-1][: cos.size]
     return np.where(cos**2 >= 0.5, np.arcsin(np.minimum(sin, 1.0)), np.arccos(cos))
 
 

@@ -2,15 +2,10 @@
 powers, absolute values, pseudo-inverses, range projectors, and the JSON
 matrix file format.
 
-All operators are dense complex128 numpy arrays.  This module alone picks the
-LAPACK driver: :func:`_svd_factor`, :func:`_singular_values`, :func:`_eigvalsh`
-and :func:`_eigh` run the real driver on a real-valued operand (every
-imaginary part exactly zero) and hand back factors in the operand's dtype.
-Three eigen calls stay on the complex driver: :func:`herm_eig`, the projector
-``eigh`` of :mod:`shorting` and the Gram ``eigh`` of
-:func:`polar.gpolar_iterative`.  Routing ``herm_eig`` raised the worst
-residual of the CLI benchmark by 21% against a 25% bound: too little headroom
-to call the change round-off.
+All operators are dense double-precision numpy arrays, real or complex as
+:func:`as_matrix` decides from the input's dtype.  ``numpy.linalg`` picks the
+real or complex LAPACK driver from that dtype, and every result keeps it by
+numpy promotion.
 
 Every function that makes a rank or positivity decision takes a :class:`Tol`
 so the whole package shares one tolerance policy.
@@ -45,6 +40,12 @@ __all__ = [
 ]
 
 
+# the smallest rank_rel: the round-off sigma_(r+1) / sigma_1 of rank-deficient
+# PSD matrices measures a few eps (below 4 eps up to n = 256), and a cutoff
+# below that counts noise as rank
+_RANK_REL_FLOOR = 16 * np.finfo(np.float64).eps
+
+
 @dataclass(frozen=True)
 class Tol:
     """Tolerance policy shared by all rank, residual, and positivity decisions.
@@ -53,7 +54,8 @@ class Tol:
     ----------
     rank_rel : float
         Relative singular-value cutoff: sigma_i is counted toward the
-        numerical rank iff sigma_i > rank_rel * sigma_1.
+        numerical rank iff sigma_i > rank_rel * sigma_1.  At least 16 eps:
+        below that the cutoff counts round-off as rank.
     residual_rel : float
         Relative residual bound below which a solve or inclusion verdict
         is accepted.
@@ -72,6 +74,11 @@ class Tol:
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and 0.0 < value < 1.0):
                 raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
+        if self.rank_rel < _RANK_REL_FLOOR:
+            raise ValueError(
+                f"rank_rel must be at least {_RANK_REL_FLOOR:.3e} (16 eps), "
+                f"got {self.rank_rel!r}: below it the rank cutoff counts round-off"
+            )
 
     @classmethod
     def scaled(cls, residual_rel: float) -> "Tol":
@@ -92,34 +99,17 @@ DEFAULT_TOL = Tol()
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D complex128 array, rejecting anything else."""
-    m = np.asarray(a, dtype=np.complex128)
+    """Coerce to a 2-D array, complex128 if the input's dtype is complex and
+    float64 otherwise; anything that is not 2-D is rejected.  Every operand
+    passes here, so this is the package's dtype decision; only the JSON
+    reader decides by value."""
+    m = np.asarray(a)
+    if m.dtype == object:  # numbers held as objects: let numpy type them
+        m = np.array(m.tolist()).reshape(m.shape)
+    m = m.astype(np.complex128 if np.iscomplexobj(m) else np.float64, copy=False)
     if m.ndim != 2:
         raise ShapeMismatch(f"{name} must be 2-D, got ndim={m.ndim}")
     return m
-
-
-def _lapack_operand(m: np.ndarray) -> np.ndarray:
-    """``m.real`` when ``m`` is complex and no imaginary part is nonzero (-0.0
-    counts as zero), else ``m``: the one choice of the real LAPACK driver."""
-    return m.real if np.iscomplexobj(m) and not m.imag.any() else m
-
-
-def _singular_values(m: np.ndarray) -> np.ndarray:
-    """Singular values of ``m``, descending."""
-    return np.linalg.svd(_lapack_operand(m), compute_uv=False)
-
-
-def _eigvalsh(h: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the Hermitian ``h``, ascending."""
-    return np.linalg.eigvalsh(_lapack_operand(h))
-
-
-def _eigh(h: np.ndarray):
-    """Eigenvalues (ascending) and eigenvectors of the Hermitian ``h``; the
-    eigenvectors keep ``h``'s dtype."""
-    w, v = np.linalg.eigh(_lapack_operand(h))
-    return w, v.astype(h.dtype, copy=False)
 
 
 def opnorm(a) -> float:
@@ -127,7 +117,7 @@ def opnorm(a) -> float:
     m = np.asarray(a)
     if m.size == 0:
         return 0.0
-    return float(_singular_values(m)[0])
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def _norm_bounds(m) -> tuple[float, float]:
@@ -329,8 +319,7 @@ class _SVDFactor:
 
 def _svd_factor(m: np.ndarray) -> _SVDFactor:
     """Compact SVD; u and vh keep ``m``'s dtype."""
-    u, s, vh = np.linalg.svd(_lapack_operand(m), full_matrices=False)
-    return _SVDFactor(u.astype(m.dtype, copy=False), s, vh.astype(m.dtype, copy=False))
+    return _SVDFactor(*np.linalg.svd(m, full_matrices=False))
 
 
 def numerical_rank(t, tol: Tol = DEFAULT_TOL) -> int:
@@ -398,7 +387,9 @@ def _angle_factors(qa: np.ndarray, qb: np.ndarray):
 # --- JSON matrix file format -------------------------------------------------
 #
 # {"rows": m, "cols": n, "data": [[re, im], ...]}  with data row-major and
-# len(data) == m * n.  Readers reject length or type mismatches.
+# len(data) == m * n.  Readers reject length or type mismatches.  Every entry
+# carries an imaginary part, so the reader picks the dtype by value: float64
+# when all of them are zero (-0.0 included), else complex128.
 
 
 def matrix_to_json_dict(a) -> dict:
@@ -444,6 +435,8 @@ def matrix_from_json_dict(obj) -> np.ndarray:
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
         raise ValueError(f"data[{bad[0]}] is not finite")
+    if not out.imag.any():
+        out = np.ascontiguousarray(out.real)
     return out.reshape(rows, cols)
 
 

@@ -17,9 +17,7 @@ import numpy as np
 
 from .douglas import _solve
 from .errors import InternalInvariantViolation, NotPositiveDefinite, NotPSD, ShapeMismatch
-from .numkit import (
-    DEFAULT_TOL, Tol, _eig_clamp, _eigh, _eigvalsh, _herm, _hermitian, _psd_clamp, as_matrix, opnorm
-)
+from .numkit import DEFAULT_TOL, Tol, _eig_clamp, _herm, _hermitian, _psd_clamp, as_matrix, opnorm
 from .shorting import BlockOperator, _coordinate_projector, partition, shorted
 
 __all__ = [
@@ -43,7 +41,7 @@ def _psd_pair(a, b, tol: Tol):
     parts = []
     for m, name in ((a, "A"), (b, "B")):
         h = _hermitian(m, tol, name, NotPSD)
-        w = _eigvalsh(h)
+        w = np.linalg.eigvalsh(h)
         _psd_clamp(w, tol, name)
         parts += (h, w)
     ah, wa, bh, wb = parts
@@ -73,7 +71,7 @@ def _clamp_result_psd(value: np.ndarray, scale: float, tol: Tol) -> np.ndarray:
     h = _herm(value)
     if h.shape[0] == 0:
         return h
-    w, v = _eigh(h)
+    w, v = np.linalg.eigh(h)
     clamp = tol.eig_clamp_rel * max(scale, float(np.abs(w).max()))
     if float(w.min()) < -clamp:
         raise InternalInvariantViolation(
@@ -151,7 +149,7 @@ def regularized_trend(a, b, value, tol: Tol = DEFAULT_TOL) -> dict:
     :func:`parallel_sum`; the trend is never folded into ``route_agreement``.
     """
     ah, _, bh, _ = _psd_pair(a, b, tol)
-    eye = np.eye(ah.shape[0], dtype=np.complex128)
+    eye = np.eye(ah.shape[0])
     return {
         eps: opnorm(_pd_formula(ah + eps * eye, bh + eps * eye) - value)
         for eps in _REG_EPS
@@ -176,14 +174,14 @@ def _hansen_worst(a, b, probes, tol: Tol) -> float:
     ah, wa, bh, wb = _psd_pair(a, b, tol)
     n = ah.shape[0]
     ps = _parallel_core(ah, wa, bh, wb, tol)[0]
-    eye = np.eye(n, dtype=np.complex128)
+    eye = np.eye(n)
     worst = None
     for c in probes:
         cm = as_matrix(c, "C")
         if cm.shape != ah.shape:
             raise ShapeMismatch(f"C must match A's shape {ah.shape}, got {cm.shape}")
         rhs = cm.conj().T @ ah @ cm + (eye - cm).conj().T @ bh @ (eye - cm)
-        lam = float(_eigvalsh(_herm(rhs - ps)).min()) if n else 0.0
+        lam = float(np.linalg.eigvalsh(_herm(rhs - ps)).min()) if n else 0.0
         worst = lam if worst is None else min(worst, lam)
     return worst
 
@@ -218,7 +216,7 @@ def lemma_69_check(x, y, tol: Tol = DEFAULT_TOL) -> Lemma69Result:
         If X is not Hermitian positive definite beyond the clamp.
     """
     xh = _hermitian(x, tol, "X", NotPositiveDefinite)
-    w = _eigvalsh(xh)
+    w = np.linalg.eigvalsh(xh)
     n = xh.shape[0]
     if n == 0:
         return Lemma69Result(lambda_min=0.0, equality_gap=0.0)
@@ -230,11 +228,11 @@ def lemma_69_check(x, y, tol: Tol = DEFAULT_TOL) -> Lemma69Result:
     ym = as_matrix(y, "Y")
     if ym.shape != xh.shape:
         raise ShapeMismatch(f"Y must match X's shape {xh.shape}, got {ym.shape}")
-    eye = np.eye(n, dtype=np.complex128)
+    eye = np.eye(n)
     lhs = np.linalg.inv(eye + xh)
     rhs = ym.conj().T @ ym + (eye - ym).conj().T @ np.linalg.inv(xh) @ (eye - ym)
     return Lemma69Result(
-        lambda_min=float(_eigvalsh(_herm(rhs - lhs)).min()),
+        lambda_min=float(np.linalg.eigvalsh(_herm(rhs - lhs)).min()),
         equality_gap=opnorm(ym - lhs),
     )
 
@@ -272,7 +270,7 @@ def solve_parallel_equation(a, b, tol: Tol = DEFAULT_TOL) -> ParallelEquationSol
     f = blk._t22
     sol = _solve(blk.T22, f, bh, tol)
     x = sol.D
-    eye = np.eye(n, dtype=np.complex128)
+    eye = np.eye(n)
     attained = x.conj().T @ ah @ x + (eye - x).conj().T @ bh @ (eye - x)
     eq_residual = opnorm(attained - ps)
     bound = 1e-8 * (_norm(wa) + _norm(wb))

@@ -11,6 +11,7 @@ and is the reduced solution of |T*|^(1/2) X = T.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -28,6 +29,14 @@ __all__ = [
 
 # interpolation exponent used when a caller does not care about alpha itself
 DEFAULT_ALPHA = 0.75
+
+
+def _alpha(alpha) -> float:
+    """The one alpha check: a Python or numpy real strictly inside (0, 1),
+    as a float; bools (reals to Python) raise AlphaOutOfRange."""
+    if isinstance(alpha, bool) or not isinstance(alpha, Real) or not 0.0 < alpha < 1.0:
+        raise AlphaOutOfRange(f"alpha must lie in (0, 1), got {alpha!r}")
+    return float(alpha)
 
 
 @dataclass(frozen=True)
@@ -79,14 +88,9 @@ def gpolar(t, alpha: float, tol: Tol = DEFAULT_TOL) -> PolarForm:
     AlphaOutOfRange
         If alpha is not strictly inside (0, 1).
     """
-    if not isinstance(alpha, (int, float)) or not (0.0 < alpha < 1.0):
-        raise AlphaOutOfRange(f"alpha must lie in (0, 1), got {alpha!r}")
+    alpha = _alpha(alpha)
     f = _svd_factor(as_matrix(t))
-    return PolarForm(
-        U=f.power(1.0 - alpha, f.rank(tol)),
-        absT=f.abs_power("right"),
-        alpha=float(alpha),
-    )
+    return PolarForm(U=f.power(1.0 - alpha, f.rank(tol)), absT=f.abs_power("right"), alpha=alpha)
 
 
 def gpolar_iterative(t, alpha: float, n: int, tol: Tol = DEFAULT_TOL) -> np.ndarray:
@@ -110,8 +114,7 @@ def gpolar_iterative(t, alpha: float, n: int, tol: Tol = DEFAULT_TOL) -> np.ndar
     numpy.ndarray
         The iterate U_n, same shape as T.
     """
-    if not isinstance(alpha, (int, float)) or not (0.0 < alpha < 1.0):
-        raise AlphaOutOfRange(f"alpha must lie in (0, 1), got {alpha!r}")
+    alpha = _alpha(alpha)
     message = "iteration index must be an integer >= 1"
     n = _integer(n, message)
     if n < 1:
@@ -119,7 +122,7 @@ def gpolar_iterative(t, alpha: float, n: int, tol: Tol = DEFAULT_TOL) -> np.ndar
     m = as_matrix(t)
     w, v = np.linalg.eigh(_herm(m.conj().T @ m))
     w = np.maximum(w, 0.0)  # T*T is PSD; strip round-off negatives
-    factor = (1.0 / n + w) ** -0.5 * w ** ((1.0 - float(alpha)) / 2.0)
+    factor = (1.0 / n + w) ** -0.5 * w ** ((1.0 - alpha) / 2.0)
     return m @ ((v * factor) @ v.conj().T)
 
 

@@ -89,7 +89,6 @@ __all__ = [
     "weak_complement_data",
     "shorted",
     "verify_range_kernel",
-    "redundancy_report",
 ]
 
 # fixed absolute bounds for accepting a matrix as an orthogonal projector
@@ -146,7 +145,7 @@ def _ordered_basis(vectors: np.ndarray) -> np.ndarray:
     lexicographically (descending) on their rounded coordinates."""
     n, k = vectors.shape
     if k == 0:
-        return np.zeros((n, 0), dtype=np.complex128)
+        return np.zeros((n, 0), dtype=vectors.dtype)
     # rotate each column so its first significant coordinate is real positive
     sig = np.abs(vectors) > 1e-8
     first = np.argmax(sig, axis=0)
@@ -168,14 +167,14 @@ def _ordered_basis(vectors: np.ndarray) -> np.ndarray:
 
 def _coordinate_columns(n: int, rows: np.ndarray) -> np.ndarray:
     """The columns e_i, i in ``rows``, of the n x n identity, in that order."""
-    out = np.zeros((n, rows.size), dtype=np.complex128)
+    out = np.zeros((n, rows.size))
     out[rows, np.arange(rows.size)] = 1.0
     return out
 
 
-def _coordinate_projector(n: int, k: int, dtype=np.complex128) -> np.ndarray:
+def _coordinate_projector(n: int, k: int) -> np.ndarray:
     """The n x n projector onto the first k coordinates, an exact 0/1 diagonal."""
-    p = np.zeros((n, n), dtype=dtype)
+    p = np.zeros((n, n))
     p[np.arange(k), np.arange(k)] = 1.0
     return p
 
@@ -283,12 +282,16 @@ class BlockOperator:
 def _lift(rows, cols, row_index, col_index, x11, x12, x21, x22) -> np.ndarray:
     """Sum of rows[i] @ x_ij @ cols[j]* over the pieces given (None = 0);
     ``rows`` and ``cols`` are the (first, second) bases of the two sides,
-    and with both sides' coordinate indices each x_ij is added in place."""
-    out = np.zeros((rows[0].shape[0], cols[0].shape[0]), dtype=np.complex128)
-    for x, i, j in ((x11, 0, 0), (x12, 0, 1), (x21, 1, 0), (x22, 1, 1)):
-        if x is None:
-            continue
-        xm = as_matrix(x, "block piece")
+    and with both sides' coordinate indices each x_ij is added in place.
+    The result has the result type of the bases and the pieces."""
+    pieces = [
+        (as_matrix(x, "block piece"), i, j)
+        for x, i, j in ((x11, 0, 0), (x12, 0, 1), (x21, 1, 0), (x22, 1, 1))
+        if x is not None
+    ]
+    dtype = np.result_type(*rows, *cols, *(xm for xm, _, _ in pieces))
+    out = np.zeros((rows[0].shape[0], cols[0].shape[0]), dtype=dtype)
+    for xm, i, j in pieces:
         if xm.shape != (rows[i].shape[1], cols[j].shape[1]):
             raise ShapeMismatch(
                 f"block piece has shape {xm.shape}, expected "
@@ -469,10 +472,8 @@ def complementable_idempotents(block: BlockOperator, c, d, tol: Tol = DEFAULT_TO
     )
     if res_d > tol.residual_rel:
         raise WitnessInvalid(f"D fails T22* D = T12* with residual {res_d:.3e}")
-    p = block.lift_domain(x11=np.eye(dim_m, dtype=np.complex128), x21=-cm)
-    q = block.lift_codomain(
-        x11=np.eye(dim_n, dtype=np.complex128), x12=-dm.conj().T
-    )
+    p = block.lift_domain(x11=np.eye(dim_m), x21=-cm)
+    q = block.lift_codomain(x11=np.eye(dim_n), x12=-dm.conj().T)
     return p, q
 
 
@@ -628,21 +629,3 @@ def verify_range_kernel(
         range_equal=_same_subspace(inter, s.u[:, :rank_short]),
         kernel_equal=_same_subspace(co_inter, s.vh[:rank_short].conj().T),
     )
-
-
-def redundancy_report(block: BlockOperator, data: WeakComplementData, tol: Tol = DEFAULT_TOL) -> dict:
-    """Per-instance data on whether systems 1 and 4 were redundant.
-
-    With U = W_r V_r* the polar factor of T22 (read from the block's SVD),
-    the identities E = U* Etilde and Ftilde = U F would make E and Ftilde
-    derivable from the other two solutions.  This reports the observed gaps
-    without asserting the general claim.
-    """
-    u22 = block._t22.power(0.0, _ranks(block, tol)[0])
-    gap_e = opnorm(data.E - u22.conj().T @ data.Etilde)
-    gap_f = opnorm(data.Ftilde - u22 @ data.F)
-    return {
-        "gap_E_vs_U22star_Etilde": gap_e,
-        "gap_Ftilde_vs_U22_F": gap_f,
-        "redundant_within_tol": _norm_within(max(gap_e, gap_f), tol.residual_rel, block.T),
-    }

@@ -74,6 +74,15 @@ def test_bad_tol_rejected(capsys, tmp_path):
     assert code == 2
 
 
+def test_tol_below_the_rank_floor_rejected(capsys, tmp_path):
+    # --tol 1e-13 would put rank_rel at 1e-17, where the rank rules count noise
+    f = _write(tmp_path, "m.json", np.eye(2))
+    code = dispatch(["v-op", "--input", f, "--tol", "1e-13"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "rank_rel must be at least" in captured.err
+
+
 def test_tol_flag_scales_whole_policy(capsys, tmp_path):
     f = _write(tmp_path, "m.json", np.eye(2))
     code, payload = _run_json(capsys, ["v-op", "--input", f, "--tol", "1e-6"])
@@ -359,7 +368,9 @@ def test_shorted_success(capsys, tmp_path):
     assert payload["report"]["range_equal"] is True
     assert payload["report"]["kernel_equal"] is True
     assert payload["witnesses"]["solvable"] == [True] * 4
-    assert payload["redundancy"]["redundant_within_tol"] is True
+    # the ranks of T22 = [[1]] under the two rank rules
+    assert payload["ranks"] == [1, 1]
+    assert "redundancy" not in payload
 
 
 def test_shorted_weak_failure(capsys, tmp_path):

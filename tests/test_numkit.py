@@ -71,6 +71,27 @@ def test_tol_rejects_out_of_range(bad):
         Tol(residual_rel=bad)
 
 
+def test_tol_rank_rel_floor_edge():
+    # 16 eps is the smallest rank_rel; one ulp below it is rejected, and so is
+    # Tol.scaled(1e-13), whose rank_rel is 1e-17
+    floor = 16 * np.finfo(np.float64).eps
+    assert Tol(rank_rel=floor).rank_rel == floor
+    with pytest.raises(ValueError, match="rank_rel must be at least 3.553e-15"):
+        Tol(rank_rel=np.nextafter(floor, 0.0))
+    with pytest.raises(ValueError, match="rank_rel"):
+        Tol.scaled(1e-13)
+    assert Tol.scaled(1e-10).rank_rel == pytest.approx(1e-14)
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_rank_rel_floor_sits_above_round_off(n):
+    # at the floor the rank cutoff still ignores the round-off singular values
+    # of a rank-deficient PSD matrix (measured below 2 eps up to n = 256)
+    rng = np.random.default_rng(n)
+    for b in (rng.normal(size=(n, n // 2)), rand_complex(rng, n, n // 2)):
+        assert numerical_rank(b @ b.conj().T, Tol(rank_rel=16 * np.finfo(np.float64).eps)) == n // 2
+
+
 # --- herm_eig -----------------------------------------------------------------
 
 
@@ -453,7 +474,7 @@ def test_as_matrix_shape_guard():
         herm_eig(np.ones(3))
 
 
-# --- real drivers for real-valued operands ------------------------------------
+# --- one dtype decision: the operand's ------------------------------------------
 
 
 def _with_imag(x, imag):
@@ -470,11 +491,19 @@ def _with_imag(x, imag):
 _IMAG_DTYPE = {"+0.0": np.float64, "-0.0": np.float64, "one_nonzero": np.complex128}
 
 
+def _through_json(m):
+    return matrix_from_json_dict(json.loads(json.dumps(matrix_to_json_dict(m))))
+
+
 @pytest.mark.parametrize("imag", sorted(_IMAG_DTYPE))
 def test_real_valued_operands_reach_the_real_drivers(monkeypatch, imag):
+    # every JSON entry carries an imaginary part: a file whose imaginary parts
+    # are all zero loads as float64 and runs the real drivers throughout
     rng = np.random.default_rng(47)
     g = rng.normal(size=(6, 6))
-    a, b = _with_imag(g @ g.T + np.eye(6), imag), _with_imag(np.diag([1.0, 2, 3, 0, 0, 0]), imag)
+    a, b = (_through_json(_with_imag(x, imag)) for x in (g @ g.T + np.eye(6), np.diag([1.0, 2, 3, 0, 0, 0])))
+    want = np.dtype(_IMAG_DTYPE[imag])
+    assert a.dtype == b.dtype == want
     calls = {k: record_linalg(monkeypatch, k, lambda _: None) for k in ("svd", "eigvalsh", "eigh")}
     opnorm(a)
     f = _svd_factor(a)
@@ -488,37 +517,149 @@ def test_real_valued_operands_reach_the_real_drivers(monkeypatch, imag):
     # eigvalsh: 2 validations in parallel_sum, 2 + 1 in hansen, 1 + 1 in lemma
     # 69; eigh: the PSD clamp of A : B in parallel_sum and in hansen
     assert len(calls["svd"]) >= 6 and len(calls["eigvalsh"]) == 7 and len(calls["eigh"]) == 2
-    want = np.dtype(_IMAG_DTYPE[imag])
-    # the first two SVDs are opnorm's and _svd_factor's A, the first two
-    # eigvalsh parallel_sum's A and B; each holds the (0, 1) entry.  Without a
-    # nonzero part every operand is real; with one, a corner that misses the
-    # entry still is
-    direct = calls["svd"][:2] + calls["eigvalsh"][:2]
-    assert {x.dtype for x, _ in direct} == {want}
-    if want == np.float64:
-        assert {x.dtype for k in calls for x, _ in calls[k]} == {want}
-    # what leaves the kernels keeps the complex128 contract either way
-    assert f.u.dtype == f.vh.dtype == value.dtype == np.complex128
-    assert numkit._lapack_operand(a).dtype == want
+    # the operands' dtype reaches every kernel: the coordinate projector is
+    # float64, but every operand it meets is in the dtype of A
+    assert {x.dtype for k in calls for x, _ in calls[k]} == {want}
+    assert f.u.dtype == f.vh.dtype == value.dtype == want
 
 
 def test_real_driver_choice_is_by_value_not_by_dtype():
+    # the JSON reader decides by value: an imaginary part of +0.0 or -0.0 is
+    # zero, 1e-300 is not, and NaN is rejected rather than read as either
     x = np.arange(6.0).reshape(2, 3)
-    # a real array passes through; so does a complex one with any nonzero part
-    assert numkit._lapack_operand(x) is x
+    for imag in ("+0.0", "-0.0"):
+        got = _through_json(_with_imag(x, imag))
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.tobytes() == x.tobytes()
     z = _with_imag(x, "one_nonzero")
-    assert numkit._lapack_operand(z) is z
-    assert numkit._lapack_operand(_with_imag(x, "-0.0")).tobytes() == x.tobytes()
-    nan = _with_imag(x, "+0.0")
-    nan[1, 1] = complex(1.0, np.nan)  # NaN is not zero
-    assert numkit._lapack_operand(nan) is nan
+    got = _through_json(z)
+    assert got.dtype == np.complex128 and got.tobytes() == z.tobytes()
+    with pytest.raises(ValueError, match="not finite"):
+        matrix_from_json_dict({"rows": 1, "cols": 1, "data": [[1.0, float("nan")]]})
+    # as_matrix decides by dtype: complex stays complex128, whatever its values
+    assert as_matrix(x) is x
+    assert as_matrix(_with_imag(x, "+0.0")).dtype == np.complex128
+    assert as_matrix(np.arange(6).reshape(2, 3)).dtype == np.float64
+    assert as_matrix(np.eye(2, dtype=np.float32)).dtype == np.float64
+    assert as_matrix(np.eye(2, dtype=np.complex64)).dtype == np.complex128
+    # numbers held as objects are typed by their values, as in a list
+    assert as_matrix(np.array([[1j, 2]], dtype=object)).dtype == np.complex128
+    assert as_matrix(np.array([[1.0, 2]], dtype=object)).dtype == np.float64
+    assert as_matrix(np.empty((0, 3), dtype=object)).shape == (0, 3)
 
 
-def test_numkit_alone_picks_the_lapack_driver():
-    # every routed kernel call goes through numkit, so patching numkit alone
-    # switches the whole package between drivers
-    for module in (lab, parallel, shorting, polar):
-        assert not hasattr(module, "_lapack_operand"), module.__name__
+def _contract_operands(rng, n=6):
+    t = rng.normal(size=(n, 4)) @ rng.normal(size=(4, n))  # rank 4
+    g = rng.normal(size=(n, n))
+    h = rng.normal(size=(n, 3))
+    q = np.linalg.qr(rng.normal(size=(n, n)))[0][:, :3]
+    return {
+        "t": t,
+        "c": t @ rng.normal(size=(n, 2)),  # in R(t)
+        "pd": g @ g.T + np.eye(n),
+        "psd": h @ h.T,  # rank 3
+        "p": q @ q.T,  # a projector that is not a coordinate one
+        "y": rng.normal(size=(n, n)) / 4.0,
+    }
+
+
+def _shorted_block(o):
+    return partition(o["pd"], o["p"], o["p"])
+
+
+def _idempotents(o):
+    block = _shorted_block(o)
+    comp = is_complementable(block)
+    return shorting.complementable_idempotents(block, comp.C, comp.D)
+
+
+def _range_kernel(o):
+    block = _shorted_block(o)
+    return verify_range_kernel(block, shorted(block))
+
+
+# each public entry point that takes operators, called on the operands of
+# _contract_operands
+_OPERAND_CALLS = {
+    "herm_eig": lambda o: herm_eig(o["pd"]),
+    "psd_power": lambda o: psd_power(o["psd"], 0.5),
+    "absolute_value": lambda o: absolute_value(o["t"], "left"),
+    "pseudo_inverse": lambda o: pseudo_inverse(o["t"]),
+    "range_projector": lambda o: range_projector(o["t"]),
+    "range_basis": lambda o: range_basis(o["t"]),
+    "numerical_rank": lambda o: numerical_rank(o["t"]),
+    "opnorm": lambda o: opnorm(o["t"]),
+    "polar_decompose": lambda o: polar.polar_decompose(o["t"]),
+    "gpolar": lambda o: polar.gpolar(o["t"], 0.5),
+    "gpolar_iterative": lambda o: polar.gpolar_iterative(o["t"], 0.5, 3),
+    "v_operator": lambda o: polar.v_operator(o["t"]),
+    "range_included": lambda o: range_included(o["t"], o["c"]),
+    "reduced_solution": lambda o: douglas.reduced_solution(o["t"], o["c"]),
+    "check_projector": lambda o: shorting.check_projector(o["p"]),
+    "partition": _shorted_block,
+    "is_complementable": lambda o: is_complementable(_shorted_block(o)),
+    "complementable_idempotents": _idempotents,
+    "weak_complement_data": lambda o: shorting.weak_complement_data(_shorted_block(o)),
+    "shorted": lambda o: shorted(_shorted_block(o)),
+    "verify_range_kernel": _range_kernel,
+    "parallel_sum": lambda o: parallel_sum(o["psd"], o["pd"]),
+    "regularized_trend": lambda o: parallel.regularized_trend(o["psd"], o["pd"], o["psd"]),
+    "hansen_inequality_check": lambda o: hansen_inequality_check(o["psd"], o["pd"], o["y"]),
+    "lemma_69_check": lambda o: lemma_69_check(o["pd"], o["y"]),
+    "solve_parallel_equation": lambda o: solve_parallel_equation(o["psd"], o["pd"]),
+}
+
+# the lab's entry points take dimensions; their kit is float64
+_LAB_CALLS = {
+    "make_kit": lambda o: lab.make_kit(4),
+    "sqrt_a0_closed_form": lambda o: lab.sqrt_a0_closed_form(4),
+    "kit_block_projector": lambda o: lab.kit_block_projector(4),
+    "divergence_sweep": lambda o: lab.divergence_sweep([4]),
+    "verify_closed_forms": lambda o: lab.verify_closed_forms(4),
+}
+
+
+def _arrays(x):
+    """Every floating or complex array inside a result."""
+    if isinstance(x, np.ndarray):
+        return [x] if np.issubdtype(x.dtype, np.inexact) else []
+    if hasattr(x, "__dataclass_fields__"):
+        x = [getattr(x, name) for name in x.__dataclass_fields__]
+    elif isinstance(x, dict):
+        x = list(x.values())
+    elif not isinstance(x, (list, tuple)):
+        return []
+    return [a for item in x for a in _arrays(item)]
+
+
+def test_the_dtype_contract_covers_every_public_entry_point():
+    # as_matrix, the decision itself, and the JSON file functions are covered
+    # by the tests above
+    files = {"as_matrix", "matrix_to_json_dict", "matrix_from_json_dict", "save_matrix", "load_matrix"}
+    public = {
+        name
+        for module in (numkit, polar, douglas, shorting, parallel, lab)
+        for name in module.__all__
+        if callable(getattr(module, name)) and not isinstance(getattr(module, name), type)
+    }
+    assert public - files - {"sweep_to_csv"} == set(_OPERAND_CALLS) | set(_LAB_CALLS)
+
+
+@pytest.mark.parametrize("name", sorted(_OPERAND_CALLS) + sorted(_LAB_CALLS))
+def test_float64_operands_give_float64_results_on_real_drivers(monkeypatch, name):
+    calls = {k: record_linalg(monkeypatch, k, lambda _: None) for k in ("svd", "eigh", "eigvalsh", "inv")}
+    result = {**_OPERAND_CALLS, **_LAB_CALLS}[name](_contract_operands(np.random.default_rng(61)))
+    assert {x.dtype for x in _arrays(result)} <= {np.dtype(np.float64)}
+    assert {x.dtype for k in calls for x, _ in calls[k]} <= {np.dtype(np.float64)}
+
+
+@pytest.mark.parametrize("name", sorted(_OPERAND_CALLS))
+def test_complex_operands_give_complex128_results(name):
+    operands = {k: v.astype(np.complex128) for k, v in _contract_operands(np.random.default_rng(61)).items()}
+    arrays = _arrays(_OPERAND_CALLS[name](operands))
+    # operators keep the operands' dtype; spectra are real
+    assert {x.dtype for x in arrays if x.ndim == 2} <= {np.dtype(np.complex128)}
+    assert {x.dtype for x in arrays if x.ndim == 1} <= {np.dtype(np.float64)}
 
 
 def test_package_republishes_every_module_list():
@@ -530,17 +671,6 @@ def test_package_republishes_every_module_list():
     assert new <= names
     for name in opshort.__all__:
         assert hasattr(opshort, name), name
-
-
-@pytest.fixture
-def complex_route(monkeypatch):
-    """The route before real-valued operands took the real drivers: every
-    operand reaches LAPACK as complex128.  Call to switch it on."""
-
-    def switch_on():
-        monkeypatch.setattr(numkit, "_lapack_operand", lambda m: m)
-
-    return switch_on
 
 
 _REAL_CASES = {
@@ -561,19 +691,26 @@ def _matrix_route(x, c_in, c_out):
         "opnorm": opnorm(x),
         "s": f.s,
         "rank": f.rank(DEFAULT_TOL),
+        "u": f.u,
         "inclusions": [range_included(x, c) for c in (c_in, c_out)],
     }
 
 
+def _complex_route(route, *operands):
+    """The same call on complex128 copies of the float64 operands: the complex
+    drivers on the same values."""
+    return route(*(x.astype(np.complex128) for x in operands))
+
+
 @pytest.mark.parametrize("case", sorted(_REAL_CASES))
-def test_real_driver_matches_the_complex_route_on_matrices(case, complex_route):
+def test_real_driver_matches_the_complex_route_on_matrices(case):
     rng = np.random.default_rng([53, len(case)])
     x = _REAL_CASES[case](rng)
     c_in = x @ rng.normal(size=(x.shape[1], 3))
     c_out = c_in + 1e-3 * rng.normal(size=c_in.shape)
     real = _matrix_route(x, c_in, c_out)
-    complex_route()
-    ref = _matrix_route(x, c_in, c_out)
+    ref = _complex_route(_matrix_route, x, c_in, c_out)
+    assert real["u"].dtype == np.float64 and ref["u"].dtype == np.complex128
     sigma1 = ref["opnorm"]
     assert _ulps_of_sigma1(real["s"], ref["s"], sigma1) <= 8
     assert _ulps_of_sigma1(np.array(real["opnorm"]), np.array(sigma1), sigma1) <= 8
@@ -606,7 +743,7 @@ def _pipeline_route(t, p, a, b):
 
 @pytest.mark.parametrize("projector", ["coordinate", "general"])
 @pytest.mark.parametrize("case", sorted(_REAL_CASES))
-def test_real_driver_matches_the_complex_route_on_the_pipeline(case, projector, complex_route):
+def test_real_driver_matches_the_complex_route_on_the_pipeline(case, projector):
     rng = np.random.default_rng([59, len(case)])
     x = _REAL_CASES[case](rng)
     n = x.shape[1]
@@ -614,14 +751,13 @@ def test_real_driver_matches_the_complex_route_on_the_pipeline(case, projector, 
     # to its first copy
     t = sum(_psd_of(np.hstack([_REAL_CASES[case](rng) for _ in "MN"])) for _ in "12")
     if projector == "coordinate":
-        p = shorting._coordinate_projector(2 * n, n, np.float64)
+        p = shorting._coordinate_projector(2 * n, n)
     else:
         q = np.linalg.qr(rng.normal(size=(2 * n, 2 * n)))[0][:, :n]
         p = q @ q.T
     a, b = _psd_of(x), _psd_of(_REAL_CASES[case](rng))
     real = _pipeline_route(t, p, a, b)
-    complex_route()
-    ref = _pipeline_route(t, p, a, b)
+    ref = _complex_route(_pipeline_route, t, p, a, b)
     scale = max(opnorm(t), 1.0)
     assert real["ranks"] == ref["ranks"]
     assert real["complementable"] == ref["complementable"]
@@ -630,7 +766,8 @@ def test_real_driver_matches_the_complex_route_on_the_pipeline(case, projector, 
     if ref["shorted"] is not None:
         (mode, value, report), (ref_mode, ref_value, ref_report) = real["shorted"], ref["shorted"]
         assert (mode, report) == (ref_mode, ref_report)
-        assert value.dtype == np.complex128
+        # float64, like the operands
+        assert value.dtype == np.float64
         assert_allclose(value, ref_value, atol=1e-12 * scale)
-    assert real["parallel"].dtype == np.complex128
+    assert real["parallel"].dtype == np.float64
     assert_allclose(real["parallel"], ref["parallel"], atol=1e-12 * max(opnorm(a) + opnorm(b), 1.0))

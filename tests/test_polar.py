@@ -118,6 +118,25 @@ def test_gpolar_rejects_alpha_outside_open_interval(alpha):
         gpolar_iterative(np.eye(2), alpha, 5)
 
 
+@pytest.mark.parametrize(
+    "alpha,accepted",
+    [(True, False), (np.float16(0.5), True), (np.float32(0.5), True), (np.float64(0.5), True), (0.5, True)],
+    ids=["True", "float16", "float32", "float64", "0.5"],
+)
+def test_alpha_types(alpha, accepted):
+    # numpy reals are alphas, as they are exponents to psd_power; a bool is not
+    t = np.diag([2.0, 1.0])
+    if accepted:
+        assert np.array_equal(gpolar(t, alpha).U, gpolar(t, 0.5).U)
+        assert gpolar(t, alpha).alpha == 0.5
+        assert np.array_equal(gpolar_iterative(t, alpha, 3), gpolar_iterative(t, 0.5, 3))
+    else:
+        with pytest.raises(AlphaOutOfRange, match="alpha must lie in"):
+            gpolar(t, alpha)
+        with pytest.raises(AlphaOutOfRange, match="alpha must lie in"):
+            gpolar_iterative(t, alpha, 3)
+
+
 # --- iterative approximation -------------------------------------------------------
 
 

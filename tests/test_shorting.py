@@ -14,7 +14,6 @@ from opshort import (
     partition,
     pseudo_inverse,
     psd_power,
-    redundancy_report,
     reduced_solution,
     shorted,
     v_operator,
@@ -89,17 +88,17 @@ def test_check_projector_eigenvalue_drift():
 
 @pytest.mark.parametrize("n", [1, 2, 5, 16, 64, 200])
 def test_coordinate_projector_bases_are_the_eigh_bytes(n):
-    # the shortcut for exact 0/1 diagonals returns, byte for byte, the bases
-    # that the eigh route and _ordered_basis produce
+    # the shortcut for exact 0/1 diagonals returns, byte for byte, the float64
+    # bases that the real eigh route and _ordered_basis produce
     rng = np.random.default_rng(n)
     patterns = [np.zeros(n), np.ones(n), (rng.uniform(size=n) < 0.5).astype(float)]
     patterns[2][0] = 1.0 - patterns[2][-1]  # mixed whenever n > 1
     for diag in patterns:
-        p = np.diag(diag).astype(np.complex128)
+        p = np.diag(diag)
         vecs, rank = _validated_projector_eig(p, DEFAULT_TOL)
         expected = (_ordered_basis(vecs[:, :rank]), _ordered_basis(vecs[:, rank:]))
         for got, want in zip(_projector_bases(p, DEFAULT_TOL), expected):
-            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.shape == want.shape and got.dtype == want.dtype == np.float64
             assert got.flags.c_contiguous
             assert got.tobytes() == want.tobytes()
 
@@ -609,11 +608,12 @@ def test_shorted_takes_one_svd_of_t22(monkeypatch):
     factored = [m for m, uv in calls if uv]
     assert len(factored) == 1 and np.array_equal(factored[0], block.T22)
     assert all(m.shape not in (t.shape, t.T.shape) for m, _ in calls)
-    # the factor, the margins and ||T21||, ||T12|| stay with the block
+    # the factor, the margins and ||T21||, ||T12|| stay with the block, and the
+    # two rank rules read them
     calls.clear()
-    data = weak_complement_data(block)
+    weak_complement_data(block)
     is_complementable(block)
-    redundancy_report(block, data)
+    shorting._ranks(block, DEFAULT_TOL)
     assert not [uv for _, uv in calls if uv]
     assert result.mode == "complementable"
 
@@ -855,12 +855,3 @@ def test_range_kernel_takes_no_stacked_svd(monkeypatch):
     assert len(calls) == 4
     assert all(m.shape != (2 * k, k) for m, _ in calls)
 
-
-def test_redundancy_report_on_complementable():
-    t, pm, pn = complementable_instance(RNG)
-    block = partition(t, pm, pn)
-    data = weak_complement_data(block)
-    report = redundancy_report(block, data)
-    assert report["redundant_within_tol"]
-    assert report["gap_E_vs_U22star_Etilde"] <= 1e-8 * max(opnorm(t), 1.0)
-    assert report["gap_Ftilde_vs_U22_F"] <= 1e-8 * max(opnorm(t), 1.0)
