@@ -70,7 +70,7 @@ __all__ = ["main", "dispatch", "build_parser"]
 def _cmd_polar(args, tol: Tol, t):
     if args.iterate is not None:
         alpha = args.alpha if args.alpha is not None else DEFAULT_ALPHA
-        u_n = gpolar_iterative(t, alpha, args.iterate, tol)
+        u_n = gpolar_iterative(t, alpha, args.iterate)
         limit = gpolar(t, alpha, tol)
         t_alpha = psd_power(limit.absT, alpha, tol)
         return dict(
@@ -104,7 +104,7 @@ def _cmd_polar(args, tol: Tol, t):
 
 def _cmd_gpolar(args, tol: Tol, t):
     form = gpolar(t, args.alpha, tol)
-    abs_left = absolute_value(t, "left", tol)
+    abs_left = absolute_value(t, "left")
     t_alpha = psd_power(form.absT, args.alpha, tol)
     return dict(
         mode="generalized",
@@ -128,8 +128,8 @@ def _cmd_gpolar(args, tol: Tol, t):
 
 def _cmd_v_op(args, tol: Tol, t):
     v = v_operator(t, tol)
-    abs_right = absolute_value(t, "right", tol)
-    abs_left = absolute_value(t, "left", tol)
+    abs_right = absolute_value(t, "right")
+    abs_left = absolute_value(t, "left")
     half_left = psd_power(abs_left, 0.5, tol)
     return dict(
         V=matrix_to_json_dict(v),
@@ -227,8 +227,7 @@ def _cmd_hansen_check(args, tol: Tol, a, b):
     if args.c is not None:
         lam = hansen_inequality_check(a, b, load_matrix(args.c), tol)
         return dict(mode="explicit", lambda_min=lam), 0
-    probes = args.probes if args.probes is not None else 50
-    if probes < 1:
+    if args.probes < 1:
         raise ValueError("--probes must be >= 1")
     n = a.shape[0]
     rng = np.random.default_rng(args.seed)
@@ -237,11 +236,11 @@ def _cmd_hansen_check(args, tol: Tol, a, b):
         b,
         (
             (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-            for _ in range(probes)
+            for _ in range(args.probes)
         ),
         tol,
     )
-    return dict(mode="probes", probes=probes, seed=args.seed, lambda_min_worst=worst), 0
+    return dict(mode="probes", probes=args.probes, seed=args.seed, lambda_min_worst=worst), 0
 
 
 def _cmd_lemma69(args, tol: Tol, x, y):
@@ -270,7 +269,7 @@ _TOL, _SEED, _OUT = (argparse.ArgumentParser(add_help=False) for _ in range(3))
 _TOL.add_argument(
     "--tol",
     type=float,
-    default=None,
+    default=DEFAULT_TOL.residual_rel,
     help="residual tolerance; rank cutoff scales as tol*1e-4 and the "
     "eigenvalue clamp as tol*1e-2 (default 1e-8)",
 )
@@ -313,7 +312,7 @@ _SUBCOMMANDS = (
         "hansen-check", "lambda_min of C*AC + (I-C)*B(I-C) - A:B", ("a", "b"), _cmd_hansen_check,
         options=(
             ("--c", dict(default=None, help="explicit C matrix file; omit to probe randomly")),
-            ("--probes", dict(type=int, default=None, help="number of random probes (default 50)")),
+            ("--probes", dict(type=int, default=50, help="number of random probes (default 50)")),
         ),
         shared=(_TOL, _SEED, _OUT),
     ),
@@ -374,7 +373,11 @@ def _run(args, tol: Tol) -> int:
         payload = {
             "command": spec.name.replace(" ", "-"),
             "version": __version__,
-            "tol": asdict(tol),
+            "tol": {
+                "eig_clamp_rel": tol.eig_clamp_rel,
+                "rank_rel": tol.rank_rel,
+                "residual_rel": tol.residual_rel,
+            },
             **fields,
         }
         text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
@@ -394,8 +397,7 @@ def dispatch(argv) -> int:
         return 0 if exc.code in (0, None) else 2
 
     try:
-        tol = DEFAULT_TOL if args.tol is None else Tol.scaled(args.tol)
-        return _run(args, tol)
+        return _run(args, Tol(args.tol))
     except (OpshortError, ValueError, OSError) as exc:
         print(f"opshort: {exc}", file=sys.stderr)
         if isinstance(exc, NotSolvable):

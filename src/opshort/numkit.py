@@ -50,49 +50,44 @@ _RANK_REL_FLOOR = 16 * np.finfo(np.float64).eps
 class Tol:
     """Tolerance policy shared by all rank, residual, and positivity decisions.
 
+    One knob, ``residual_rel``, sets the whole policy; the rank and clamp
+    cutoffs are derived from it, so tightening the residual bound tightens
+    them proportionally.
+
     Attributes
     ----------
-    rank_rel : float
-        Relative singular-value cutoff: sigma_i is counted toward the
-        numerical rank iff sigma_i > rank_rel * sigma_1.  At least 16 eps:
-        below that the cutoff counts round-off as rank.
     residual_rel : float
         Relative residual bound below which a solve or inclusion verdict
         is accepted.
+    rank_rel : float
+        ``residual_rel * 1e-4``, the relative singular-value cutoff: sigma_i
+        is counted toward the numerical rank iff sigma_i > rank_rel * sigma_1.
+        At least 16 eps: below that the cutoff counts round-off as rank.
     eig_clamp_rel : float
-        Eigenvalues of a nominally PSD matrix with |lambda| <= eig_clamp_rel
-        * ||A|| are treated as exact zeros; anything more negative is an
-        error, not noise.
+        ``residual_rel * 1e-2``: eigenvalues of a nominally PSD matrix with
+        |lambda| <= eig_clamp_rel * ||A|| are treated as exact zeros; anything
+        more negative is an error, not noise.
     """
 
-    rank_rel: float = 1e-12
     residual_rel: float = 1e-8
-    eig_clamp_rel: float = 1e-10
 
     def __post_init__(self):
-        for name in ("rank_rel", "residual_rel", "eig_clamp_rel"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and 0.0 < value < 1.0):
-                raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
+        value = self.residual_rel
+        if not (isinstance(value, (int, float)) and 0.0 < value < 1.0):
+            raise ValueError(f"residual_rel must lie in (0, 1), got {value!r}")
         if self.rank_rel < _RANK_REL_FLOOR:
             raise ValueError(
                 f"rank_rel must be at least {_RANK_REL_FLOOR:.3e} (16 eps), "
                 f"got {self.rank_rel!r}: below it the rank cutoff counts round-off"
             )
 
-    @classmethod
-    def scaled(cls, residual_rel: float) -> "Tol":
-        """Derive the full policy from the single CLI knob.
+    @property
+    def rank_rel(self) -> float:
+        return self.residual_rel * 1e-4
 
-        rank_rel tracks residual_rel * 1e-4 and eig_clamp_rel tracks
-        residual_rel * 1e-2, so tightening the residual bound tightens
-        the rank and clamp decisions proportionally.
-        """
-        return cls(
-            rank_rel=residual_rel * 1e-4,
-            residual_rel=residual_rel,
-            eig_clamp_rel=residual_rel * 1e-2,
-        )
+    @property
+    def eig_clamp_rel(self) -> float:
+        return self.residual_rel * 1e-2
 
 
 DEFAULT_TOL = Tol()
@@ -327,7 +322,7 @@ def numerical_rank(t, tol: Tol = DEFAULT_TOL) -> int:
     return _svd_factor(as_matrix(t)).rank(tol)
 
 
-def absolute_value(t, side: str = "right", tol: Tol = DEFAULT_TOL) -> np.ndarray:
+def absolute_value(t, side: str = "right") -> np.ndarray:
     """Operator absolute value |T| = (T*T)^(1/2) or |T*| = (TT*)^(1/2).
 
     Parameters

@@ -93,7 +93,7 @@ def gpolar(t, alpha: float, tol: Tol = DEFAULT_TOL) -> PolarForm:
     return PolarForm(U=f.power(1.0 - alpha, f.rank(tol)), absT=f.abs_power("right"), alpha=alpha)
 
 
-def gpolar_iterative(t, alpha: float, n: int, tol: Tol = DEFAULT_TOL) -> np.ndarray:
+def gpolar_iterative(t, alpha: float, n: int) -> np.ndarray:
     """n-th iterate U_n = T (I/n + T*T)^(-1/2) (T*T)^((1-alpha)/2).
 
     The iterates converge to the gpolar factor at rate O(1/n) on matrices

@@ -39,9 +39,9 @@ fix r.  Both keep only sigma_i > rank_rel * max(sigma_1, ||T21||, ||T12||),
 so a T22 that is pure round-off next to the corners it meets has rank 0:
 
 * systems 1 and 4 and both strong systems need nothing more;
-* systems 2 and 3 also keep only sigma_i > sigma_1 * max(eig_clamp_rel,
-  rank_rel^2), the rank of the square root of |T22| (or |T22*|) once
-  psd_power has clamped its eigenvalues relative to its own top one.
+* systems 2 and 3 also keep only sigma_i > eig_clamp_rel * sigma_1, the
+  rank of the square root of |T22| (or |T22*|) once psd_power has clamped
+  its eigenvalues relative to its own top one.
 
 A projector that is an exact 0/1 diagonal has coordinate columns as bases,
 so its corners are gathered as sub-blocks of T and its lifts scattered,
@@ -132,12 +132,7 @@ def check_projector(p, tol: Tol = DEFAULT_TOL) -> int:
     within eig_clamp_rel of {0, 1}.  Near-degenerate projectors are rejected,
     never rounded into shape.
     """
-    m = as_matrix(p, "projector")
-    if m.shape[0] != m.shape[1]:
-        raise NotAProjector(f"projector must be square, got shape {m.shape}")
-    if m.shape[0] == 0:
-        return 0
-    return _validated_projector_eig(m, tol)[1]
+    return _projector_bases(p, tol)[0].shape[1]
 
 
 def _ordered_basis(vectors: np.ndarray) -> np.ndarray:
@@ -381,12 +376,13 @@ class Complementability:
 
 def _ranks(block: BlockOperator, tol: Tol) -> tuple[int, int]:
     """Ranks of rule 0 (sigma_i > rank_rel * scale, scale = max(sigma_1,
-    ||T21||, ||T12||)) and rule 1, which also cuts at max(eig_clamp_rel,
-    rank_rel^2) * sigma_1 as psd_power's clamp and the root cutoff do."""
+    ||T21||, ||T12||)) and rule 1, which also cuts at eig_clamp_rel * sigma_1
+    as psd_power's clamp does; the square root's own rank cutoff lies below
+    that clamp for every Tol."""
     s = block._t22.s
     top = float(s[0]) if s.size else 0.0
     scale = max(top, block._sides[0][2], block._sides[1][2])
-    half = max(max(tol.eig_clamp_rel, tol.rank_rel**2) * top, tol.rank_rel * scale)
+    half = max(tol.eig_clamp_rel * top, tol.rank_rel * scale)
     return _rank(s, tol, scale), int(np.count_nonzero(s > half))
 
 

@@ -282,9 +282,11 @@ def test_gpolar_default_alpha(capsys, tmp_path):
 
 def test_v_op_residuals(capsys, tmp_path):
     f = _write(tmp_path, "t.json", RNG.normal(size=(5, 3)))
-    code, payload = _run_json(capsys, ["v-op", "--input", f])
+    code, out = _run(capsys, ["v-op", "--input", f])
     assert code == 0
-    for value in payload["residuals"].values():
+    # the envelope names the knob and both cutoffs derived from it
+    assert '"tol":{"eig_clamp_rel":1e-10,"rank_rel":1e-12,"residual_rel":1e-08}' in out
+    for value in json.loads(out)["residuals"].values():
         assert value <= 1e-9
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -53,16 +54,25 @@ RNG = np.random.default_rng(1001)
 
 
 def test_tol_defaults():
-    assert DEFAULT_TOL.rank_rel == 1e-12
+    assert Tol() == Tol(1e-8) == DEFAULT_TOL
     assert DEFAULT_TOL.residual_rel == 1e-8
+    # 1e-8 * 1e-4 and 1e-8 * 1e-2 round to exactly these literals
+    assert DEFAULT_TOL.rank_rel == 1e-12
     assert DEFAULT_TOL.eig_clamp_rel == 1e-10
 
 
-def test_tol_scaled_tracks_single_knob():
-    tol = Tol.scaled(1e-6)
+def test_tol_derives_cutoffs_from_single_knob():
+    tol = Tol(1e-6)
     assert tol.residual_rel == 1e-6
-    assert tol.rank_rel == pytest.approx(1e-10)
-    assert tol.eig_clamp_rel == pytest.approx(1e-8)
+    assert tol.rank_rel == 1e-6 * 1e-4 == pytest.approx(1e-10)
+    assert tol.eig_clamp_rel == 1e-6 * 1e-2 == pytest.approx(1e-8)
+    # residual_rel is the one field; the cutoffs cannot be set apart from it
+    assert [f.name for f in dataclasses.fields(Tol)] == ["residual_rel"]
+    for name in ("rank_rel", "eig_clamp_rel"):
+        with pytest.raises(TypeError):
+            Tol(**{name: 1e-12})
+        with pytest.raises(AttributeError):
+            setattr(tol, name, 1e-12)
 
 
 @pytest.mark.parametrize("bad", [0.0, 1.0, -1e-8, 2.0])
@@ -72,24 +82,28 @@ def test_tol_rejects_out_of_range(bad):
 
 
 def test_tol_rank_rel_floor_edge():
-    # 16 eps is the smallest rank_rel; one ulp below it is rejected, and so is
-    # Tol.scaled(1e-13), whose rank_rel is 1e-17
+    # rank_rel = residual_rel * 1e-4 may not go below 16 eps: the smallest
+    # accepted knob, 16 eps * 1e4, passes, and one ulp below it is rejected,
+    # as is 1e-13
     floor = 16 * np.finfo(np.float64).eps
-    assert Tol(rank_rel=floor).rank_rel == floor
+    knob = floor * 1e4
+    assert Tol(knob).rank_rel == floor
     with pytest.raises(ValueError, match="rank_rel must be at least 3.553e-15"):
-        Tol(rank_rel=np.nextafter(floor, 0.0))
-    with pytest.raises(ValueError, match="rank_rel"):
-        Tol.scaled(1e-13)
-    assert Tol.scaled(1e-10).rank_rel == pytest.approx(1e-14)
+        Tol(np.nextafter(knob, 0.0))
+    with pytest.raises(ValueError, match="rank_rel must be at least 3.553e-15"):
+        Tol(1e-13)
+    assert Tol(1e-10).rank_rel == pytest.approx(1e-14)
 
 
 @pytest.mark.parametrize("n", [16, 64, 256])
 def test_rank_rel_floor_sits_above_round_off(n):
-    # at the floor the rank cutoff still ignores the round-off singular values
-    # of a rank-deficient PSD matrix (measured below 2 eps up to n = 256)
+    # at the smallest knob the rank cutoff still ignores the round-off
+    # singular values of a rank-deficient PSD matrix (measured below 2 eps up
+    # to n = 256)
+    tol = Tol(16 * np.finfo(np.float64).eps * 1e4)
     rng = np.random.default_rng(n)
     for b in (rng.normal(size=(n, n // 2)), rand_complex(rng, n, n // 2)):
-        assert numerical_rank(b @ b.conj().T, Tol(rank_rel=16 * np.finfo(np.float64).eps)) == n // 2
+        assert numerical_rank(b @ b.conj().T, tol) == n // 2
 
 
 # --- herm_eig -----------------------------------------------------------------

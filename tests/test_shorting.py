@@ -126,6 +126,19 @@ def test_coordinate_projector_skips_the_eigensolver(monkeypatch):
     assert calls == [(6, 6)]
 
 
+def test_check_projector_shares_the_partition_path(monkeypatch):
+    # check_projector validates through _projector_bases: an exact 0/1
+    # diagonal skips eigh, anything else is validated once
+    calls = _spy_eig(monkeypatch)
+    assert check_projector(_coord_projector(5, 2)) == 2
+    assert check_projector(np.zeros((0, 0))) == 0
+    assert calls == []
+    assert check_projector(np.diag([1.0 + 5e-11, 0.0])) == 1
+    assert calls == [(2, 2)]
+    with pytest.raises(NotAProjector, match=r"must be square, got shape \(2, 3\)"):
+        check_projector(np.zeros((2, 3)))
+
+
 @pytest.mark.parametrize(
     "p,message",
     [
@@ -452,8 +465,8 @@ def _old_route(block, tol=DEFAULT_TOL):
     v22 = v_operator(t22, tol)
     systems = (
         (v22, t21),
-        (psd_power(absolute_value(t22, "right", tol), 0.5, tol), t12s),
-        (psd_power(absolute_value(t22, "left", tol), 0.5, tol), t21),
+        (psd_power(absolute_value(t22, "right"), 0.5, tol), t12s),
+        (psd_power(absolute_value(t22, "left"), 0.5, tol), t21),
         (v22.conj().T, t12s),
         (t22, t21),
         (t22.conj().T, t12s),
