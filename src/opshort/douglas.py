@@ -8,7 +8,8 @@ inclusion R(C) <= R(A), which is what :func:`range_included` measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -16,6 +17,7 @@ from .errors import NotSolvable, ShapeMismatch
 from .numkit import (
     DEFAULT_TOL,
     Tol,
+    _norm_bounds,
     _norm_within,
     _svd_factor,
     _SVDFactor,
@@ -30,15 +32,21 @@ __all__ = ["RangeInclusion", "ReducedSolution", "range_included", "reduced_solut
 class RangeInclusion:
     """Verdict of a range-inclusion test R(C) <= R(A).
 
-    ``margin`` is ||(I - P_R(A)) C|| / max(||C||, 1); the verdict is
-    ``margin <= residual_rel``.  ``borderline`` marks margins within a factor
-    10 of residual_rel on either side, where the boolean should not be
-    trusted without a second look.
+    ``margin`` is ||(I - P_R(A)) C|| / max(||C||, 1), computed on first read;
+    the verdict is ``margin <= residual_rel``.  ``borderline`` marks margins
+    within a factor 10 of residual_rel on either side, where the boolean
+    should not be trusted without a second look.
     """
 
     included: bool
-    margin: float
     borderline: bool
+    _residual: np.ndarray | float = field(repr=False, compare=False)  # or its norm
+    _scale: float = field(repr=False, compare=False)  # max(||C||, 1)
+
+    @cached_property
+    def margin(self) -> float:
+        r = self._residual
+        return (r if isinstance(r, float) else opnorm(r)) / self._scale
 
 
 @dataclass(frozen=True)
@@ -73,14 +81,17 @@ def _inclusion(ur: np.ndarray, uc: np.ndarray, cm: np.ndarray, c_norm: float, to
 
     ``ur`` has orthonormal columns spanning R(A) (the left singular vectors
     above the rank cutoff), ``uc`` is U_r* C and ``c_norm`` is ||C||; the
-    margin is ||C - U_r (U_r* C)|| / max(||C||, 1).
+    margin is ||C - U_r (U_r* C)|| / max(||C||, 1).  Its flags are read from
+    bounds [lo, hi] on that norm: the Frobenius ones where they lie a factor 2
+    outside the borderline band, far beyond their rounding, else lo = hi = it.
     """
-    margin = opnorm(cm - ur @ uc) / max(c_norm, 1.0)
-    return RangeInclusion(
-        included=margin <= tol.residual_rel,
-        margin=margin,
-        borderline=tol.residual_rel / 10.0 <= margin <= tol.residual_rel * 10.0,
-    )
+    residual = cm - ur @ uc
+    scale, rel = max(c_norm, 1.0), tol.residual_rel
+    lo, hi = _norm_bounds(residual)
+    if hi >= rel / 20.0 * scale and lo <= rel * 20.0 * scale:
+        residual = lo = hi = opnorm(residual)
+    lo, hi = float(lo) / scale, float(hi) / scale
+    return RangeInclusion(hi <= rel, rel / 10.0 <= lo and hi <= rel * 10.0, residual, scale)
 
 
 def range_included(a, c, tol: Tol = DEFAULT_TOL) -> RangeInclusion:

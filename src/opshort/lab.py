@@ -25,7 +25,7 @@ from .errors import InternalInvariantViolation
 from .numkit import (
     DEFAULT_TOL, Tol, _angle_factors, _integer, _norm_within, opnorm, psd_power, range_basis
 )
-from .parallel import parallel_sum
+from .parallel import _parallel_core, _psd_pair
 from .shorting import _coordinate_columns, _coordinate_projector, is_complementable, partition, shorted
 
 __all__ = [
@@ -176,15 +176,18 @@ def _sweep_row(d: int, tol: Tol) -> SweepRow:
     # so ||Etilde|| <= ||E||; likewise ||F|| <= ||Ftilde||
     norm_weak = max(opnorm(wd.E), opnorm(wd.Ftilde))
 
-    # bigT's T22 C = T21 is (A0 + B0) C = B0, which shorted solved from its one
-    # SVD of T22 = A0 + B0; that SVD also gives cond(A0 + B0)
+    # bigT's T22 C = T21 is (A0 + B0) C = B0, solved from shorted's one SVD of
+    # T22 = A0 + B0; that SVD also gives cond(A0 + B0)
     strong = is_complementable(block, tol).C
     if strong is None:
         raise InternalInvariantViolation(f"(A0 + B0) X = B0 is unsolvable at d={d}")
-    cond = float(block._t22.s[0] / block._t22.s[-1])
-    del block  # freed before parallel_sum builds its own partition
+    t22 = block._t22
+    cond = float(t22.s[0] / t22.s[-1])
+    del block  # freed before A0 : B0 builds its own partition
 
-    psum = parallel_sum(kit.A0, kit.B0, tol)
+    # parallel_sum(A0, B0).value (singular A0: no cross-check) from its own
+    # partition, whose T22 = A0 + B0 has the bytes of the one factored above
+    psum = _parallel_core(*_psd_pair(kit.A0, kit.B0, tol), tol, t22)[0]
 
     # B0 projects onto coordinates, so those columns are its range basis
     b0_basis = _coordinate_columns(2 * d, np.flatnonzero(np.diagonal(kit.B0) == 1.0))
@@ -195,7 +198,7 @@ def _sweep_row(d: int, tol: Tol) -> SweepRow:
         d=d,
         norm_strong_solution=opnorm(strong),
         norm_weak_solutions=norm_weak,
-        norm_parallel_sum=opnorm(psum.value),
+        norm_parallel_sum=opnorm(psum),
         # the ambient shorted operator is the core lifted by orthonormal bases
         shorted_norm=opnorm(short.core),
         cond_ApB=cond,

@@ -135,7 +135,7 @@ def _norm_within(x, rel: float, y=0.0, floor: float = 1.0) -> bool:
     bounds of :func:`_norm_bounds` settle a certain pass or a certain fail;
     only inside the band between them are the exact operator norms computed.
     Use it where a verdict is a boolean; a reported number stays an exact
-    :func:`opnorm`.
+    :func:`opnorm`, taken on first read, so an unread margin costs no SVD.
     """
     x_lo, x_hi = _norm_bounds(x)
     y_lo, y_hi = _norm_bounds(y)

@@ -100,14 +100,18 @@ class ParallelSumResult:
     route_agreement: float
 
 
-def _parallel_core(ah, wa, bh, wb, tol: Tol) -> tuple[np.ndarray, BlockOperator]:
+def _parallel_core(ah, wa, bh, wb, tol: Tol, t22=None) -> tuple[np.ndarray, BlockOperator]:
     """A : B of operands validated by :func:`_psd_pair`, with the partition of
-    [[A, A], [A, A + B]] it came from; that partition's T22 is A + B, and
-    its SVD is cached once :func:`shorted` has run."""
+    [[A, A], [A, A + B]] it came from; its T22 is A + B, whose SVD :func:`shorted`
+    caches, unless ``t22`` hands in an SVD of a matrix with the same bytes."""
     n = ah.shape[0]
     big = np.block([[ah, ah], [ah, ah + bh]])
     corner = _coordinate_projector(2 * n, n)
     blk = partition(big, corner, corner, tol)
+    # seed the block's cached views: the gathered T21 = T12* is A, normed by wa
+    blk.__dict__["_t21_norm"] = _norm(wa)
+    if t22 is not None:
+        blk.__dict__["_t22"] = t22
     res = shorted(blk, tol)
     # the ambient shorted matrix is [[A:B, 0], [0, 0]]; the corner block is
     # basis-independent, unlike the core's internal coordinates

@@ -34,8 +34,8 @@ reduced solution has a closed form over the first r singular triplets:
 and each system is solvable iff its right-hand side lies in R(W_r) (T21)
 or R(V_r) (T12*).  Applying a weak system's operator to its solution
 gives W_r W_r* T21 or V_r V_r* T12*, so the four weak residuals are the
-four inclusion margins of their (side, rank).  Two rank rules read from s
-fix r.  Both keep only sigma_i > rank_rel * max(sigma_1, ||T21||, ||T12||),
+four inclusion margins of their (side, rank), computed on read.  Two rules
+on s fix r.  Both keep only sigma_i > rank_rel * max(sigma_1, ||T21||, ||T12||),
 so a T22 that is pure round-off next to the corners it meets has rank 0:
 
 * systems 1 and 4 and both strong systems need nothing more;
@@ -50,7 +50,7 @@ equal in value to the products; the sign of an exact zero follows T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -181,6 +181,8 @@ def _projector_bases(p: np.ndarray, tol: Tol):
     m = as_matrix(p, "projector")
     if m.shape[0] != m.shape[1]:
         raise NotAProjector(f"projector must be square, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise NotAProjector("projector has non-finite entries")
     diag = np.diagonal(m)
     if np.count_nonzero(m) == np.count_nonzero(diag) and np.all(
         (diag == 0.0) | (diag == 1.0)
@@ -255,12 +257,17 @@ class BlockOperator:
         return _svd_factor(self.T22)
 
     @cached_property
+    def _t21_norm(self) -> float:
+        """||T21||, unless a caller that knows it has seeded it."""
+        return opnorm(self.T21)
+
+    @cached_property
     def _sides(self):
         """The two sides of T22 = W s V* as (basis, right-hand side C, ||C||,
         basis* C): (W, T21, ...) on N_perp and (V, T12*, ...) on M_perp."""
         f = self._t22
         t12s = self.T12.conj().T
-        n21 = opnorm(self.T21)
+        n21 = self._t21_norm
         # one norm for equal values: T12* = T21 if T = T* exactly, PM = PN, gathered
         n12 = n21 if np.array_equal(t12s, self.T21) else opnorm(t12s)
         return (
@@ -365,13 +372,17 @@ class Complementability:
 
     ``C`` solves T22 C = T21 and ``D`` solves T22* D = T12*, both reduced;
     a witness is None when its system is unsolvable.  ``margins`` holds the
-    two range-inclusion margins in system order.
+    two range-inclusion margins in system order, computed on first read.
     """
 
     complementable: bool
     C: np.ndarray | None
     D: np.ndarray | None
-    margins: tuple[float, float]
+    _verdicts: tuple[RangeInclusion, RangeInclusion] = field(repr=False, compare=False)
+
+    @property
+    def margins(self) -> tuple[float, float]:
+        return tuple(v.margin for v in self._verdicts)
 
 
 def _ranks(block: BlockOperator, tol: Tol) -> tuple[int, int]:
@@ -434,7 +445,7 @@ def is_complementable(block: BlockOperator, tol: Tol = DEFAULT_TOL) -> Complemen
         complementable=to_c.included and to_d.included,
         C=c if to_c.included else None,
         D=d if to_d.included else None,
-        margins=(to_c.margin, to_d.margin),
+        _verdicts=(to_c, to_d),
     )
 
 
@@ -481,15 +492,19 @@ class WeakComplementData:
     When a system is unsolvable its slot holds the least-squares candidate
     and the matching ``solvable`` flag is False; ``residuals`` always holds
     the four inclusion margins, each system's relative equation residual
-    in exact arithmetic.
+    in exact arithmetic, computed on first read.
     """
 
     E: np.ndarray
     F: np.ndarray
     Etilde: np.ndarray
     Ftilde: np.ndarray
-    residuals: tuple[float, float, float, float]
     solvable: tuple[bool, bool, bool, bool]
+    _verdicts: tuple[RangeInclusion, ...] = field(repr=False, compare=False)
+
+    @property
+    def residuals(self) -> tuple[float, float, float, float]:
+        return tuple(v.margin for v in self._verdicts)
 
 
 def weak_complement_data(block: BlockOperator, tol: Tol = DEFAULT_TOL) -> WeakComplementData:
@@ -497,8 +512,8 @@ def weak_complement_data(block: BlockOperator, tol: Tol = DEFAULT_TOL) -> WeakCo
     solutions, verdicts = zip(*_solve_corners(block, _CORNER_SYSTEMS[:4], tol))
     return WeakComplementData(
         *solutions,
-        residuals=tuple(v.margin for v in verdicts),
         solvable=tuple(v.included for v in verdicts),
+        _verdicts=verdicts,
     )
 
 
@@ -523,7 +538,9 @@ def shorted(block: BlockOperator, tol: Tol = DEFAULT_TOL) -> ShortedResult:
     """Bilateral shorted operator of T relative to (M, N).
 
     Uses the averaged core (F* E + Ftilde* Etilde) / 2 and verifies that the
-    two cross products agree, instead of silently trusting either one.
+    two cross products agree, instead of silently trusting either one.  In
+    finite dimension ``mode`` is always "complementable": it reads the strong
+    verdicts, which systems 1 and 4 share.
 
     Raises
     ------
@@ -549,8 +566,8 @@ def shorted(block: BlockOperator, tol: Tol = DEFAULT_TOL) -> ShortedResult:
         )
     core = block.T11 - 0.5 * (fe + fte)
     ambient = block.lift(x11=core)
-    comp = is_complementable(block, tol)
-    mode = "complementable" if comp.complementable else "weakly_complementable"
+    strong = all(_inclusion_at(block, s, _ranks(block, tol)[0], tol).included for s in (0, 1))
+    mode = "complementable" if strong else "weakly_complementable"
     return ShortedResult(shorted=ambient, core=core, witnesses=data, mode=mode)
 
 

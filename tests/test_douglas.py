@@ -11,7 +11,7 @@ from opshort import (
     range_projector,
     reduced_solution,
 )
-from opshort.douglas import _solve
+from opshort.douglas import _inclusion, _solve
 from opshort.errors import NotSolvable, ShapeMismatch
 from opshort.numkit import DEFAULT_TOL, _svd_factor
 
@@ -203,6 +203,67 @@ def test_reduced_solution_factors_a_once(monkeypatch):
     # check is settled by Frobenius bounds
     assert len(calls) == 4
     assert sol.range_ok
+
+
+# --- verdicts settled without the margin ----------------------------------------
+
+
+def _eager(ur, uc, cm, c_norm, tol=DEFAULT_TOL):
+    """The inclusion rule with the margin always computed: (included,
+    borderline, margin)."""
+    margin = opnorm(cm - ur @ uc) / max(c_norm, 1.0)
+    rel = tol.residual_rel
+    return margin <= rel, rel / 10.0 <= margin <= rel * 10.0, margin
+
+
+def _inclusion_case(rng, n, k, p, margin):
+    """R(A) spanned by k orthonormal columns U_r of C^n, and C (n x p) whose
+    part outside R(A) has norm ``margin``: (U_r, U_r* C, C, ||C||)."""
+    q = np.linalg.qr(rand_complex(rng, n, n))[0]
+    ur = q[:, :k]
+    out = q[:, k:] @ rand_complex(rng, n - k, p)
+    c = ur @ rand_complex(rng, k, p) + margin * out / opnorm(out)
+    return ur, ur.conj().T @ c, c, opnorm(c)
+
+
+def _assert_same_verdict(case):
+    got = _inclusion(*case, DEFAULT_TOL)
+    included, borderline, margin = _eager(*case)
+    assert (got.included, got.borderline) == (included, borderline)
+    assert type(got.included) is type(got.borderline) is bool
+    assert got.margin == margin
+
+
+def test_settled_verdicts_match_the_eager_rule_on_log_uniform_margins():
+    rng = np.random.default_rng(1414)
+    for _ in range(200):
+        n = int(rng.integers(2, 40))
+        k, p = int(rng.integers(1, n)), int(rng.integers(1, 4))
+        margin = 10.0 ** rng.uniform(-14.0, -2.0)
+        _assert_same_verdict(_inclusion_case(rng, n, k, p, margin))
+
+
+@pytest.mark.parametrize("edge", [0.1, 1.0, 10.0])
+@pytest.mark.parametrize("cols", [1, 3])
+def test_settled_verdicts_match_the_eager_rule_at_the_band_edges(edge, cols):
+    # margins within a few ulps of rel/10, rel and 10 rel.  On a single
+    # column the Frobenius and operator norms agree in exact arithmetic and
+    # round apart, so a settling rule without a margin on the band would
+    # flip flags here
+    rng = np.random.default_rng([1515, cols])
+    target = edge * DEFAULT_TOL.residual_rel
+    sides = set()
+    for _ in range(100):
+        n = int(rng.integers(2, 40))
+        ur, _, c, _ = _inclusion_case(rng, n, 1, cols, target)
+        # the out-of-range part alone, so the margin is ||C|| against the floor 1
+        c = c - ur @ (ur.conj().T @ c)
+        c = c * (target / opnorm(c))
+        case = (ur, ur.conj().T @ c, c, 0.0)
+        _assert_same_verdict(case)
+        sides.add(float(np.sign(_eager(*case)[2] - target)))
+    # the cases straddle the edge
+    assert {-1.0, 1.0} <= sides or 0.0 in sides
 
 
 # --- verdict stability ------------------------------------------------------------

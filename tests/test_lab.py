@@ -17,7 +17,7 @@ from opshort import (
     verify_closed_forms,
     weak_complement_data,
 )
-from opshort import lab, shorting
+from opshort import lab, parallel, shorting
 from opshort.douglas import _solve
 from opshort.numkit import _svd_factor
 from opshort.lab import (
@@ -223,20 +223,42 @@ def test_sweep_row_values():
 
 
 def test_sweep_row_svd_budget(monkeypatch):
-    # 16: 4 per partition (the row's and parallel_sum's): T22, ||T21|| (both
-    # partitions have T12* = T21, so ||T12|| is the same number) and one
-    # margin per side, which the weak residuals reuse; 5 reported norms:
-    # ||E||, ||Ftilde||, the strong solution, A0 : B0 and the shorted core;
-    # range_basis(A0) and the 2 angle SVDs.  The strong solution and
-    # cond(A0 + B0) are read from the row's partition, whose T22 is A0 + B0.
-    # The kit is real, so every SVD and every eigenvalue call of the row
-    # (parallel_sum's two validations and its PSD clamp) takes the real driver
+    # 10: the row's partition takes 2, T22 = A0 + B0 and ||T21|| (T12* = T21,
+    # so ||T12|| is the same number); 5 reported norms: ||E||, ||Ftilde||, the
+    # strong solution, A0 : B0 and the shorted core; range_basis(A0) and the 2
+    # angle SVDs.  A0 : B0's partition takes none: its T22 reuses the row's
+    # factor of A0 + B0, its ||T21|| = ||A0|| comes from A0's eigenvalues, and
+    # no margin of either partition is read, so the Frobenius bounds settle
+    # them all.  The strong solution and cond(A0 + B0) are read from the row's
+    # partition.  The kit is real, so every SVD and every eigenvalue call of
+    # the row (A0 : B0's two validations and its PSD clamp) takes the real driver
     calls = record_svd(monkeypatch)
     eig_calls = [record_linalg(monkeypatch, k, lambda _: None) for k in ("eigvalsh", "eigh")]
     lab._sweep_row(16, DEFAULT_TOL)
-    assert len(calls) == 16
+    assert len(calls) == 10
+    assert sum(uv for _, uv in calls) == 2  # T22 and range_basis(A0)
     assert [len(c) for c in eig_calls] == [2, 1]
     assert {x.dtype for x, _ in calls + eig_calls[0] + eig_calls[1]} == {np.dtype(np.float64)}
+
+
+@pytest.mark.parametrize("d", DEFAULT_SWEEP_DIMS)
+def test_row_t22_has_the_bytes_of_the_parallel_sum_t22(monkeypatch, d):
+    # the row hands its factor of T22 to A0 : B0's partition, whose own T22
+    # must then be the same matrix, byte for byte
+    kit = make_kit(d)
+    row_t22 = partition(kit.bigT, kit_block_projector(d), kit_block_projector(d)).T22
+    blocks = []
+
+    def stop(block, tol):
+        blocks.append(block)
+        raise StopIteration
+
+    monkeypatch.setattr(parallel, "shorted", stop)
+    with pytest.raises(StopIteration):
+        parallel._parallel_core(*parallel._psd_pair(kit.A0, kit.B0, DEFAULT_TOL), DEFAULT_TOL)
+    core_t22 = blocks[0].T22
+    assert row_t22.dtype == core_t22.dtype == np.float64
+    assert row_t22.shape == core_t22.shape and row_t22.tobytes() == core_t22.tobytes()
 
 
 @pytest.mark.parametrize("d", [8, 64])

@@ -121,6 +121,21 @@ def test_parallel_sum_computes_no_inverse_on_singular_summands(monkeypatch):
     assert calls == []
 
 
+def test_parallel_sum_of_a_singular_real_pair_takes_one_svd(monkeypatch):
+    # the SVD of T22 = A + B alone: ||T21|| = ||A|| comes from A's
+    # eigenvalues, no margin is read, and a singular pair runs no cross-check
+    rng = np.random.default_rng(5151)
+    x, y = rng.normal(size=(12, 8)), rng.normal(size=(12, 8))
+    a, b = x @ x.T, y @ y.T
+    calls = record_svd(monkeypatch)
+    value = parallel_sum(a, b).value
+    assert len(calls) == 1 and calls[0][1] and np.array_equal(calls[0][0], a + b)
+    assert value.dtype == np.float64
+    # the seeded ||T21|| = ||T12|| is ||A||
+    blk = parallel._parallel_core(*parallel._psd_pair(a, b, DEFAULT_TOL), DEFAULT_TOL)[1]
+    assert [side[2] for side in blk._sides] == pytest.approx([opnorm(a)] * 2, rel=1e-14)
+
+
 def test_parallel_sum_range_intersection_rank():
     # R(A : B) = R(A) intersect R(B): build summands sharing an exact
     # two-dimensional overlap of eigenvectors

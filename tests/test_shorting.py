@@ -83,6 +83,18 @@ def test_check_projector_eigenvalue_drift():
     assert check_projector(np.diag([1.0 + 5e-11, 0.0])) == 1
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [(0, 0), (1, 0)])
+def test_non_finite_projectors_are_rejected_before_any_norm(monkeypatch, bad, entry):
+    p = np.diag([1.0, 0.0])
+    p[entry] = bad
+    calls = record_svd(monkeypatch)
+    for check in (check_projector, lambda q: partition(np.eye(2), q, np.eye(2))):
+        with pytest.raises(NotAProjector, match="non-finite"):
+            check(p)
+    assert calls == []
+
+
 # --- exact coordinate projectors ----------------------------------------------------
 
 
@@ -498,6 +510,14 @@ def _not_weak_instance(rng):
     return block.lift(block.T11, block.T12, block.T21 + push, block.T22), pm, pn
 
 
+def _tiny_t22_instance():
+    # T22 = 1e-11 I is perfectly conditioned, yet below eig_clamp_rel times
+    # the unit corners T21 = T12 = I
+    eye = np.eye(2)
+    t = np.block([[0.0 * eye, eye], [eye, 1e-11 * eye]])
+    return t, _coord_projector(4, 2), _coord_projector(4, 2)
+
+
 @pytest.mark.parametrize("kind", ["complementable", "not_weak", "kit", "tiny_t22"])
 def test_closed_forms_match_the_old_route(kind):
     rng = np.random.default_rng({"complementable": 11, "not_weak": 12}.get(kind, 13))
@@ -513,11 +533,7 @@ def test_closed_forms_match_the_old_route(kind):
             t, pm = kit.bigT, kit_block_projector(16)
             pn = pm
         else:
-            # T22 = 1e-11 I is perfectly conditioned, yet below eig_clamp_rel
-            # times the unit corners T21 = T12 = I
-            eye = np.eye(2)
-            t = np.block([[0.0 * eye, eye], [eye, 1e-11 * eye]])
-            pm = pn = _coord_projector(4, 2)
+            t, pm, pn = _tiny_t22_instance()
         block = partition(t, pm, pn)
         deficient += numerical_rank(block.T22) < min(block.T22.shape)
         old = _old_route(block)
@@ -601,6 +617,29 @@ def test_the_two_rank_rules_reproduce_the_old_verdicts(t21_out, t12_out, failing
         assert shorted(block).mode == "complementable"
 
 
+_MODE_CASES = {
+    "complementable": lambda i: partition(*complementable_instance(np.random.default_rng([11, i]))),
+    "psd": lambda i: partition(
+        rand_psd(np.random.default_rng([12, i]), 6, 3), *[_coord_projector(6, 2)] * 2
+    ),
+    "kit": lambda i: partition(make_kit(16).bigT, kit_block_projector(16), kit_block_projector(16)),
+    "tiny_t22": lambda i: partition(*_tiny_t22_instance()),
+    "two_rules": lambda i: _two_rule_block(False, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MODE_CASES))
+def test_shorted_mode_is_the_strong_verdict(case):
+    # shorted reads mode from the verdicts that systems 1 and 4 cached; on a
+    # fresh partition of the same operator, is_complementable solves the
+    # strong systems on its own
+    build = _MODE_CASES[case]
+    for i in range(8 if case in ("complementable", "psd") else 1):
+        mode = shorted(build(i)).mode
+        strong = is_complementable(build(i)).complementable
+        assert mode == ("complementable" if strong else "weakly_complementable")
+
+
 def test_shorted_takes_one_svd_of_t22(monkeypatch):
     # 9 x 7 T with dim M = 3 and dim N = 2, so T22 is 7 x 4 and no corner
     # has T's shape; T21 = T22 K keeps the partition complementable
@@ -615,18 +654,23 @@ def test_shorted_takes_one_svd_of_t22(monkeypatch):
     block = partition(t, (pm + pm.conj().T) / 2.0, (pn + pn.conj().T) / 2.0)
     calls = record_svd(monkeypatch)
     result = shorted(block)
-    # T22, ||T21||, ||T12|| and one margin per side; the weak residuals are
-    # those margins
-    assert len(calls) == 5
+    # T22, ||T21|| and ||T12||: the Frobenius bounds settle every margin,
+    # which is computed only when read, and mode reads the strong verdicts
+    # that systems 1 and 4 cached
+    assert len(calls) == 3
     factored = [m for m, uv in calls if uv]
     assert len(factored) == 1 and np.array_equal(factored[0], block.T22)
     assert all(m.shape not in (t.shape, t.T.shape) for m, _ in calls)
-    # the factor, the margins and ||T21||, ||T12|| stay with the block, and the
-    # two rank rules read them
+    # the factor, the verdicts and ||T21||, ||T12|| stay with the block, and
+    # the two rank rules read them; each margin costs one norm, on first read
     calls.clear()
     weak_complement_data(block)
     is_complementable(block)
-    shorting._ranks(block, DEFAULT_TOL)
+    assert shorting._ranks(block, DEFAULT_TOL) == (4, 4)
+    assert not calls
+    # equal ranks: systems 1 and 3 share the T21 verdict, 2 and 4 the T12* one
+    assert len(result.witnesses.residuals) == 4 and len(calls) == 2
+    assert len(is_complementable(block).margins) == 2 and len(calls) == 2
     assert not [uv for _, uv in calls if uv]
     assert result.mode == "complementable"
 
