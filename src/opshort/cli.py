@@ -167,10 +167,11 @@ def _cmd_partition(args, tol: Tol, t, pm, pn):
     return dict(
         rank_PM=blk.dim_m,
         rank_PN=blk.dim_n,
-        T11=matrix_to_json_dict(blk.T11),
-        T12=matrix_to_json_dict(blk.T12),
-        T21=matrix_to_json_dict(blk.T21),
-        T22=matrix_to_json_dict(blk.T22),
+        # a corner's entries depend on the bases, its singular values do not
+        singular_values={
+            name: np.linalg.svd(getattr(blk, name), compute_uv=False).tolist()
+            for name in ("T11", "T12", "T21", "T22")
+        },
         reassembly_residual=opnorm(blk.reassembled() - blk.T),
     ), 0
 
@@ -191,13 +192,9 @@ def _cmd_shorted(args, tol: Tol, t, pm, pn):
     wd = result.witnesses
     return dict(
         mode=result.mode,
-        core=matrix_to_json_dict(result.core),
         shorted=matrix_to_json_dict(result.shorted),
         witnesses={
-            "E": matrix_to_json_dict(wd.E),
-            "F": matrix_to_json_dict(wd.F),
-            "Etilde": matrix_to_json_dict(wd.Etilde),
-            "Ftilde": matrix_to_json_dict(wd.Ftilde),
+            "norms": [opnorm(x) for x in (wd.E, wd.F, wd.Etilde, wd.Ftilde)],
             "residuals": list(wd.residuals),
             "solvable": list(wd.solvable),
         },

@@ -55,15 +55,23 @@ class ReducedSolution:
 
     ``residual`` is ||A D - C|| / max(||C||, 1) and ``range_ok`` records the
     defining constraint R(D) <= R(A*) (always true for the pinv construction,
-    but verified rather than assumed).  ``margin`` and ``borderline`` echo
-    the range-inclusion test that justified solvability.
+    but verified rather than assumed).  ``margin`` (computed on first read)
+    and ``borderline`` echo the range-inclusion test that justified
+    solvability.
     """
 
     D: np.ndarray
     residual: float
     range_ok: bool
-    margin: float
-    borderline: bool
+    _verdict: RangeInclusion = field(repr=False, compare=False)
+
+    @property
+    def margin(self) -> float:
+        return self._verdict.margin
+
+    @property
+    def borderline(self) -> bool:
+        return self._verdict.borderline
 
 
 def _operands(a, c):
@@ -152,20 +160,17 @@ def _solve(am: np.ndarray, f: _SVDFactor, cm: np.ndarray, tol: Tol) -> ReducedSo
     uc = ur.conj().T @ cm
     c_norm = opnorm(cm)
     verdict = _inclusion(ur, uc, cm, c_norm, tol)
-    margin, borderline = verdict.margin, verdict.borderline
     vr = f.vh[:r].conj().T
     d = (vr / f.s[:r]) @ uc
     residual = opnorm(am @ d - cm) / max(c_norm, 1.0)
     if not verdict.included:
         raise NotSolvable(
-            f"A X = C is not solvable: inclusion margin {margin:.3e} "
+            f"A X = C is not solvable: inclusion margin {verdict.margin:.3e} "
             f"exceeds residual_rel {tol.residual_rel:.3e}",
-            margin=margin,
+            margin=verdict.margin,
             candidate=d,
             residual=residual,
-            borderline=borderline,
+            borderline=verdict.borderline,
         )
     range_ok = _norm_within(d - vr @ (vr.conj().T @ d), tol.residual_rel, d)
-    return ReducedSolution(
-        D=d, residual=residual, range_ok=range_ok, margin=margin, borderline=borderline
-    )
+    return ReducedSolution(D=d, residual=residual, range_ok=range_ok, _verdict=verdict)

@@ -26,7 +26,9 @@ from .numkit import (
     DEFAULT_TOL, Tol, _angle_factors, _integer, _norm_within, opnorm, psd_power, range_basis
 )
 from .parallel import _parallel_core, _psd_pair
-from .shorting import _coordinate_columns, _coordinate_projector, is_complementable, partition, shorted
+from .shorting import (
+    _CORNER_SYSTEMS, _coordinate_columns, _coordinate_projector, _solve_corners, partition, shorted
+)
 
 __all__ = [
     "CounterexampleKit",
@@ -176,10 +178,10 @@ def _sweep_row(d: int, tol: Tol) -> SweepRow:
     # so ||Etilde|| <= ||E||; likewise ||F|| <= ||Ftilde||
     norm_weak = max(opnorm(wd.E), opnorm(wd.Ftilde))
 
-    # bigT's T22 C = T21 is (A0 + B0) C = B0, solved from shorted's one SVD of
-    # T22 = A0 + B0; that SVD also gives cond(A0 + B0)
-    strong = is_complementable(block, tol).C
-    if strong is None:
+    # bigT's T22 C = T21 is (A0 + B0) C = B0, solved alone (the row reports no
+    # D) from shorted's one SVD of T22 = A0 + B0; that SVD also gives cond(A0 + B0)
+    [(strong, to_c)] = _solve_corners(block, _CORNER_SYSTEMS[4:5], tol)
+    if not to_c.included:
         raise InternalInvariantViolation(f"(A0 + B0) X = B0 is unsolvable at d={d}")
     t22 = block._t22
     cond = float(t22.s[0] / t22.s[-1])

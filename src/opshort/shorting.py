@@ -7,9 +7,11 @@ in as orthogonal projectors), the 2x2 partition stores the four compressions
     T11 : M -> N        T12 : M_perp -> N
     T21 : M -> N_perp   T22 : M_perp -> N_perp
 
-in coordinates of deterministic orthonormal bases.  The pair (M, N) is
-complementable when both T22 X = T21 and T22* Y = T12* are solvable; it is
-weakly complementable when four half-power systems admit reduced solutions:
+in coordinates of orthonormal bases that the subspaces do not determine
+(see :class:`BlockOperator`); the ambient objects built from the corners
+do not depend on that choice.  The pair (M, N) is complementable when both
+T22 X = T21 and T22* Y = T12* are solvable; it is weakly complementable
+when four half-power systems admit reduced solutions:
 
     1.  V(T22)    Y1 = T21          -> E
     2.  |T22|^(1/2)  Y2 = T12*      -> F
@@ -98,7 +100,7 @@ _PROJ_IDEM_BOUND = 1e-10
 
 def _validated_projector_eig(m: np.ndarray, tol: Tol):
     """Validate a square nonempty projector candidate; return its
-    eigenvectors, eigenvalue 1 first, and its rank.
+    eigenvectors in eigh's ascending order, eigenvalue 1 last, and its rank.
 
     The two gap tests are settled by :func:`numkit._norm_within`, which
     computes exact singular values only near the bound.
@@ -120,9 +122,7 @@ def _validated_projector_eig(m: np.ndarray, tol: Tol):
             f"projector eigenvalues stray {stray:.3e} from {{0, 1}}, beyond "
             f"eig_clamp_rel = {tol.eig_clamp_rel:.1e}"
         )
-    rank = int(np.count_nonzero(w > 0.5))
-    # descending order puts the rank-1 cluster first
-    return np.ascontiguousarray(v[:, ::-1]), rank
+    return v, int(np.count_nonzero(w > 0.5))
 
 
 def check_projector(p, tol: Tol = DEFAULT_TOL) -> int:
@@ -133,31 +133,6 @@ def check_projector(p, tol: Tol = DEFAULT_TOL) -> int:
     never rounded into shape.
     """
     return _projector_bases(p, tol)[0].shape[1]
-
-
-def _ordered_basis(vectors: np.ndarray) -> np.ndarray:
-    """Canonical ordering of an eigenspace basis: phase-fixed columns sorted
-    lexicographically (descending) on their rounded coordinates."""
-    n, k = vectors.shape
-    if k == 0:
-        return np.zeros((n, 0), dtype=vectors.dtype)
-    # rotate each column so its first significant coordinate is real positive
-    sig = np.abs(vectors) > 1e-8
-    first = np.argmax(sig, axis=0)
-    pivots = vectors[first, np.arange(k)]
-    mags = np.abs(pivots)
-    has_sig = sig[first, np.arange(k)]
-    phases = np.where(has_sig, pivots.conj() / np.where(mags > 0.0, mags, 1.0), 1.0)
-    cols = vectors * phases
-    # lexsort takes its last key as primary, so interleave (imag, real) per
-    # coordinate with coordinate 0 last; orthonormal columns never tie
-    re = np.round(cols.real, 12)
-    im = np.round(cols.imag, 12)
-    keys = np.empty((2 * n, k))
-    keys[0::2] = im[::-1]
-    keys[1::2] = re[::-1]
-    order = np.lexsort(keys)[::-1]
-    return np.ascontiguousarray(cols[:, order])
 
 
 def _coordinate_columns(n: int, rows: np.ndarray) -> np.ndarray:
@@ -175,9 +150,9 @@ def _coordinate_projector(n: int, k: int) -> np.ndarray:
 
 
 def _projector_bases(p: np.ndarray, tol: Tol):
-    """Orthonormal bases (range, kernel) of a validated projector, in the
-    deterministic order used throughout the package, and the coordinates
-    (range, kernel) they pick when they are coordinate columns, else None."""
+    """Orthonormal bases (range, kernel) of a validated projector, C-contiguous,
+    and the coordinates (range, kernel) they pick when they are coordinate
+    columns, else None.  Only their spans are determined by the projector."""
     m = as_matrix(p, "projector")
     if m.shape[0] != m.shape[1]:
         raise NotAProjector(f"projector must be square, got shape {m.shape}")
@@ -188,12 +163,13 @@ def _projector_bases(p: np.ndarray, tol: Tol):
         (diag == 0.0) | (diag == 1.0)
     ):
         # an exact 0/1 diagonal (0 x 0 included) is exactly a projector; its bases
-        # are the coordinate columns in ascending order, as _ordered_basis sorts them
+        # are the coordinate columns in ascending order
         n = m.shape[0]
         index = (np.flatnonzero(diag == 1.0), np.flatnonzero(diag == 0.0))
         return _coordinate_columns(n, index[0]), _coordinate_columns(n, index[1]), index
     vecs, rank = _validated_projector_eig(m, tol)
-    return _ordered_basis(vecs[:, :rank]), _ordered_basis(vecs[:, rank:]), None
+    k = vecs.shape[1] - rank
+    return np.ascontiguousarray(vecs[:, k:]), np.ascontiguousarray(vecs[:, :k]), None
 
 
 @dataclass(frozen=True)
@@ -202,7 +178,10 @@ class BlockOperator:
 
     The corner blocks are stored in coordinates of the orthonormal basis
     columns ``basis_m``, ``basis_m_perp``, ``basis_n``, ``basis_n_perp``;
-    conjugating the block matrix back by these bases reproduces T.
+    conjugating the block matrix back by these bases reproduces T.  They are
+    the coordinate columns in ascending order for an exact 0/1 diagonal, else
+    the projector's eigenvectors as ``numpy.linalg.eigh`` returns them; only
+    their spans, and so only the corners' singular values, are basis-free.
     ``index_m`` (``index_n``) holds the coordinates that the domain's
     (codomain's) bases pick when they are coordinate columns, else None;
     corners and lifts are then gathered and scattered (module docstring),
@@ -521,9 +500,10 @@ def weak_complement_data(block: BlockOperator, tol: Tol = DEFAULT_TOL) -> WeakCo
 class ShortedResult:
     """Bilateral shorted operator of a partition.
 
-    ``core`` is the M -> N block T11 - (F* E + Ftilde* Etilde) / 2 and
-    ``shorted`` is the same operator embedded back into ambient coordinates,
-    so PN @ shorted @ PM == shorted.  ``mode`` records whether the stronger
+    ``core`` is the M -> N block T11 - (F* E + Ftilde* Etilde) / 2 in the
+    block's bases ``basis_n`` x ``basis_m``, as the witnesses are in its bases;
+    ``shorted`` is its basis-free embedding into ambient coordinates, so
+    PN @ shorted @ PM == shorted.  ``mode`` records whether the stronger
     two-system test also passed ("complementable") or only the weak one
     ("weakly_complementable").
     """

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from opshort import hansen_inequality_check, load_matrix, make_kit, parallel, save_matrix
+from opshort.numkit import matrix_from_json_dict
 from opshort.cli import build_parser, dispatch
 
 RNG = np.random.default_rng(6006)
@@ -345,10 +346,12 @@ def test_partition_payload(capsys, tmp_path):
     )
     assert code == 0
     assert payload["rank_PM"] == 2 and payload["rank_PN"] == 2
-    assert payload["T11"]["rows"] == 2
-    got = np.array(payload["T22"]["data"]).reshape(2, 2, 2)
-    assert np.allclose(got[..., 0], t[2:, 2:])
+    sv = payload["singular_values"]
+    assert sorted(sv) == ["T11", "T12", "T21", "T22"]
+    assert all(len(values) == 2 for values in sv.values())
+    assert np.allclose(sv["T22"], np.linalg.svd(t[2:, 2:], compute_uv=False))
     assert payload["reassembly_residual"] <= 1e-10
+    assert not {"T11", "T12", "T21", "T22"} & set(payload)
 
 
 def test_partition_rejects_non_projector(capsys, tmp_path):
@@ -365,7 +368,12 @@ def test_shorted_success(capsys, tmp_path):
     assert code == 0
     _check_envelope(payload, "shorted")
     assert payload["mode"] == "complementable"
-    assert payload["core"]["data"][0][0] == pytest.approx(1.0, abs=1e-12)
+    shorted = matrix_from_json_dict(payload["shorted"])
+    assert shorted[0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert np.all(shorted.ravel()[1:] == 0.0)
+    assert "core" not in payload
+    # E, F, Etilde and Ftilde are each [[1]] here
+    assert payload["witnesses"]["norms"] == pytest.approx([1.0] * 4, abs=1e-12)
     assert payload["cross_gap"] <= 1e-10
     assert payload["report"]["range_equal"] is True
     assert payload["report"]["kernel_equal"] is True
@@ -373,6 +381,63 @@ def test_shorted_success(capsys, tmp_path):
     # the ranks of T22 = [[1]] under the two rank rules
     assert payload["ranks"] == [1, 1]
     assert "redundancy" not in payload
+
+
+def _leaves(obj, path=()):
+    # every leaf of a JSON payload with its path of keys and list indices
+    if isinstance(obj, dict):
+        for key in sorted(obj):
+            yield from _leaves(obj[key], path + (key,))
+    elif isinstance(obj, list):
+        for i, item in enumerate(obj):
+            yield from _leaves(item, path + (i,))
+    else:
+        yield path, obj
+
+
+def test_partition_and_shorted_payloads_are_basis_free(capsys, tmp_path):
+    # P and P2 project onto one subspace through two orthonormal bases, so
+    # every number the payloads report must agree to round-off
+    rng = np.random.default_rng(16)
+    for trial in range(5):
+        g = rng.normal(size=(6, 6))
+        t = g @ g.T
+        q = np.linalg.qr(rng.normal(size=(6, 6)))[0][:, :3]
+        b = q @ np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        f = _write(tmp_path, "t.json", t)
+        ps = [_write(tmp_path, f"p{i}.json", x @ x.T) for i, x in enumerate((q, b))]
+        bound = 1e-12 * np.linalg.norm(t, 2)
+        for command in ("partition", "shorted"):
+            runs = [_run_json(capsys, [command, "--input", f, "--pm", p, "--pn", p]) for p in ps]
+            assert [code for code, _ in runs] == [0, 0]
+            got, want = (list(_leaves(payload)) for _, payload in runs)
+            assert [path for path, _ in got] == [path for path, _ in want]
+            for (path, x), (_, y) in zip(got, want):
+                if isinstance(x, float):
+                    assert abs(x - y) <= bound, (command, path)
+                else:
+                    assert x == y, (command, path)
+
+
+@pytest.mark.parametrize("k", [0, 4])
+def test_trivial_subspaces_exit_0(capsys, tmp_path, k):
+    # PM = 0 or PM = I: three corners have an empty side and no singular
+    # values; the fourth is T, and the shorted operator is 0 or T
+    g = RNG.normal(size=(4, 4))
+    t = g @ g.T
+    f = _write(tmp_path, "t.json", t)
+    p = _write(tmp_path, "p.json", np.diag([1.0] * k + [0.0] * (4 - k)))
+    argv = ["--input", f, "--pm", p, "--pn", p]
+    code, payload = _run_json(capsys, ["partition"] + argv)
+    assert code == 0
+    full = "T11" if k else "T22"
+    sv = payload["singular_values"]
+    assert {name for name, values in sv.items() if not values} == {"T11", "T12", "T21", "T22"} - {full}
+    assert np.allclose(sv[full], np.linalg.svd(t, compute_uv=False))
+    code, payload = _run_json(capsys, ["shorted"] + argv)
+    assert code == 0
+    assert np.allclose(matrix_from_json_dict(payload["shorted"]), t if k else 0.0, atol=1e-12)
+    assert payload["witnesses"]["norms"] == [0.0] * 4
 
 
 def test_shorted_weak_failure(capsys, tmp_path):

@@ -199,10 +199,12 @@ def test_reduced_solution_factors_a_once(monkeypatch):
     sol = reduced_solution(a, c)
     factored = [m for m, uv in calls if uv]
     assert len(factored) == 1 and np.array_equal(factored[0], a)
-    # norms only for the reported margin, ||C|| and the residual; the range
-    # check is settled by Frobenius bounds
-    assert len(calls) == 4
+    # norms only for ||C|| and the residual; the range check is settled by
+    # Frobenius bounds, and the margin costs its norm only when read
+    assert len(calls) == 3
     assert sol.range_ok
+    assert sol.margin <= DEFAULT_TOL.residual_rel
+    assert len(calls) == 4
 
 
 # --- verdicts settled without the margin ----------------------------------------

@@ -402,6 +402,9 @@ def test_equation_factors_a_plus_b_once(kind, monkeypatch):
     sol = solve_parallel_equation(a, b)
     total = a + b
     assert sum(uv and np.array_equal(m, total) for m, uv in svds) == 1
+    # and four norms for what is reported: the solve residual and ||B||, its
+    # scale, the equation residual and ||X||; the unread margin costs none
+    assert len(svds) == 5
     assert invs == []
     # A and B are validated once each
     assert [m.shape for m, _ in eigs] == [(n, n), (n, n)]

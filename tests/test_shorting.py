@@ -29,7 +29,7 @@ from opshort.errors import (
     WitnessInvalid,
 )
 from opshort.lab import kit_block_projector
-from opshort.shorting import _ordered_basis, _projector_bases, _validated_projector_eig
+from opshort.shorting import _projector_bases, _validated_projector_eig
 
 from _util import (
     complementable_instance,
@@ -98,21 +98,92 @@ def test_non_finite_projectors_are_rejected_before_any_norm(monkeypatch, bad, en
 # --- exact coordinate projectors ----------------------------------------------------
 
 
+def _span(basis):
+    return basis @ basis.conj().T
+
+
+def _rotated(rng, basis):
+    # the projector onto span(basis) through another orthonormal basis of it
+    k = basis.shape[1]
+    if np.iscomplexobj(basis):
+        return _span(basis @ rand_unitary(rng, k))
+    return _span(basis @ np.linalg.qr(rng.standard_normal((k, k)))[0])
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 16, 64, 200])
-def test_coordinate_projector_bases_are_the_eigh_bytes(n):
-    # the shortcut for exact 0/1 diagonals returns, byte for byte, the float64
-    # bases that the real eigh route and _ordered_basis produce
+def test_coordinate_projector_bases_agree_with_the_eigh_route(n):
+    # the shortcut for exact 0/1 diagonals and the eigh route span the same
+    # range and kernel, on the same matrix and through a rotated basis of the
+    # same subspace; only the spans are compared, as only they are determined
     rng = np.random.default_rng(n)
     patterns = [np.zeros(n), np.ones(n), (rng.uniform(size=n) < 0.5).astype(float)]
     patterns[2][0] = 1.0 - patterns[2][-1]  # mixed whenever n > 1
     for diag in patterns:
         p = np.diag(diag)
-        vecs, rank = _validated_projector_eig(p, DEFAULT_TOL)
-        expected = (_ordered_basis(vecs[:, :rank]), _ordered_basis(vecs[:, rank:]))
-        for got, want in zip(_projector_bases(p, DEFAULT_TOL), expected):
-            assert got.shape == want.shape and got.dtype == want.dtype == np.float64
-            assert got.flags.c_contiguous
-            assert got.tobytes() == want.tobytes()
+        rank = int(diag.sum())
+        bases = _projector_bases(p, DEFAULT_TOL)
+        assert bases[2] is not None
+        vecs, eig_rank = _validated_projector_eig(p, DEFAULT_TOL)
+        assert eig_rank == rank
+        # eigh's ascending order puts the kernel first and the range last
+        routes = [(vecs[:, n - rank :], vecs[:, : n - rank])]
+        q = _rotated(rng, bases[0])
+        if np.count_nonzero(q) != np.count_nonzero(np.diagonal(q)):
+            rotated = _projector_bases(q, DEFAULT_TOL)
+            assert rotated[2] is None
+            for b in rotated[:2]:
+                assert b.dtype == np.float64 and b.flags.c_contiguous
+            routes.append(rotated[:2])
+        for route in routes:
+            for got, want in zip(route, bases[:2]):
+                assert got.shape == want.shape
+                assert opnorm(got.conj().T @ got - np.eye(got.shape[1])) <= 1e-13
+                assert opnorm(_span(got) - _span(want)) <= 1e-12
+
+
+def _ambient(t, pm, pn):
+    # what a partition determines: the shorted operator, T reassembled, the
+    # complementability idempotents and the range/kernel report
+    block = partition(t, pm, pn)
+    result = shorted(block)
+    comp = is_complementable(block)
+    return (
+        [result.shorted, block.reassembled(), *complementable_idempotents(block, comp.C, comp.D)],
+        verify_range_kernel(block, result),
+    )
+
+
+def _same_ambient(t, first, second):
+    (got, report), (want, want_report) = _ambient(t, *first), _ambient(t, *second)
+    assert report == want_report
+    for g, w in zip(got, want):
+        assert opnorm(g - w) <= 1e-12 * opnorm(t)
+
+
+@pytest.mark.parametrize("rank", ["zero", "mixed", "full"])
+@pytest.mark.parametrize("n", [1, 2, 6, 16])
+def test_coordinate_and_eigh_routes_give_the_same_ambient_outputs(n, rank):
+    # an exact 0/1 diagonal (gathered corners) against a rotated basis of the
+    # same subspace (eigh), on a PSD T of full and of deficient rank
+    rng = np.random.default_rng(100 * n + len(rank))
+    k = {"zero": 0, "mixed": n // 2, "full": n}[rank]
+    p = _coord_projector(n, k)
+    q = _rotated(rng, np.eye(n)[:, :k])
+    # a basis of dimension 0 or 1 has no rotation, only a sign: q is exact too
+    assert (_projector_bases(q, DEFAULT_TOL)[2] is None) == (k >= 2)
+    for t in (rand_psd(rng, n), rand_psd(rng, n, max(n - 2, 1))):
+        _same_ambient(t, (p, p), (q, q))
+
+
+def test_rotated_bases_of_one_subspace_give_the_same_ambient_outputs():
+    rng = np.random.default_rng(77)
+    for _ in range(20):
+        t, pm, pn = complementable_instance(rng, 8)
+        rotated = []
+        for p in (pm, pn):
+            w, v = np.linalg.eigh(p)
+            rotated.append(_rotated(rng, v[:, w > 0.5]))
+        _same_ambient(t, (pm, pn), rotated)
 
 
 def _spy_eig(monkeypatch):
