@@ -54,7 +54,7 @@ from .parallel import (
     solve_parallel_equation,
 )
 from .polar import DEFAULT_ALPHA, gpolar, gpolar_iterative, polar_decompose, v_operator
-from .shorting import _ranks, partition, shorted, verify_range_kernel, weak_complement_data
+from .shorting import _ranks, partition, shorted, verify_range_kernel
 
 __all__ = ["main", "dispatch", "build_parser"]
 
@@ -181,12 +181,11 @@ def _cmd_shorted(args, tol: Tol, t, pm, pn):
     try:
         result = shorted(blk, tol)
     except NotWeaklyComplementable as exc:
-        data = weak_complement_data(blk, tol)
         return dict(
             error="not weakly complementable",
             failing_systems=list(exc.failing),
-            system_residuals=list(data.residuals),
-            system_solvable=list(data.solvable),
+            system_residuals=list(exc.data.residuals),
+            system_solvable=list(exc.data.solvable),
         ), 3
     report = verify_range_kernel(blk, result, tol)
     wd = result.witnesses
@@ -267,8 +266,9 @@ _TOL.add_argument(
     "--tol",
     type=float,
     default=DEFAULT_TOL.residual_rel,
-    help="residual tolerance; rank cutoff scales as tol*1e-4 and the "
-    "eigenvalue clamp as tol*1e-2 (default 1e-8)",
+    help="residual tolerance (default 1e-8); moves every verdict bound but two "
+    "fixed round-off gates: rank cutoff tol*1e-4, eigenvalue clamp and projector "
+    "checks tol*1e-2, cross-product and closed-form checks tol/10 (see README)",
 )
 _SEED.add_argument("--seed", type=int, default=0, help="RNG seed for probe modes")
 _OUT.add_argument("--out", default=None, help="write JSON here instead of stdout")

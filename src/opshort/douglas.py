@@ -15,6 +15,8 @@ import numpy as np
 
 from .errors import NotSolvable, ShapeMismatch
 from .numkit import (
+    _BAND,
+    _GUARD,
     DEFAULT_TOL,
     Tol,
     _norm_bounds,
@@ -34,8 +36,8 @@ class RangeInclusion:
 
     ``margin`` is ||(I - P_R(A)) C|| / max(||C||, 1), computed on first read;
     the verdict is ``margin <= residual_rel``.  ``borderline`` marks margins
-    within a factor 10 of residual_rel on either side, where the boolean
-    should not be trusted without a second look.
+    within the factor ``numkit._BAND`` (10) of residual_rel on either side,
+    where the boolean should not be trusted without a second look.
     """
 
     included: bool
@@ -90,16 +92,16 @@ def _inclusion(ur: np.ndarray, uc: np.ndarray, cm: np.ndarray, c_norm: float, to
     ``ur`` has orthonormal columns spanning R(A) (the left singular vectors
     above the rank cutoff), ``uc`` is U_r* C and ``c_norm`` is ||C||; the
     margin is ||C - U_r (U_r* C)|| / max(||C||, 1).  Its flags are read from
-    bounds [lo, hi] on that norm: the Frobenius ones where they lie a factor 2
-    outside the borderline band, far beyond their rounding, else lo = hi = it.
+    bounds [lo, hi] on that norm: the Frobenius ones where they clear the
+    borderline band by the factor _GUARD, as in _norm_within, else lo = hi = it.
     """
     residual = cm - ur @ uc
     scale, rel = max(c_norm, 1.0), tol.residual_rel
     lo, hi = _norm_bounds(residual)
-    if hi >= rel / 20.0 * scale and lo <= rel * 20.0 * scale:
+    if _GUARD * hi >= rel / _BAND * scale and lo <= _GUARD * rel * _BAND * scale:
         residual = lo = hi = opnorm(residual)
     lo, hi = float(lo) / scale, float(hi) / scale
-    return RangeInclusion(hi <= rel, rel / 10.0 <= lo and hi <= rel * 10.0, residual, scale)
+    return RangeInclusion(hi <= rel, rel / _BAND <= lo and hi <= rel * _BAND, residual, scale)
 
 
 def range_included(a, c, tol: Tol = DEFAULT_TOL) -> RangeInclusion:

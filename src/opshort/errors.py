@@ -69,13 +69,14 @@ class WitnessInvalid(OpshortError):
 class NotWeaklyComplementable(OpshortError):
     """At least one of the four weak-complementability systems is unsolvable.
 
-    ``failing`` lists the 1-based indices of the failed systems in the order
-    they are defined.
+    ``data`` is the ``WeakComplementData`` whose verdicts failed, and
+    ``failing`` lists the 1-based indices of the failed systems in order.
     """
 
-    def __init__(self, message, failing):
-        super().__init__(message)
-        self.failing = tuple(failing)
+    def __init__(self, data):
+        self.data = data
+        self.failing = tuple(i + 1 for i, ok in enumerate(data.solvable) if not ok)
+        super().__init__(f"weak-complementability systems {list(self.failing)} are unsolvable")
 
 
 class AlphaOutOfRange(OpshortError):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InternalInvariantViolation
 from .numkit import (
-    DEFAULT_TOL, Tol, _angle_factors, _integer, _norm_within, opnorm, psd_power, range_basis
+    _BAND, DEFAULT_TOL, Tol, _angle_factors, _integer, _norm_within, opnorm, psd_power, range_basis
 )
 from .parallel import _parallel_core, _psd_pair
 from .shorting import (
@@ -45,6 +45,9 @@ __all__ = [
 ]
 
 DEFAULT_SWEEP_DIMS = (8, 16, 32, 64, 128, 256)
+# make_kit takes no Tol; its identities hold to ~1e-15, so only a wrong
+# closed form comes near this bound
+_CLOSED_FORM_BOUND = 1e-10
 
 CSV_COLUMNS = (
     "d",
@@ -115,16 +118,14 @@ def make_kit(d: int) -> CounterexampleKit:
     apb = a0 + b0
     big_t = np.block([[b0, b0], [b0, apb]])
 
-    gap_sq = sqrt_ab @ sqrt_ab - apb
-    if not _norm_within(gap_sq, 1e-10, apb, floor=0.0):
-        raise InternalInvariantViolation(
-            f"closed-form square root off by {opnorm(gap_sq):.3e} at d={d}"
-        )
-    gap_x = sqrt_ab @ x_unique - b0
-    if not _norm_within(gap_x, 1e-10):
-        raise InternalInvariantViolation(
-            f"closed-form unique solution off by {opnorm(gap_x):.3e} at d={d}"
-        )
+    for name, gap, scale, floor in (
+        ("square root", sqrt_ab @ sqrt_ab - apb, apb, 0.0),
+        ("unique solution", sqrt_ab @ x_unique - b0, 0.0, 1.0),
+    ):
+        if not _norm_within(gap, _CLOSED_FORM_BOUND, scale, floor):
+            raise InternalInvariantViolation(
+                f"closed-form {name} off by {opnorm(gap):.3e} at d={d}"
+            )
     return CounterexampleKit(
         d=d, S=s_mat, A0=a0, B0=b0, sqrtAB=sqrt_ab, Xunique=x_unique, bigT=big_t
     )
@@ -263,7 +264,8 @@ class ClosedFormReport:
 
 
 def verify_closed_forms(d: int, tol: Tol = DEFAULT_TOL) -> ClosedFormReport:
-    """Cross-check the kit's closed forms against direct numerics at one d."""
+    """Cross-check the kit's closed forms against direct numerics at one d;
+    passed iff all are within residual_rel / _BAND (1e-9 at the default Tol)."""
     kit = make_kit(d)
     apb = kit.A0 + kit.B0
     sq_a0 = sqrt_a0_closed_form(d)
@@ -278,5 +280,5 @@ def verify_closed_forms(d: int, tol: Tol = DEFAULT_TOL) -> ClosedFormReport:
         "sqrt_a0_squares_back": opnorm(sq_a0 @ sq_a0 - kit.A0),
         "sqrt_a0_vs_psd_power": opnorm(psd_power(kit.A0, 0.5, tol) - sq_a0),
     }
-    passed = all(v <= 1e-9 for v in residuals.values())
+    passed = all(v <= tol.residual_rel / _BAND for v in residuals.values())
     return ClosedFormReport(d=d, residuals=residuals, passed=passed)

@@ -40,6 +40,10 @@ __all__ = [
 ]
 
 
+# margins within the factor _BAND of residual_rel are borderline (a bound at the
+# band's lower edge reads residual_rel / _BAND); see _norm_within for _GUARD
+_BAND, _GUARD = 10.0, 2.0
+
 # the smallest rank_rel: the round-off sigma_(r+1) / sigma_1 of rank-deficient
 # PSD matrices measures a few eps (below 4 eps up to n = 256), and a cutoff
 # below that counts noise as rank
@@ -131,17 +135,19 @@ def _norm_bounds(m) -> tuple[float, float]:
 def _norm_within(x, rel: float, y=0.0, floor: float = 1.0) -> bool:
     """Decide ||X||_2 <= rel * max(||Y||_2, floor) without an SVD where possible.
 
-    X and Y are matrices or exactly known norms (floats).  The Frobenius
-    bounds of :func:`_norm_bounds` settle a certain pass or a certain fail;
-    only inside the band between them are the exact operator norms computed.
+    X and Y are matrices or exactly known norms (floats); ``rel`` is read
+    from the caller's Tol, except in ``lab.make_kit`` and ``_same_subspace``.
+    Frobenius bounds (:func:`_norm_bounds`) settle a pass or a fail only where
+    they clear the bound by the factor ``_GUARD``, far beyond their rounding;
+    nearer, the exact operator norms decide, so the verdict is the exact one.
     Use it where a verdict is a boolean; a reported number stays an exact
     :func:`opnorm`, taken on first read, so an unread margin costs no SVD.
     """
     x_lo, x_hi = _norm_bounds(x)
     y_lo, y_hi = _norm_bounds(y)
-    if x_hi <= rel * max(y_lo, floor):
+    if _GUARD * x_hi <= rel * max(y_lo, floor):
         return True
-    if x_lo > rel * max(y_hi, floor):
+    if x_lo > _GUARD * rel * max(y_hi, floor):
         return False
     exact = [v if isinstance(v, float) else opnorm(v) for v in (x, y)]
     return exact[0] <= rel * max(exact[1], floor)
@@ -394,7 +400,7 @@ def matrix_to_json_dict(a) -> dict:
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "data": [[float(z.real), float(z.imag)] for z in flat],
+        "data": np.stack((flat.real, flat.imag), -1).tolist(),
     }
 
 

@@ -265,8 +265,8 @@ def solve_parallel_equation(a, b, tol: Tol = DEFAULT_TOL) -> ParallelEquationSol
     ------
     InternalInvariantViolation
         If the certified identity misses by more than
-        1e-8 * (||A|| + ||B||); for PSD inputs this bound cannot fail
-        mathematically, only numerically.
+        tol.residual_rel * (||A|| + ||B||); for PSD inputs this bound cannot
+        fail mathematically, only numerically.
     """
     ah, wa, bh, wb = _psd_pair(a, b, tol)
     n = ah.shape[0]
@@ -277,7 +277,7 @@ def solve_parallel_equation(a, b, tol: Tol = DEFAULT_TOL) -> ParallelEquationSol
     eye = np.eye(n)
     attained = x.conj().T @ ah @ x + (eye - x).conj().T @ bh @ (eye - x)
     eq_residual = opnorm(attained - ps)
-    bound = 1e-8 * (_norm(wa) + _norm(wb))
+    bound = tol.residual_rel * (_norm(wa) + _norm(wb))
     if eq_residual > bound:
         raise InternalInvariantViolation(
             f"variational identity missed by {eq_residual:.3e} (bound {bound:.3e})"

@@ -66,6 +66,7 @@ from .errors import (
     WitnessInvalid,
 )
 from .numkit import (
+    _BAND,
     DEFAULT_TOL,
     Tol,
     _angle_factors,
@@ -93,34 +94,24 @@ __all__ = [
     "verify_range_kernel",
 ]
 
-# fixed absolute bounds for accepting a matrix as an orthogonal projector
-_PROJ_HERM_BOUND = 1e-10
-_PROJ_IDEM_BOUND = 1e-10
-
 
 def _validated_projector_eig(m: np.ndarray, tol: Tol):
     """Validate a square nonempty projector candidate; return its
     eigenvectors in eigh's ascending order, eigenvalue 1 last, and its rank.
 
-    The two gap tests are settled by :func:`numkit._norm_within`, which
-    computes exact singular values only near the bound.
+    ||P - P*|| and ||P^2 - P|| must lie within eig_clamp_rel, the bound the
+    stray-eigenvalue test reads; :func:`numkit._norm_within` settles both.
     """
-    diff = m - m.conj().T
-    if not _norm_within(diff, _PROJ_HERM_BOUND):
-        raise NotAProjector(
-            f"||P - P*|| = {opnorm(diff):.3e} exceeds {_PROJ_HERM_BOUND}"
-        )
-    idem = m @ m - m
-    if not _norm_within(idem, _PROJ_IDEM_BOUND):
-        raise NotAProjector(
-            f"||P^2 - P|| = {opnorm(idem):.3e} exceeds {_PROJ_IDEM_BOUND}"
-        )
+    bound = tol.eig_clamp_rel
+    for name, gap in (("||P - P*||", m - m.conj().T), ("||P^2 - P||", m @ m - m)):
+        if not _norm_within(gap, bound):
+            raise NotAProjector(f"{name} = {opnorm(gap):.3e} exceeds {bound}")
     w, v = np.linalg.eigh(_herm(m))
     stray = float(np.minimum(np.abs(w), np.abs(w - 1.0)).max())
-    if stray > tol.eig_clamp_rel:
+    if stray > bound:
         raise NotAProjector(
             f"projector eigenvalues stray {stray:.3e} from {{0, 1}}, beyond "
-            f"eig_clamp_rel = {tol.eig_clamp_rel:.1e}"
+            f"eig_clamp_rel = {bound:.1e}"
         )
     return v, int(np.count_nonzero(w > 0.5))
 
@@ -128,9 +119,9 @@ def _validated_projector_eig(m: np.ndarray, tol: Tol):
 def check_projector(p, tol: Tol = DEFAULT_TOL) -> int:
     """Validate an orthogonal projector and return its rank.
 
-    Requires ||P - P*|| <= 1e-10, ||P^2 - P|| <= 1e-10, and every eigenvalue
-    within eig_clamp_rel of {0, 1}.  Near-degenerate projectors are rejected,
-    never rounded into shape.
+    Requires ||P - P*||, ||P^2 - P|| and every eigenvalue's distance from
+    {0, 1} at most tol.eig_clamp_rel (1e-10 at the default Tol).
+    Near-degenerate projectors are rejected, never rounded into shape.
     """
     return _projector_bases(p, tol)[0].shape[1]
 
@@ -525,24 +516,21 @@ def shorted(block: BlockOperator, tol: Tol = DEFAULT_TOL) -> ShortedResult:
     Raises
     ------
     NotWeaklyComplementable
-        If any of the four systems is unsolvable (1-based indices attached).
+        If any of the four systems is unsolvable (the data attached).
     InternalInvariantViolation
-        If the two cross products disagree beyond 1e-9 * max(||T||, 1).
+        If the two cross products disagree beyond residual_rel / _BAND
+        * max(||T||, 1), 1e-9 * max(||T||, 1) at the default Tol.
     """
     data = weak_complement_data(block, tol)
     if not all(data.solvable):
-        failing = [i + 1 for i, ok in enumerate(data.solvable) if not ok]
-        raise NotWeaklyComplementable(
-            f"weak-complementability systems {failing} are unsolvable", failing
-        )
+        raise NotWeaklyComplementable(data)
     fe = data.F.conj().T @ data.E
     fte = data.Ftilde.conj().T @ data.Etilde
-    if not _norm_within(fe - fte, 1e-9, block.T):
-        gap = opnorm(fe - fte)
-        bound = 1e-9 * max(opnorm(block.T), 1.0)
+    rel = tol.residual_rel / _BAND
+    if not _norm_within(fe - fte, rel, block.T):
         raise InternalInvariantViolation(
-            f"cross products F*E and Ftilde*Etilde disagree by {gap:.3e} "
-            f"(bound {bound:.3e})"
+            f"cross products F*E and Ftilde*Etilde disagree by {opnorm(fe - fte):.3e} "
+            f"(bound {rel * max(opnorm(block.T), 1.0):.3e})"
         )
     core = block.T11 - 0.5 * (fe + fte)
     ambient = block.lift(x11=core)
@@ -571,7 +559,8 @@ class RangeKernelReport:
 
 
 # angle threshold for declaring two equal-rank subspaces identical; sits far
-# above round-off (~1e-11 on clean instances) and far below any honest angle
+# above round-off (~1e-11 on clean instances, from the SVDs and not moved by
+# residual_rel, so no Tol value) and far below any honest angle
 _SUBSPACE_GAP = 1e-6
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opshort import hansen_inequality_check, load_matrix, make_kit, parallel, save_matrix
+from opshort import hansen_inequality_check, load_matrix, make_kit, parallel, save_matrix, shorting
 from opshort.numkit import matrix_from_json_dict
 from opshort.cli import build_parser, dispatch
 
@@ -354,6 +354,24 @@ def test_partition_payload(capsys, tmp_path):
     assert not {"T11", "T12", "T21", "T22"} & set(payload)
 
 
+def test_projector_checks_follow_tol(capsys, tmp_path):
+    # P = diag(1, 0, 0) + d (e1 e2* - e2 e1*) has ||P - P*|| = 2d and
+    # P^2 - P = -d^2 diag(1, 1, 0); with d = 1e-9 the Hermitian gap lies above
+    # the default bound eig_clamp_rel = 1e-10 and below 1e-8 at --tol 1e-6
+    d = 1e-9
+    pm = np.diag([1.0, 0.0, 0.0])
+    pm[0, 1], pm[1, 0] = d, -d
+    assert np.linalg.norm(pm - pm.T, 2) == pytest.approx(2 * d)
+    assert np.linalg.norm(pm @ pm - pm, 2) <= 1e-18
+    f = _write(tmp_path, "t.json", RNG.normal(size=(3, 3)))
+    p = _write(tmp_path, "p.json", pm)
+    argv = ["partition", "--input", f, "--pm", p, "--pn", p]
+    assert _run(capsys, argv)[0] == 2
+    code, payload = _run_json(capsys, argv + ["--tol", "1e-6"])
+    assert code == 0
+    assert payload["rank_PM"] == 1
+
+
 def test_partition_rejects_non_projector(capsys, tmp_path):
     f = _write(tmp_path, "t.json", RNG.normal(size=(3, 3)))
     p = _write(tmp_path, "p.json", np.diag([1.0, 0.4, 0.0]))
@@ -449,6 +467,28 @@ def test_shorted_weak_failure(capsys, tmp_path):
     assert code == 3
     assert payload["failing_systems"] == [1, 3]
     assert payload["system_solvable"] == [False, True, False, True]
+
+
+def test_shorted_weak_failure_solves_the_corner_systems_once(capsys, tmp_path, monkeypatch):
+    # the exit-3 payload reads the data the failed verdict was raised from
+    t = np.zeros((3, 3))
+    t[1, 0] = 1.0
+    f = _write(tmp_path, "t.json", t)
+    p = _write(tmp_path, "p.json", np.diag([1.0, 0.0, 0.0]))
+    argv = ["shorted", "--input", f, "--pm", p, "--pn", p]
+    _, expected = _run(capsys, argv)
+    calls = []
+    real = shorting._solve_corners
+
+    def spy(block, systems, tol):
+        calls.append(len(systems))
+        return real(block, systems, tol)
+
+    monkeypatch.setattr(shorting, "_solve_corners", spy)
+    code, out = _run(capsys, argv)
+    assert code == 3 and calls == [4]
+    assert out == expected
+    assert json.loads(out)["system_residuals"] == [1.0, 0.0, 1.0, 0.0]
 
 
 # --- parallel family -----------------------------------------------------------------------

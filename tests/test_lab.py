@@ -19,6 +19,7 @@ from opshort import (
 )
 from opshort import lab, parallel, shorting
 from opshort.douglas import _solve
+from opshort.errors import InternalInvariantViolation
 from opshort.numkit import _svd_factor
 from opshort.lab import (
     CSV_COLUMNS,
@@ -51,6 +52,21 @@ def test_kit_single_mode_closed_forms():
         kit.Xunique, np.array([[2.0, 0.0], [-1.0, 0.0]]) / SQRT5, atol=1e-15
     )
     assert kit.bigT.shape == (4, 4)
+
+
+@pytest.mark.parametrize("delta,ok", [(0.45e-10, True), (0.55e-10, False)])
+def test_kit_closed_form_bound_edge(monkeypatch, delta, ok):
+    # scaling the normalizer f by 1 + delta moves sqrtAB^2 off A0 + B0 and
+    # sqrtAB @ Xunique off B0 by about 2 delta relative, just inside or just
+    # outside the fixed bound 1e-10
+    real = lab._f
+    monkeypatch.setattr(lab, "_f", lambda t: real(t) * (1.0 + delta))
+    assert lab._CLOSED_FORM_BOUND == 1e-10
+    if ok:
+        make_kit(4)
+    else:
+        with pytest.raises(InternalInvariantViolation, match="closed-form square root"):
+            make_kit(4)
 
 
 @pytest.mark.parametrize("bad", [0, -3, 2.5, "8"])

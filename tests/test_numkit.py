@@ -389,16 +389,16 @@ def _count_opnorm(monkeypatch):
 
 
 def test_norm_within_certain_pass_and_fail_skip_the_svd(monkeypatch):
-    # ||X||_F <= rel * ||Y||_F / sqrt(n) certifies a pass and
-    # ||X||_F / sqrt(n) > rel * ||Y||_F a failure, without singular values
+    # 2 ||X||_F <= rel * ||Y||_F / sqrt(n) certifies a pass and
+    # ||X||_F / sqrt(n) > 2 rel * ||Y||_F a failure, without singular values
     calls = _count_opnorm(monkeypatch)
     n, rel = 16, 1e-3
     y = np.eye(n)
-    assert _norm_within(0.9 * rel / n * np.eye(n), rel, y, floor=0.0)
-    assert not _norm_within(1.1 * rel * np.sqrt(n) * np.eye(n), rel, y, floor=0.0)
+    assert _norm_within(0.45 * rel / n * np.eye(n), rel, y, floor=0.0)
+    assert not _norm_within(2.2 * rel * np.sqrt(n) * np.eye(n), rel, y, floor=0.0)
     # with no Y the bound is rel * floor
-    assert _norm_within(np.full((n, n), 0.9 * rel / n**1.5), rel)
-    assert not _norm_within(np.full((n, n), 1.1 * rel / n**0.5), rel)
+    assert _norm_within(np.full((n, n), 0.45 * rel / n**1.5), rel)
+    assert not _norm_within(np.full((n, n), 2.2 * rel / n**0.5), rel)
     assert _norm_within(np.zeros((0, 3)), rel, floor=0.0)
     assert calls == []
 
@@ -418,6 +418,23 @@ def test_norm_within_band_falls_back_to_the_exact_norm(monkeypatch, c, expected)
     assert x_hi > rel * y_lo and x_lo <= rel * y_hi
     assert _norm_within(x, rel, y, floor=0.0) is expected
     assert len(calls) == 2
+
+
+def test_norm_within_matches_the_exact_rule_at_the_bound():
+    # single columns within 3 ulps of the bound: their Frobenius and operator
+    # norms agree in exact arithmetic and round apart, so settling from the
+    # Frobenius bounds without a margin on the bound would flip verdicts here
+    rng = np.random.default_rng(1717)
+    bound, eps = 1e-10, np.finfo(np.float64).eps
+    sides = set()
+    for _ in range(1000):
+        x = rng.normal(size=(int(rng.integers(2, 40)), 1))
+        x *= bound * (1.0 + int(rng.integers(-3, 4)) * eps) / np.linalg.norm(x)
+        exact = opnorm(x) <= bound
+        assert _norm_within(x, bound) == exact
+        sides.add(exact)
+    # the cases straddle the bound
+    assert sides == {True, False}
 
 
 def test_norm_within_takes_exact_norms_as_floats(monkeypatch):
@@ -459,6 +476,34 @@ def test_json_dict_shape_and_layout():
     assert obj["data"][1] == [3.0, 0.0]
     assert obj["data"][3] == [0.0, -1.0]
     json.dumps(obj)  # serializable as-is
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        rand_complex(RNG, 3, 4),
+        RNG.normal(size=(4, 3)),
+        np.array([[-0.0, complex(0.0, -0.0)], [complex(-0.0, -0.0), 1.0]]),
+        np.array([[-0.0, 2.0]]),
+        np.array([[1, -2]]),
+        np.zeros((0, 3)),
+    ],
+    ids=["complex", "real", "signed_zeros", "real_signed_zero", "integer", "empty"],
+)
+def test_json_dict_data_matches_the_per_entry_encoder(m):
+    # the per-entry loop the vectorized encoder replaced is the reference;
+    # json.dumps tells -0.0 from 0.0 and 1.0 from 1
+    flat = np.asarray(m, dtype=complex if np.iscomplexobj(m) else float).ravel()
+    reference = [[float(z.real), float(z.imag)] for z in flat]
+    assert json.dumps(matrix_to_json_dict(m)["data"]) == json.dumps(reference)
+
+
+def test_json_dict_keeps_signed_zeros():
+    z = np.array([[-0.0, complex(0.0, -0.0)], [complex(-0.0, -0.0), 1.0]])
+    data = matrix_to_json_dict(z)["data"]
+    assert [[np.copysign(1.0, v) for v in pair] for pair in data] == [
+        [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0], [1.0, 1.0]
+    ]
 
 
 @pytest.mark.parametrize(

@@ -95,6 +95,18 @@ def test_non_finite_projectors_are_rejected_before_any_norm(monkeypatch, bad, en
     assert calls == []
 
 
+@pytest.mark.parametrize("angle,same", [(1e-6 * (1 - 1e-9), True), (1e-6 * (1 + 1e-9), False)])
+def test_same_subspace_gap_edge(angle, same):
+    # two lines at principal angle theta: ||B2 - B1 (B1* B2)|| = sin(theta),
+    # within a relative 1e-9 of the fixed gap 1e-6 on either side
+    b1 = np.eye(3)[:, :1]
+    b2 = np.array([[np.cos(angle)], [np.sin(angle)], [0.0]])
+    assert shorting._SUBSPACE_GAP == 1e-6
+    assert shorting._same_subspace(b1, b2) is same
+    # another dimension is never the same subspace
+    assert not shorting._same_subspace(np.eye(3)[:, :2], b2)
+
+
 # --- exact coordinate projectors ----------------------------------------------------
 
 
