@@ -246,7 +246,7 @@ def _cmd_lemma69(args, tol: Tol, x, y):
 
 def _cmd_lab_sweep(args, tol: Tol):
     dims = None
-    if args.dims:
+    if args.dims is not None:  # an empty --dims is an error, not the default
         dims = [int(part) for part in args.dims.split(",") if part.strip()]
     return sweep_to_csv(divergence_sweep(dims, tol)), 0
 

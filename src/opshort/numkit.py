@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -405,7 +406,16 @@ def matrix_to_json_dict(a) -> dict:
 
 
 def matrix_from_json_dict(obj) -> np.ndarray:
-    """Decode the package's JSON matrix object, validating shape and entries."""
+    """Decode the package's JSON matrix object, validating shape and entries.
+
+    Well-formed ``data`` -- every entry a list or tuple of two numbers whose
+    types are exactly ``int`` or ``float`` -- is checked by whole-list type and
+    length passes and converted by one numpy call, with no Python code per
+    entry.  Anything else (a bool, string, ``None``, non-pair or nested entry,
+    a numpy float scalar, an integer beyond the float range) falls back to
+    :func:`_entries_to_complex`, which accepts numpy float scalars and names
+    the first bad entry.  Either way a non-finite entry is rejected by index.
+    """
     if not isinstance(obj, dict):
         raise ValueError("matrix JSON must be an object")
     for key in ("rows", "cols", "data"):
@@ -421,7 +431,29 @@ def matrix_from_json_dict(obj) -> np.ndarray:
         raise ValueError(
             f"data length {len(data)} does not match rows*cols = {rows * cols}"
         )
-    out = np.empty(rows * cols, dtype=np.complex128)
+    out = None
+    # exact types, so bool (an int subclass) never takes the fast path
+    if set(map(type, data)) <= {list, tuple} and set(map(len, data)) <= {2}:
+        vals = list(chain.from_iterable(data))
+        if set(map(type, vals)) <= {int, float}:
+            try:
+                out = np.array(vals, dtype=np.float64).view(np.complex128)
+            except OverflowError:  # an integer literal beyond the float range
+                pass
+    if out is None:
+        out = _entries_to_complex(data)
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        raise ValueError(f"data[{bad[0]}] is not finite")
+    if not out.imag.any():
+        out = np.ascontiguousarray(out.real)
+    return out.reshape(rows, cols)
+
+
+def _entries_to_complex(data) -> np.ndarray:
+    """Per-entry decode of ``data`` for what the fast path of
+    :func:`matrix_from_json_dict` does not take; raises on the first bad entry."""
+    out = np.empty(len(data), dtype=np.complex128)
     for i, entry in enumerate(data):
         if (
             not isinstance(entry, (list, tuple))
@@ -433,12 +465,7 @@ def matrix_from_json_dict(obj) -> np.ndarray:
             out[i] = complex(entry[0], entry[1])
         except OverflowError:  # an integer literal beyond the float range
             raise ValueError(f"data[{i}] is not finite") from None
-    bad = np.flatnonzero(~np.isfinite(out))
-    if bad.size:
-        raise ValueError(f"data[{bad[0]}] is not finite")
-    if not out.imag.any():
-        out = np.ascontiguousarray(out.real)
-    return out.reshape(rows, cols)
+    return out
 
 
 def save_matrix(path, a) -> None:

@@ -636,6 +636,15 @@ def test_lab_sweep_rejects_bad_dims(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("dims", ["", ","])
+def test_lab_sweep_rejects_empty_dims(capsys, dims):
+    # an empty --dims is an error, not the default 8..256 sweep
+    code = dispatch(["lab", "sweep", "--dims", dims])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "dims must be non-empty" in captured.err
+
+
 def test_lab_flags_go_after_the_leaf(capsys):
     for flag, value in (("--tol", "1e-6"), ("--seed", "1"), ("--out", "x.csv")):
         code, out = _run(capsys, ["lab", flag, value, "sweep", "--dims", "2"])

@@ -528,6 +528,113 @@ def test_json_dict_rejects_malformed(obj):
         matrix_from_json_dict(obj)
 
 
+def _per_entry_decoder(obj):
+    """The per-entry loop the vectorized decoder replaced, kept as reference."""
+    if not isinstance(obj, dict):
+        raise ValueError("matrix JSON must be an object")
+    for key in ("rows", "cols", "data"):
+        if key not in obj:
+            raise ValueError(f"matrix JSON is missing the {key!r} field")
+    rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+    if any(not isinstance(v, int) or isinstance(v, bool) or v < 0 for v in (rows, cols)):
+        raise ValueError("rows and cols must be non-negative integers")
+    if not isinstance(data, list):
+        raise ValueError("data must be a list of [re, im] pairs")
+    if len(data) != rows * cols:
+        raise ValueError(
+            f"data length {len(data)} does not match rows*cols = {rows * cols}"
+        )
+    out = np.empty(rows * cols, dtype=np.complex128)
+    for i, entry in enumerate(data):
+        if (
+            not isinstance(entry, (list, tuple))
+            or len(entry) != 2
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
+        ):
+            raise ValueError(f"data[{i}] is not a [re, im] pair of numbers")
+        try:
+            out[i] = complex(entry[0], entry[1])
+        except OverflowError:
+            raise ValueError(f"data[{i}] is not finite") from None
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        raise ValueError(f"data[{bad[0]}] is not finite")
+    if not out.imag.any():
+        out = np.ascontiguousarray(out.real)
+    return out.reshape(rows, cols)
+
+
+def _file_dict(m):
+    return json.loads(json.dumps(matrix_to_json_dict(m)))
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        _file_dict(rand_complex(RNG, 3, 4)),
+        _file_dict(RNG.normal(size=(4, 3))),
+        {"rows": 1, "cols": 2, "data": [[1.0, -0.0], [2.0, 0.0]]},
+        {"rows": 2, "cols": 2, "data": [[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [0.0, 0.0]]},
+        {"rows": 1, "cols": 2, "data": [[-0.0, 1.0], [0.0, -1.0]]},
+        {"rows": 2, "cols": 2, "data": [[2**53 + 1, 0], [-(2**63), 0], [3, -4], [2**63, 1.5]]},
+        {"rows": 1, "cols": 2, "data": [[np.float64(1.5), np.float64(-0.0)], [2, 0.0]]},
+        {"rows": 2, "cols": 1, "data": [(1.0, 2.0), (3, 0)]},
+        {"rows": 0, "cols": 3, "data": []},
+        {"rows": 3, "cols": 0, "data": []},
+        _file_dict(RNG.normal(size=(2, 5)) + 1j * np.eye(2, 5)),
+    ],
+    ids=[
+        "complex", "real", "imag_negative_zero", "signed_zero_real", "signed_zero_complex",
+        "integers", "numpy_floats", "tuples", "empty_0x3", "empty_3x0", "rectangular",
+    ],
+)
+def test_json_dict_decoder_matches_the_per_entry_decoder(obj):
+    got, want = matrix_from_json_dict(obj), _per_entry_decoder(obj)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["true", "[0.5, false]", '"1"', '["1", 0]', "null", "[1.0, null]", "[1.0]",
+     "[1.0, 0.0, 0.0]", "[[1.0], 0.0]", '{"re": 1.0}', "[1" + "0" * 400 + ", 0]",
+     "[NaN, 0]", "[0, Infinity]", "[-Infinity, 1]"],
+    ids=["bool", "bool_part", "string", "string_part", "null", "null_part", "one_element",
+         "three_elements", "nested", "object", "int_overflow", "nan", "infinity",
+         "minus_infinity"],
+)
+@pytest.mark.parametrize("k", [0, 7, 14])
+def test_json_dict_names_the_first_bad_entry_like_the_per_entry_decoder(bad, k):
+    # entries as the file holds them: json.loads parses NaN, Infinity and big ints
+    entries = ["[1.5, -0.5]"] * 15
+    entries[k] = bad
+    obj = json.loads('{"rows": 3, "cols": 5, "data": [' + ", ".join(entries) + "]}")
+    with pytest.raises(ValueError) as want:
+        _per_entry_decoder(obj)
+    with pytest.raises(ValueError) as got:
+        matrix_from_json_dict(obj)
+    assert str(got.value) == str(want.value)
+    assert f"data[{k}]" in str(got.value)
+
+
+@pytest.mark.parametrize("kind", ["complex", "real"])
+def test_json_round_trip_skips_the_per_entry_path(tmp_path, monkeypatch, kind):
+    # a file save_matrix writes decodes with no Python code per entry
+    m = rand_complex(RNG, 96, 96) if kind == "complex" else RNG.normal(size=(96, 96))
+    calls = []
+    per_entry = numkit._entries_to_complex
+    monkeypatch.setattr(
+        numkit, "_entries_to_complex", lambda data: calls.append(len(data)) or per_entry(data)
+    )
+    save_matrix(tmp_path / "m.json", m)
+    got = load_matrix(tmp_path / "m.json")
+    assert calls == [] and got.dtype == m.dtype and got.tobytes() == m.tobytes()
+    # the spy does see input that only the per-entry path accepts
+    matrix_from_json_dict({"rows": 1, "cols": 1, "data": [[np.float64(1.0), 0.0]]})
+    assert calls == [1]
+
+
 def test_as_matrix_shape_guard():
     with pytest.raises(ShapeMismatch):
         herm_eig(np.ones(3))
