@@ -223,8 +223,6 @@ def _cmd_hansen_check(args, tol: Tol, a, b):
     if args.c is not None:
         lam = hansen_inequality_check(a, b, load_matrix(args.c), tol)
         return dict(mode="explicit", lambda_min=lam), 0
-    if args.probes < 1:
-        raise ValueError("--probes must be >= 1")
     n = a.shape[0]
     rng = np.random.default_rng(args.seed)
     worst = _hansen_worst(
@@ -260,6 +258,20 @@ def _cmd_lab_verify(args, tol: Tol):
 # --- subcommand table -----------------------------------------------------------
 
 
+def _at_least(low: int) -> Callable[[str], int]:
+    """argparse type of an integer flag whose values start at ``low``; a value
+    below it is a usage error that names the flag, raised before any file is read."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # so a non-integer reads "invalid int value", as with type=int
+    return parse
+
+
 # the flags the leaves share, built once and copied into each leaf as parents
 _TOL, _SEED, _OUT = (argparse.ArgumentParser(add_help=False) for _ in range(3))
 _TOL.add_argument(
@@ -270,7 +282,7 @@ _TOL.add_argument(
     "fixed round-off gates: rank cutoff tol*1e-4, eigenvalue clamp and projector "
     "checks tol*1e-2, cross-product and closed-form checks tol/10 (see README)",
 )
-_SEED.add_argument("--seed", type=int, default=0, help="RNG seed for probe modes")
+_SEED.add_argument("--seed", type=_at_least(0), default=0, help="RNG seed for probe modes")
 _OUT.add_argument("--out", default=None, help="write JSON here instead of stdout")
 
 
@@ -309,7 +321,7 @@ _SUBCOMMANDS = (
         "hansen-check", "lambda_min of C*AC + (I-C)*B(I-C) - A:B", ("a", "b"), _cmd_hansen_check,
         options=(
             ("--c", dict(default=None, help="explicit C matrix file; omit to probe randomly")),
-            ("--probes", dict(type=int, default=50, help="number of random probes (default 50)")),
+            ("--probes", dict(type=_at_least(1), default=50, help="number of random probes (default 50)")),
         ),
         shared=(_TOL, _SEED, _OUT),
     ),
@@ -377,7 +389,8 @@ def _run(args, tol: Tol) -> int:
             },
             **fields,
         }
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        # handlers build fresh dicts and lists, so there is no cycle to check for
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

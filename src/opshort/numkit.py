@@ -14,6 +14,8 @@ so the whole package shares one tolerance policy.
 from __future__ import annotations
 
 import json
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import chain
 
@@ -470,14 +472,69 @@ def _entries_to_complex(data) -> np.ndarray:
 
 def save_matrix(path, a) -> None:
     """Write a matrix to ``path`` in the JSON file format (deterministic bytes)."""
-    payload = json.dumps(matrix_to_json_dict(a), sort_keys=True, separators=(",", ":"))
+    # a fresh dict of lists of floats holds no cycle to check for
+    payload = json.dumps(
+        matrix_to_json_dict(a), sort_keys=True, separators=(",", ":"), check_circular=False
+    )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(payload)
         fh.write("\n")
 
 
+# bytes of decoded arrays that load_matrix keeps for reuse
+_LOAD_CACHE_BYTES = 4 * 2**20
+
+
+class _DecodedFiles:
+    """Read-only decoded matrices keyed on the SHA-256 of their file's text,
+    least recently used first, holding at most ``_LOAD_CACHE_BYTES`` of arrays."""
+
+    def __init__(self):
+        self._arrays: OrderedDict[bytes, np.ndarray] = OrderedDict()
+        self.nbytes = 0
+        self._lock = threading.Lock()
+
+    def get(self, key: bytes) -> np.ndarray | None:
+        with self._lock:
+            m = self._arrays.get(key)
+            if m is not None:
+                self._arrays.move_to_end(key)
+            return m
+
+    def put(self, key: bytes, m: np.ndarray) -> None:
+        if m.nbytes > _LOAD_CACHE_BYTES:
+            return
+        m.setflags(write=False)
+        with self._lock:
+            if key in self._arrays:  # another thread decoded the same text
+                return
+            self._arrays[key] = m
+            self.nbytes += m.nbytes
+            while self.nbytes > _LOAD_CACHE_BYTES:
+                self.nbytes -= self._arrays.popitem(last=False)[1].nbytes
+
+
+_decoded = _DecodedFiles()
+
+
 def load_matrix(path) -> np.ndarray:
-    """Read a matrix from a JSON file written by :func:`save_matrix`."""
+    """Read a matrix from a JSON file written by :func:`save_matrix`.
+
+    A file's text is decoded once per process: the decoded array is kept,
+    keyed on the SHA-256 of the text, so a file read again, or the same bytes
+    under another path, reuse it.  A file rewritten with other bytes is
+    decoded anew whatever its path or mtime.  At most ``_LOAD_CACHE_BYTES``
+    (4 MiB) of arrays are kept, least recently used evicted first; a larger
+    array is not kept, nor is a file that fails to decode.  Each call returns
+    a fresh, writeable array.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return matrix_from_json_dict(obj)
+        text = fh.read()
+    import hashlib  # here: import opshort and file-free commands then skip its import cost
+
+    key = hashlib.sha256(text.encode("utf-8")).digest()
+    m = _decoded.get(key)
+    if m is None:
+        m = matrix_from_json_dict(json.loads(text))
+        _decoded.put(key, m)
+    return m.copy()

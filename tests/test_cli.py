@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opshort import hansen_inequality_check, load_matrix, make_kit, parallel, save_matrix, shorting
+from opshort import cli, hansen_inequality_check, load_matrix, make_kit, numkit, parallel, save_matrix, shorting
 from opshort.numkit import matrix_from_json_dict
 from opshort.cli import build_parser, dispatch
 
@@ -226,6 +226,61 @@ def test_seed_is_accepted_only_by_hansen_check(capsys, tmp_path):
             assert code == 0
         else:
             assert code == 2 and out == "", argv
+
+
+def _seeded_invocations(tmp_path):
+    """argv of every JSON-emitting invocation on seeded 6x6 inputs."""
+    rng = np.random.default_rng(2020)
+    g = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    h = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
+    t = _write(tmp_path, "t.json", g)
+    a = _write(tmp_path, "a.json", g @ g.conj().T)
+    b = _write(tmp_path, "b.json", h @ h.conj().T)
+    c = _write(tmp_path, "c.json", np.eye(6) / 2.0)
+    p = _write(tmp_path, "p.json", np.diag([1.0, 1.0, 0.0, 0.0, 0.0, 0.0]))
+    return [
+        ["polar", "--input", t],
+        ["polar", "--input", t, "--alpha", "0.3"],
+        ["polar", "--input", t, "--alpha", "0.5", "--iterate", "2"],
+        ["gpolar", "--input", t],
+        ["v-op", "--input", t],
+        ["reduced-solve", "--a", a, "--c", t],
+        ["partition", "--input", t, "--pm", p, "--pn", p],
+        ["shorted", "--input", t, "--pm", p, "--pn", p],
+        ["parallel-sum", "--a", a, "--b", b],
+        ["parallel-eq", "--a", a, "--b", b],
+        ["hansen-check", "--a", a, "--b", b, "--probes", "3", "--seed", "5"],
+        ["hansen-check", "--a", a, "--b", b, "--c", c],
+        ["lemma69", "--x", a, "--y", b],
+        ["lab", "verify", "--dim", "3"],
+    ]
+
+
+def test_stdout_bytes_match_an_encode_with_the_cycle_check(capsys, tmp_path):
+    # the payload is encoded without json's cycle check; the bytes are those
+    # the checked encoder gives for the same payload
+    for argv in _seeded_invocations(tmp_path):
+        code, out = _run(capsys, argv)
+        assert code == 0 and out, argv
+        again = json.dumps(json.loads(out), sort_keys=True, separators=(",", ":"), check_circular=True)
+        assert out == again + "\n", argv
+
+
+@pytest.mark.parametrize("flag, value", [("--seed", "-5"), ("--probes", "0"), ("--probes", "-1")])
+def test_probe_flags_are_checked_before_any_file_is_read(capsys, tmp_path, monkeypatch, flag, value):
+    a = _write(tmp_path, "a.json", np.eye(2))
+    loads = []
+    real = numkit.load_matrix
+    for module in (numkit, cli):
+        monkeypatch.setattr(module, "load_matrix", lambda path: loads.append(path) or real(path))
+    code = dispatch(["hansen-check", "--a", a, "--b", a, flag, value])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"argument {flag}: must be an integer >= " in captured.err
+    assert loads == []
+    # the smallest accepted value reaches the loader
+    code = dispatch(["hansen-check", "--a", a, "--b", a, flag, "0" if flag == "--seed" else "1"])
+    assert code == 0 and loads == [a, a]
 
 
 # --- polar family ------------------------------------------------------------------

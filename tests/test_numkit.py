@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -466,6 +468,9 @@ def test_json_bytes_are_deterministic(tmp_path):
     save_matrix(p1, m)
     save_matrix(p2, m)
     assert p1.read_bytes() == p2.read_bytes()
+    # written without json's cycle check, in the bytes the checked encoder gives
+    checked = json.dumps(matrix_to_json_dict(m), sort_keys=True, separators=(",", ":"), check_circular=True)
+    assert p1.read_text(encoding="utf-8") == checked + "\n"
 
 
 def test_json_dict_shape_and_layout():
@@ -618,8 +623,15 @@ def test_json_dict_names_the_first_bad_entry_like_the_per_entry_decoder(bad, k):
     assert f"data[{k}]" in str(got.value)
 
 
+@pytest.fixture
+def fresh_load_cache(monkeypatch):
+    """An empty load_matrix cache, so a test that counts decodes sees every one
+    whatever ran before it."""
+    monkeypatch.setattr(numkit, "_decoded", numkit._DecodedFiles())
+
+
 @pytest.mark.parametrize("kind", ["complex", "real"])
-def test_json_round_trip_skips_the_per_entry_path(tmp_path, monkeypatch, kind):
+def test_json_round_trip_skips_the_per_entry_path(tmp_path, monkeypatch, fresh_load_cache, kind):
     # a file save_matrix writes decodes with no Python code per entry
     m = rand_complex(RNG, 96, 96) if kind == "complex" else RNG.normal(size=(96, 96))
     calls = []
@@ -633,6 +645,151 @@ def test_json_round_trip_skips_the_per_entry_path(tmp_path, monkeypatch, kind):
     # the spy does see input that only the per-entry path accepts
     matrix_from_json_dict({"rows": 1, "cols": 1, "data": [[np.float64(1.0), 0.0]]})
     assert calls == [1]
+
+
+# --- load_matrix reuses decoded files by content ------------------------------
+
+
+def _count_decodes(monkeypatch):
+    calls = []
+    decode = numkit.matrix_from_json_dict
+    monkeypatch.setattr(
+        numkit, "matrix_from_json_dict", lambda obj: calls.append(obj["rows"]) or decode(obj)
+    )
+    return calls
+
+
+def _cached_arrays():
+    return list(numkit._decoded._arrays.values())
+
+
+def test_load_cache_budget_is_4_mib():
+    assert numkit._LOAD_CACHE_BYTES == 4 * 2**20
+
+
+def test_same_bytes_under_another_path_decode_once(tmp_path, monkeypatch, fresh_load_cache):
+    calls = _count_decodes(monkeypatch)
+    m = rand_complex(RNG, 5, 4)
+    save_matrix(tmp_path / "a.json", m)
+    (tmp_path / "b.json").write_bytes((tmp_path / "a.json").read_bytes())
+    got = [load_matrix(tmp_path / name) for name in ("a.json", "b.json", "a.json")]
+    assert calls == [5]
+    assert all(g.dtype == m.dtype and g.tobytes() == m.tobytes() for g in got)
+
+
+def test_each_load_returns_a_fresh_writeable_array(tmp_path, fresh_load_cache):
+    m = RNG.normal(size=(3, 3))
+    save_matrix(tmp_path / "m.json", m)
+    first = load_matrix(tmp_path / "m.json")
+    assert first.flags.writeable and first.flags.c_contiguous
+    first[:] = 7.0
+    second = load_matrix(tmp_path / "m.json")
+    assert second.flags.writeable and not np.shares_memory(first, second)
+    assert second.tobytes() == m.tobytes()
+    assert all(not a.flags.writeable for a in _cached_arrays())
+
+
+def test_rewritten_file_with_restored_mtime_loads_its_new_content(tmp_path, fresh_load_cache):
+    path = tmp_path / "m.json"
+    path.write_text('{"cols":1,"data":[[1.5,0.0]],"rows":1}\n', encoding="utf-8")
+    stat = path.stat()
+    assert load_matrix(path)[0, 0] == 1.5
+    path.write_text('{"cols":1,"data":[[2.5,0.0]],"rows":1}\n', encoding="utf-8")
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert path.stat().st_size == stat.st_size and path.stat().st_mtime_ns == stat.st_mtime_ns
+    assert load_matrix(path)[0, 0] == 2.5
+
+
+@pytest.mark.parametrize(
+    "text, decodes",
+    [
+        ('{"cols":1,"data":[[1.0,null]],"rows":1}', 3),
+        ('{"cols":1,"data":[[1.0,NaN]],"rows":1}', 3),
+        ('{"cols":2,"data":[[1.0,0.0]],"rows":1}', 3),
+        ('{"cols":1,"data":[[1.0,0.0]],"rows":1', 0),  # json.loads fails first
+        ('\ufeff{"cols":1,"data":[[1.0,0.0]],"rows":1}', 0),
+    ],
+    ids=["null_part", "nan", "length", "truncated", "bom"],
+)
+def test_malformed_file_raises_the_same_error_every_call_and_is_not_kept(
+    tmp_path, monkeypatch, fresh_load_cache, text, decodes
+):
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as want:  # the reader without a cache
+        with open(path, "r", encoding="utf-8") as fh:
+            matrix_from_json_dict(json.load(fh))
+    calls = _count_decodes(monkeypatch)
+    for _ in range(3):
+        with pytest.raises(ValueError) as got:
+            load_matrix(path)
+        assert str(got.value) == str(want.value)
+    assert len(calls) == decodes
+    assert _cached_arrays() == [] and numkit._decoded.nbytes == 0
+
+
+def test_cache_stays_within_its_budget_and_evicts_the_least_recently_used(
+    tmp_path, monkeypatch, fresh_load_cache
+):
+    monkeypatch.setattr(numkit, "_LOAD_CACHE_BYTES", 4096)  # four 8x8 complex arrays
+    calls = _count_decodes(monkeypatch)
+    paths = []
+    for k in range(5):
+        paths.append(tmp_path / f"m{k}.json")
+        save_matrix(paths[-1], rand_complex(RNG, 8, 8))
+
+    def load(k):
+        load_matrix(paths[k])
+        held = _cached_arrays()
+        assert numkit._decoded.nbytes == sum(a.nbytes for a in held) <= 4096
+
+    for k in (0, 1, 2, 3, 0, 4):  # reusing 0 leaves 1 the least recently used
+        load(k)
+    assert len(calls) == 5
+    load(0)
+    assert len(calls) == 5
+    load(1)
+    assert len(calls) == 6
+    # an array larger than the whole budget is decoded on every call, never kept
+    save_matrix(tmp_path / "big.json", rand_complex(RNG, 17, 17))
+    held = _cached_arrays()
+    for _ in range(2):
+        assert load_matrix(tmp_path / "big.json").shape == (17, 17)
+    assert len(calls) == 8
+    assert all(a is b for a, b in zip(_cached_arrays(), held, strict=True))
+
+
+def test_concurrent_loads_each_return_their_own_file(tmp_path, monkeypatch, fresh_load_cache):
+    # a budget for three of the six files keeps eviction running under contention
+    monkeypatch.setattr(numkit, "_LOAD_CACHE_BYTES", 3 * 6 * 6 * 16)
+    want = {}
+    for k in range(6):
+        m = rand_complex(RNG, 6, 6) if k % 2 else RNG.normal(size=(6, 6))
+        save_matrix(tmp_path / f"m{k}.json", m)
+        want[k] = m.tobytes()
+    errors_seen, mismatches = [], []
+
+    def worker(seed):
+        order = np.random.default_rng(seed).integers(0, 6, size=200)
+        try:
+            for k in order:
+                if load_matrix(tmp_path / f"m{k}.json").tobytes() != want[k]:
+                    mismatches.append(k)
+        except Exception as exc:  # noqa: BLE001 - any failure fails the test
+            errors_seen.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert errors_seen == [] and mismatches == []
+    assert numkit._decoded.nbytes == sum(a.nbytes for a in _cached_arrays()) <= 3 * 6 * 6 * 16
+    # two threads that decode the same text before either stores it store it once
+    monkeypatch.setattr(numkit, "_decoded", numkit._DecodedFiles())
+    for _ in range(2):
+        numkit._decoded.put(b"same text", np.zeros((2, 2)))
+    assert len(_cached_arrays()) == 1 and numkit._decoded.nbytes == 32
 
 
 def test_as_matrix_shape_guard():
