@@ -28,7 +28,7 @@ def random_pd(n):
 
 # Scalars first: two 2-ohm resistors in parallel give 1 ohm.
 res = parallel_sum([[2.0]], [[2.0]])
-print("2 : 2 =", res.value[0, 0].real, " (route:", res.route + ")")
+print("2 : 2 =", res.value[0, 0].real)
 
 # Positive definite pair: the shorted-block route and the closed formula
 # agree to machine precision.

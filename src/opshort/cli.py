@@ -137,7 +137,6 @@ def _cmd_v_op(args, tol: Tol, t):
             "gram": opnorm(v.conj().T @ v - abs_right),
             "dual_gram": opnorm(v @ v.conj().T - abs_left),
             "factorization": opnorm(half_left @ v - t) / max(opnorm(t), 1.0),
-            "gpolar_half_gap": opnorm(v - gpolar(t, 0.5, tol).U),
         },
     ), 0
 
@@ -208,7 +207,6 @@ def _cmd_parallel_sum(args, tol: Tol, a, b):
     trend = regularized_trend(a, b, res.value, tol)
     return dict(
         value=matrix_to_json_dict(res.value),
-        route=res.route,
         route_agreement=res.route_agreement,
         regularized={str(eps): dev for eps, dev in trend.items()},
     ), 0
@@ -303,7 +301,7 @@ _SUBCOMMANDS = (
         "polar", "polar factorization T = U |T|^alpha", ("input",), _cmd_polar,
         options=(
             ("--alpha", dict(type=float, default=None, help="exponent in (0,1); omit for the classical form")),
-            ("--iterate", dict(type=int, default=None, help="report the n-th iterate instead of the limit")),
+            ("--iterate", dict(type=_at_least(1), default=None, help="report the n-th iterate instead of the limit")),
         ),
         file_help="matrix JSON file",
     ),
@@ -336,7 +334,7 @@ _SUBCOMMANDS = (
     ),
     _Subcommand(
         "lab verify", "closed-form cross-checks at one dimension", (), _cmd_lab_verify,
-        options=(("--dim", dict(type=int, required=True)),),
+        options=(("--dim", dict(type=_at_least(1), required=True)),),
     ),
 )
 

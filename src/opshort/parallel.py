@@ -89,14 +89,12 @@ def _pd_formula(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class ParallelSumResult:
     """Parallel sum with provenance.
 
-    ``route`` names the route that produced ``value`` (always the
-    shorted-block construction); ``route_agreement`` is the maximum deviation
-    between that value and any cross-check route that ran (0.0 when none
-    did).
+    ``value`` comes from the shorted-block construction; ``route_agreement``
+    is the maximum deviation between that value and any cross-check route
+    that ran (0.0 when none did).
     """
 
     value: np.ndarray
-    route: str
     route_agreement: float
 
 
@@ -139,11 +137,7 @@ def parallel_sum(a, b, tol: Tol = DEFAULT_TOL) -> ParallelSumResult:
     agreement = 0.0
     if _is_pd(wa, tol) and _is_pd(wb, tol):
         agreement = opnorm(_pd_formula(ah, bh) - value)
-    return ParallelSumResult(
-        value=value,
-        route="shorted_block",
-        route_agreement=float(agreement),
-    )
+    return ParallelSumResult(value=value, route_agreement=float(agreement))
 
 
 def regularized_trend(a, b, value, tol: Tol = DEFAULT_TOL) -> dict:
@@ -246,8 +240,9 @@ class ParallelEquationSolution:
     """Reduced solution X of (A + B) X = B together with its certificate.
 
     At this X the quadratic form X* A X + (I - X)* B (I - X) attains the
-    parallel sum A : B; ``diagnostics`` records the equation residual, the
-    solve residual, ||X||, and the condition number of A + B on its range.
+    parallel sum A : B; ``norm`` is ||X||, and ``diagnostics`` records the
+    equation residual, the solve residual and the condition number of A + B
+    on its range.
     """
 
     X: np.ndarray
@@ -284,14 +279,12 @@ def solve_parallel_equation(a, b, tol: Tol = DEFAULT_TOL) -> ParallelEquationSol
         )
     r = f.rank(tol)
     cond_on_range = float(f.s[0] / f.s[r - 1]) if r else 0.0
-    norm_x = opnorm(x)
     return ParallelEquationSolution(
         X=x,
-        norm=norm_x,
+        norm=opnorm(x),
         diagnostics={
             "equation_residual": float(eq_residual),
             "solve_residual": float(sol.residual),
-            "norm_X": norm_x,
             "cond_on_range": cond_on_range,
         },
     )

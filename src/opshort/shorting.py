@@ -175,13 +175,11 @@ class BlockOperator:
     their spans, and so only the corners' singular values, are basis-free.
     ``index_m`` (``index_n``) holds the coordinates that the domain's
     (codomain's) bases pick when they are coordinate columns, else None;
-    corners and lifts are then gathered and scattered (module docstring),
-    and PM (PN), an exact 0/1 diagonal, is kept as given, as T is.
+    corners and lifts are then gathered and scattered (module docstring).
+    The projectors themselves are not kept: the bases span their ranges.
     """
 
     T: np.ndarray
-    PM: np.ndarray
-    PN: np.ndarray
     basis_m: np.ndarray
     basis_m_perp: np.ndarray
     basis_n: np.ndarray
@@ -202,20 +200,31 @@ class BlockOperator:
         return self.basis_n.shape[1]
 
     def lift(self, x11=None, x12=None, x21=None, x22=None) -> np.ndarray:
-        """Ambient domain -> codomain matrix from block pieces (None = 0)."""
+        """Ambient domain -> codomain matrix from block pieces (None = 0): the
+        sum of rows[i] @ x_ij @ cols[j]* over the pieces given, with rows the
+        (N, N_perp) and cols the (M, M_perp) bases; with both sides' coordinate
+        indices each x_ij is added in place.  The result has the result type
+        of the bases and the pieces."""
         rows = (self.basis_n, self.basis_n_perp)
         cols = (self.basis_m, self.basis_m_perp)
-        return _lift(rows, cols, self.index_n, self.index_m, x11, x12, x21, x22)
-
-    def lift_domain(self, x11=None, x12=None, x21=None, x22=None) -> np.ndarray:
-        """Ambient domain -> domain matrix from M (+) M_perp block pieces."""
-        bases = (self.basis_m, self.basis_m_perp)
-        return _lift(bases, bases, self.index_m, self.index_m, x11, x12, x21, x22)
-
-    def lift_codomain(self, x11=None, x12=None, x21=None, x22=None) -> np.ndarray:
-        """Ambient codomain -> codomain matrix from N (+) N_perp block pieces."""
-        bases = (self.basis_n, self.basis_n_perp)
-        return _lift(bases, bases, self.index_n, self.index_n, x11, x12, x21, x22)
+        pieces = [
+            (as_matrix(x, "block piece"), i, j)
+            for x, i, j in ((x11, 0, 0), (x12, 0, 1), (x21, 1, 0), (x22, 1, 1))
+            if x is not None
+        ]
+        dtype = np.result_type(*rows, *cols, *(xm for xm, _, _ in pieces))
+        out = np.zeros((rows[0].shape[0], cols[0].shape[0]), dtype=dtype)
+        for xm, i, j in pieces:
+            if xm.shape != (rows[i].shape[1], cols[j].shape[1]):
+                raise ShapeMismatch(
+                    f"block piece has shape {xm.shape}, expected "
+                    f"{(rows[i].shape[1], cols[j].shape[1])}"
+                )
+            if self.index_n is None or self.index_m is None:
+                out += rows[i] @ xm @ cols[j].conj().T
+            else:
+                out[np.ix_(self.index_n[i], self.index_m[j])] += xm
+        return out
 
     def reassembled(self) -> np.ndarray:
         """T rebuilt from its four corners; equals T to working precision."""
@@ -251,31 +260,6 @@ class BlockOperator:
         return {}
 
 
-def _lift(rows, cols, row_index, col_index, x11, x12, x21, x22) -> np.ndarray:
-    """Sum of rows[i] @ x_ij @ cols[j]* over the pieces given (None = 0);
-    ``rows`` and ``cols`` are the (first, second) bases of the two sides,
-    and with both sides' coordinate indices each x_ij is added in place.
-    The result has the result type of the bases and the pieces."""
-    pieces = [
-        (as_matrix(x, "block piece"), i, j)
-        for x, i, j in ((x11, 0, 0), (x12, 0, 1), (x21, 1, 0), (x22, 1, 1))
-        if x is not None
-    ]
-    dtype = np.result_type(*rows, *cols, *(xm for xm, _, _ in pieces))
-    out = np.zeros((rows[0].shape[0], cols[0].shape[0]), dtype=dtype)
-    for xm, i, j in pieces:
-        if xm.shape != (rows[i].shape[1], cols[j].shape[1]):
-            raise ShapeMismatch(
-                f"block piece has shape {xm.shape}, expected "
-                f"{(rows[i].shape[1], cols[j].shape[1])}"
-            )
-        if row_index is None or col_index is None:
-            out += rows[i] @ xm @ cols[j].conj().T
-        else:
-            out[np.ix_(row_index[i], col_index[j])] += xm
-    return out
-
-
 def partition(t, pm, pn, tol: Tol = DEFAULT_TOL) -> BlockOperator:
     """Partition T into the four compressions induced by (M, N).
 
@@ -305,13 +289,10 @@ def partition(t, pm, pn, tol: Tol = DEFAULT_TOL) -> BlockOperator:
     if pnn.shape != (k, k):
         raise ShapeMismatch(f"PN must be {k}x{k} on the codomain, got {pnn.shape}")
     bm, bmp, im = _projector_bases(pmm, tol)
-    # an exact 0/1 diagonal is already Hermitian
-    pm_h = _herm(pmm) if im is None else pmm
     if np.array_equal(pnn, pmm):
-        bn, bnp, in_, pn_h = bm, bmp, im, pm_h
+        bn, bnp, in_ = bm, bmp, im
     else:
         bn, bnp, in_ = _projector_bases(pnn, tol)
-        pn_h = _herm(pnn) if in_ is None else pnn
     if im is not None and in_ is not None:
         # coordinate columns: each corner is a sub-block of T
         t11, t12, t21, t22 = (tm[np.ix_(rows, cols)] for rows in in_ for cols in im)
@@ -321,8 +302,6 @@ def partition(t, pm, pn, tol: Tol = DEFAULT_TOL) -> BlockOperator:
         t11, t12, t21, t22 = nt @ bm, nt @ bmp, npt @ bm, npt @ bmp
     return BlockOperator(
         T=tm,
-        PM=pm_h,
-        PN=pn_h,
         basis_m=bm,
         basis_m_perp=bmp,
         basis_n=bn,
@@ -441,16 +420,17 @@ def complementable_idempotents(block: BlockOperator, c, d, tol: Tol = DEFAULT_TO
         raise ShapeMismatch(f"C must be {dim_mp}x{dim_m}, got {cm.shape}")
     if dm.shape != (dim_np, dim_n):
         raise ShapeMismatch(f"D must be {dim_np}x{dim_n}, got {dm.shape}")
-    res_c = opnorm(block.T22 @ cm - block.T21) / max(opnorm(block.T21), 1.0)
-    if res_c > tol.residual_rel:
-        raise WitnessInvalid(f"C fails T22 C = T21 with residual {res_c:.3e}")
-    res_d = opnorm(block.T22.conj().T @ dm - block.T12.conj().T) / max(
-        opnorm(block.T12), 1.0
-    )
-    if res_d > tol.residual_rel:
-        raise WitnessInvalid(f"D fails T22* D = T12* with residual {res_d:.3e}")
-    p = block.lift_domain(x11=np.eye(dim_m), x21=-cm)
-    q = block.lift_codomain(x11=np.eye(dim_n), x12=-dm.conj().T)
+    for name, equation, gap, rhs in (
+        ("C", "T22 C = T21", block.T22 @ cm - block.T21, block.T21),
+        ("D", "T22* D = T12*", block.T22.conj().T @ dm - block.T12.conj().T, block.T12),
+    ):
+        if not _norm_within(gap, tol.residual_rel, rhs):
+            residual = opnorm(gap) / max(opnorm(rhs), 1.0)
+            raise WitnessInvalid(f"{name} fails {equation} with residual {residual:.3e}")
+    # P = [[I, 0], [-C, 0]] and Q = [[I, -D*], [0, 0]] in the blocks' bases
+    bm, bn = block.basis_m, block.basis_n
+    p = (bm - block.basis_m_perp @ cm) @ bm.conj().T
+    q = bn @ (bn - block.basis_n_perp @ dm).conj().T
     return p, q
 
 
@@ -494,9 +474,8 @@ class ShortedResult:
     ``core`` is the M -> N block T11 - (F* E + Ftilde* Etilde) / 2 in the
     block's bases ``basis_n`` x ``basis_m``, as the witnesses are in its bases;
     ``shorted`` is its basis-free embedding into ambient coordinates, so
-    PN @ shorted @ PM == shorted.  ``mode`` records whether the stronger
-    two-system test also passed ("complementable") or only the weak one
-    ("weakly_complementable").
+    PN @ shorted @ PM == shorted.  ``mode`` is always "complementable" in
+    finite dimension (see :func:`shorted`); a payload field reads it.
     """
 
     shorted: np.ndarray
@@ -510,8 +489,9 @@ def shorted(block: BlockOperator, tol: Tol = DEFAULT_TOL) -> ShortedResult:
 
     Uses the averaged core (F* E + Ftilde* Etilde) / 2 and verifies that the
     two cross products agree, instead of silently trusting either one.  In
-    finite dimension ``mode`` is always "complementable": it reads the strong
-    verdicts, which systems 1 and 4 share.
+    finite dimension ``mode`` is always "complementable": systems 1 and 4
+    have the strong systems' right-hand sides, rank and bases, so a result
+    that is returned has both strong systems solvable.
 
     Raises
     ------
@@ -534,9 +514,7 @@ def shorted(block: BlockOperator, tol: Tol = DEFAULT_TOL) -> ShortedResult:
         )
     core = block.T11 - 0.5 * (fe + fte)
     ambient = block.lift(x11=core)
-    strong = all(_inclusion_at(block, s, _ranks(block, tol)[0], tol).included for s in (0, 1))
-    mode = "complementable" if strong else "weakly_complementable"
-    return ShortedResult(shorted=ambient, core=core, witnesses=data, mode=mode)
+    return ShortedResult(shorted=ambient, core=core, witnesses=data, mode="complementable")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -13,6 +14,8 @@ import pytest
 from opshort import cli, hansen_inequality_check, load_matrix, make_kit, numkit, parallel, save_matrix, shorting
 from opshort.numkit import matrix_from_json_dict
 from opshort.cli import build_parser, dispatch
+
+from _util import record_svd
 
 RNG = np.random.default_rng(6006)
 
@@ -175,17 +178,24 @@ def test_lab_sweep_has_one_output_flag(capsys, tmp_path):
     assert _settable_flags(build_parser()) == 51
 
 
-def test_import_leaves_scipy_unloaded():
+def test_import_adds_no_module_but_opshort_and_locale():
+    # every command pays for `import opshort.cli` in a fresh process; past the
+    # stdlib modules a CLI needs anyway and numpy, it may load only its own
+    # modules and argparse's locale, so scipy or an eager hashlib shows here
+    code = (
+        "import numpy, argparse, json, dataclasses, sys\n"
+        "before = set(sys.modules)\n"
+        "import opshort.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, opshort.cli; print('scipy' in sys.modules)"],
-        capture_output=True,
-        env=env,
-        text=True,
-        timeout=120,
+        [sys.executable, "-c", code], capture_output=True, env=env, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    added = set(proc.stdout.split())
+    assert "opshort.cli" in added
+    assert {m for m in added if m.partition(".")[0] != "opshort"} <= {"__future__", "locale", "_locale"}
 
 
 def _invocations(tmp_path):
@@ -283,6 +293,48 @@ def test_probe_flags_are_checked_before_any_file_is_read(capsys, tmp_path, monke
     assert code == 0 and loads == [a, a]
 
 
+@pytest.mark.parametrize(
+    "leaf, flag, value",
+    [("polar", "--iterate", "0"), ("polar", "--iterate", "-2"), ("lab verify", "--dim", "0")],
+)
+def test_iterate_and_dim_are_checked_before_any_file_is_read(
+    capsys, tmp_path, monkeypatch, leaf, flag, value
+):
+    t = _write(tmp_path, "t.json", np.eye(2))
+    files = ["--input", t] if leaf == "polar" else []
+    loads = []
+    real = numkit.load_matrix
+    for module in (numkit, cli):
+        monkeypatch.setattr(module, "load_matrix", lambda path: loads.append(path) or real(path))
+    code = dispatch(leaf.split() + files + [flag, value])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"argument {flag}: must be an integer >= 1, got {value}" in captured.err
+    assert loads == []
+    # the smallest accepted value reaches the loader
+    code = dispatch(leaf.split() + files + [flag, "1"])
+    assert code == 0 and loads == files[1:]
+
+
+def _readme_keys(command):
+    """The backquoted names of README's payload list item for ``command``."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    item = re.search(rf"^- `{command}`: (.*?)(?=^- |^$)", text, re.M | re.S)
+    return set(re.findall(r"`([^`]+)`", item.group(1)))
+
+
+def test_payload_keys_are_the_readme_lists(capsys, tmp_path):
+    for argv in _seeded_invocations(tmp_path):
+        if argv[0] not in ("parallel-sum", "parallel-eq", "v-op"):
+            continue
+        code, payload = _run_json(capsys, argv)
+        assert code == 0, argv
+        keys = set(payload) - {"command", "version", "tol"}
+        for name in ("residuals", "diagnostics"):
+            keys |= set(payload.get(name, ()))
+        assert keys == _readme_keys(argv[0]), argv
+
+
 # --- polar family ------------------------------------------------------------------
 
 
@@ -344,6 +396,17 @@ def test_v_op_residuals(capsys, tmp_path):
     assert '"tol":{"eig_clamp_rel":1e-10,"rank_rel":1e-12,"residual_rel":1e-08}' in out
     for value in json.loads(out)["residuals"].values():
         assert value <= 1e-9
+
+
+def test_v_op_factors_t_three_times(capsys, tmp_path, monkeypatch):
+    # V, |T| and |T*| each factor T once; no residual factors it again
+    argv = next(a for a in _seeded_invocations(tmp_path) if a[0] == "v-op")
+    t = load_matrix(argv[2])
+    calls = record_svd(monkeypatch)
+    code, _ = _run(capsys, argv)
+    assert code == 0
+    assert sum(uv and np.array_equal(m, t) for m, uv in calls) == 3
+    assert len(calls) == 7
 
 
 # --- reduced-solve -------------------------------------------------------------------
@@ -556,7 +619,6 @@ def test_parallel_sum_scalars(capsys, tmp_path):
     assert code == 0
     _check_envelope(payload, "parallel-sum")
     assert payload["value"]["data"] == [[1.0, 0.0]]
-    assert payload["route"] == "shorted_block"
     assert set(payload["regularized"]) == {"0.0001", "1e-06"}
 
 

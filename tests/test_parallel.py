@@ -36,7 +36,6 @@ def _scalar(x):
 def test_scalar_parallel_sum(a, b):
     result = parallel_sum(_scalar(a), _scalar(b))
     assert abs(result.value[0, 0] - a * b / (a + b)) <= 1e-12
-    assert result.route == "shorted_block"
 
 
 def test_parallel_sum_with_zero_vanishes():
@@ -335,7 +334,7 @@ def test_equation_pd_closed_form():
     sol = solve_parallel_equation(a, b)
     assert opnorm(sol.X - np.linalg.inv(a + b) @ b) <= 1e-9
     keys = set(sol.diagnostics)
-    assert keys == {"equation_residual", "solve_residual", "norm_X", "cond_on_range"}
+    assert keys == {"equation_residual", "solve_residual", "cond_on_range"}
     assert sol.diagnostics["equation_residual"] <= 1e-8 * (opnorm(a) + opnorm(b))
     assert sol.diagnostics["cond_on_range"] == pytest.approx(
         np.linalg.cond(a + b), rel=1e-6
@@ -385,7 +384,6 @@ def _reference_equation(a, b):
     return x, {
         "equation_residual": opnorm(attained - parallel_sum(ah, bh).value),
         "solve_residual": sol.residual,
-        "norm_X": opnorm(x),
         "cond_on_range": float(f.s[0] / f.s[r - 1]),
     }
 
