@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -35,16 +35,7 @@ from .errors import (
     OpshortError,
 )
 from .lab import divergence_sweep, sweep_to_csv, verify_closed_forms
-from .numkit import (
-    DEFAULT_TOL,
-    Tol,
-    absolute_value,
-    load_matrix,
-    matrix_to_json_dict,
-    opnorm,
-    psd_power,
-    range_projector,
-)
+from .numkit import DEFAULT_TOL, Tol, _svd_factor, load_matrix, matrix_to_json_dict, opnorm
 from .parallel import (
     _hansen_worst,
     hansen_inequality_check,
@@ -53,7 +44,7 @@ from .parallel import (
     regularized_trend,
     solve_parallel_equation,
 )
-from .polar import DEFAULT_ALPHA, gpolar, gpolar_iterative, polar_decompose, v_operator
+from .polar import DEFAULT_ALPHA, _alpha, _polar, gpolar_iterative
 from .shorting import _ranks, partition, shorted, verify_range_kernel
 
 __all__ = ["main", "dispatch", "build_parser"]
@@ -67,77 +58,74 @@ __all__ = ["main", "dispatch", "build_parser"]
 # writes the output.
 
 
+def _polar_parts(t, alpha: float, tol: Tol):
+    """T's one SVD f, its rank r under tol, T = U |T|^alpha read from f, and
+    ||U*U - |T|^q|| and ||UU* - |T*|^q|| at q = 2(1 - alpha), both powers over
+    the same r triplets of f; at alpha = 1 they are the range projectors."""
+    f = _svd_factor(t)
+    r = f.rank(tol)
+    form = _polar(f, alpha, tol)
+    u, q = form.U, 2.0 * (1.0 - alpha)
+    gram = opnorm(u.conj().T @ u - f.abs_power("right", q, r))
+    return f, r, form, gram, opnorm(u @ u.conj().T - f.abs_power("left", q, r))
+
+
+def _relative(x, f) -> float:
+    """||X|| / max(||T||, 1), reading ||T|| as sigma_1 of T's factor f."""
+    return opnorm(x) / float(f.s.max(initial=1.0))
+
+
+def _form_fields(mode: str, form, residuals: dict) -> dict:
+    """The fields every polar mode reports beside its residuals."""
+    return dict(
+        mode=mode,
+        alpha=form.alpha,
+        U=matrix_to_json_dict(form.U),
+        absT=matrix_to_json_dict(form.absT),
+        residuals=residuals,
+    )
+
+
 def _cmd_polar(args, tol: Tol, t):
     if args.iterate is not None:
         alpha = args.alpha if args.alpha is not None else DEFAULT_ALPHA
         u_n = gpolar_iterative(t, alpha, args.iterate)
-        limit = gpolar(t, alpha, tol)
-        t_alpha = psd_power(limit.absT, alpha, tol)
-        return dict(
-            mode="iterate",
-            alpha=alpha,
-            n=args.iterate,
-            U=matrix_to_json_dict(u_n),
-            absT=matrix_to_json_dict(limit.absT),
-            residuals={
-                "distance_to_limit": opnorm(u_n - limit.U),
-                "reconstruction": opnorm(u_n @ t_alpha - t) / max(opnorm(t), 1.0),
-            },
-        ), 0
+        f = _svd_factor(t)
+        limit = _polar(f, alpha, tol)
+        residuals = {
+            "distance_to_limit": opnorm(u_n - limit.U),
+            "reconstruction": _relative(u_n @ f.abs_power("right", alpha, f.rank(tol)) - t, f),
+        }
+        # the payload reports the iterate in the limit's place
+        return dict(_form_fields("iterate", replace(limit, U=u_n), residuals), n=args.iterate), 0
     if args.alpha is not None:
         return _cmd_gpolar(args, tol, t)
-    form = polar_decompose(t, tol)
-    return dict(
-        mode="classical",
-        alpha=1.0,
-        U=matrix_to_json_dict(form.U),
-        absT=matrix_to_json_dict(form.absT),
-        residuals={
-            "reconstruction": opnorm(form.U @ form.absT - t) / max(opnorm(t), 1.0),
-            "initial_isometry": opnorm(
-                form.U.conj().T @ form.U - range_projector(t.conj().T, tol)
-            ),
-            "final_isometry": opnorm(form.U @ form.U.conj().T - range_projector(t, tol)),
-        },
-    ), 0
+    f, _, form, initial, final = _polar_parts(t, 1.0, tol)
+    residuals = {
+        "reconstruction": _relative(form.U @ form.absT - t, f),
+        "initial_isometry": initial,
+        "final_isometry": final,
+    }
+    return _form_fields("classical", form, residuals), 0
 
 
 def _cmd_gpolar(args, tol: Tol, t):
-    form = gpolar(t, args.alpha, tol)
-    abs_left = absolute_value(t, "left")
-    t_alpha = psd_power(form.absT, args.alpha, tol)
-    return dict(
-        mode="generalized",
-        alpha=form.alpha,
-        U=matrix_to_json_dict(form.U),
-        absT=matrix_to_json_dict(form.absT),
-        residuals={
-            "reconstruction": opnorm(form.U @ t_alpha - t) / max(opnorm(t), 1.0),
-            "gram": opnorm(
-                form.U.conj().T @ form.U
-                - psd_power(form.absT, 2.0 * (1.0 - form.alpha), tol)
-            ),
-            "dual_gram": opnorm(
-                form.U @ form.U.conj().T
-                - psd_power(abs_left, 2.0 * (1.0 - form.alpha), tol)
-            ),
-            "intertwining_beta_1": opnorm(form.U @ form.absT - abs_left @ form.U),
-        },
-    ), 0
+    f, r, form, gram, dual_gram = _polar_parts(t, _alpha(args.alpha), tol)
+    residuals = {
+        "reconstruction": _relative(form.U @ f.abs_power("right", form.alpha, r) - t, f),
+        "gram": gram,
+        "dual_gram": dual_gram,
+        "intertwining_beta_1": opnorm(form.U @ form.absT - f.abs_power("left") @ form.U),
+    }
+    return _form_fields("generalized", form, residuals), 0
 
 
 def _cmd_v_op(args, tol: Tol, t):
-    v = v_operator(t, tol)
-    abs_right = absolute_value(t, "right")
-    abs_left = absolute_value(t, "left")
-    half_left = psd_power(abs_left, 0.5, tol)
+    f, r, form, gram, dual_gram = _polar_parts(t, 0.5, tol)
+    factorization = _relative(f.abs_power("left", 0.5, r) @ form.U - t, f)
     return dict(
-        V=matrix_to_json_dict(v),
-        residuals={
-            "gram": opnorm(v.conj().T @ v - abs_right),
-            "dual_gram": opnorm(v @ v.conj().T - abs_left),
-            "factorization": opnorm(half_left @ v - t) / max(opnorm(t), 1.0),
-        },
+        V=matrix_to_json_dict(form.U),
+        residuals={"gram": gram, "dual_gram": dual_gram, "factorization": factorization},
     ), 0
 
 

@@ -311,10 +311,12 @@ class _SVDFactor:
         """u_r s_r^a vh_r: the polar factor at a = 0, V(T) at a = 1/2."""
         return (self.u[:, :r] * self.s[:r] ** a) @ self.vh[:r]
 
-    def abs_power(self, side: str) -> np.ndarray:
-        """|T| ("right", on the domain) or |T*| ("left", on the codomain)."""
-        b = self.vh.conj().T if side == "right" else self.u
-        return _herm((b * self.s) @ b.conj().T)
+    def abs_power(self, side: str, p: float = 1.0, r: int | None = None) -> np.ndarray:
+        """|T|^p ("right", on the domain) or |T*|^p ("left", on the codomain)
+        over the first r singular triplets, all of them by default.  At p = 0
+        with r the rank it is the range projector of T* ("right") or T ("left")."""
+        b = (self.vh.conj().T if side == "right" else self.u)[:, :r]
+        return _herm((b * self.s[:r] ** p) @ b.conj().T)
 
     def pinv(self, r: int) -> np.ndarray:
         """vh_r* s_r^-1 u_r*: the pseudo-inverse when r is the rank."""
@@ -376,8 +378,8 @@ def range_projector(t, tol: Tol = DEFAULT_TOL) -> np.ndarray:
     Hermitian and idempotent to working precision and reproduces the
     regularized limit (T + eps I)^(-1) T on PSD inputs.
     """
-    b = range_basis(t, tol)
-    return _herm(b @ b.conj().T)
+    f = _svd_factor(as_matrix(t))
+    return f.abs_power("left", 0.0, f.rank(tol))
 
 
 def _angle_factors(qa: np.ndarray, qb: np.ndarray):

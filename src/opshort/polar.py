@@ -6,6 +6,11 @@ satisfies the gram identities U*U = |T|^(2(1-alpha)) and UU* = |T*|^(2(1-alpha))
 and intertwines the two absolute values, U |T|^beta = |T*|^beta U.  The
 canonical factor V = |T*|^(1/2) U sits at the alpha = 1/2 interpolation point
 and is the reduced solution of |T*|^(1/2) X = T.
+
+:func:`polar_decompose` (alpha = 1), :func:`gpolar` (alpha in (0, 1)) and
+:func:`v_operator` (alpha = 1/2, its U) are one construction: a single SVD
+T = W s Q* gives U = W_r s_r^(1-alpha) Q_r* at the rank r under tol.rank_rel
+and |T| = Q s Q*.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from numbers import Real
 import numpy as np
 
 from .errors import AlphaOutOfRange
-from .numkit import DEFAULT_TOL, Tol, _herm, _integer, _svd_factor, as_matrix
+from .numkit import DEFAULT_TOL, Tol, _herm, _integer, _svd_factor, _SVDFactor, as_matrix
 
 __all__ = [
     "PolarForm",
@@ -52,6 +57,11 @@ class PolarForm:
     alpha: float
 
 
+def _polar(f: _SVDFactor, alpha: float, tol: Tol) -> PolarForm:
+    """T = U |T|^alpha read from T's factor f; alpha is already checked."""
+    return PolarForm(U=f.power(1.0 - alpha, f.rank(tol)), absT=f.abs_power("right"), alpha=alpha)
+
+
 def polar_decompose(t, tol: Tol = DEFAULT_TOL) -> PolarForm:
     """Classical polar decomposition T = U |T| with U a partial isometry.
 
@@ -69,8 +79,7 @@ def polar_decompose(t, tol: Tol = DEFAULT_TOL) -> PolarForm:
         U is zero on the kernel of T, U*U is the projector onto the range
         of T*, and UU* is the projector onto the range of T.
     """
-    f = _svd_factor(as_matrix(t))
-    return PolarForm(U=f.power(0.0, f.rank(tol)), absT=f.abs_power("right"), alpha=1.0)
+    return _polar(_svd_factor(as_matrix(t)), 1.0, tol)
 
 
 def gpolar(t, alpha: float, tol: Tol = DEFAULT_TOL) -> PolarForm:
@@ -89,8 +98,7 @@ def gpolar(t, alpha: float, tol: Tol = DEFAULT_TOL) -> PolarForm:
         If alpha is not strictly inside (0, 1).
     """
     alpha = _alpha(alpha)
-    f = _svd_factor(as_matrix(t))
-    return PolarForm(U=f.power(1.0 - alpha, f.rank(tol)), absT=f.abs_power("right"), alpha=alpha)
+    return _polar(_svd_factor(as_matrix(t)), alpha, tol)
 
 
 def gpolar_iterative(t, alpha: float, n: int) -> np.ndarray:
@@ -137,8 +145,8 @@ def v_operator(t, tol: Tol = DEFAULT_TOL) -> np.ndarray:
         |T|^(1/2) = Q s^(1/2) Q*      |T*|^(1/2) = W s^(1/2) W*
 
     which is how :mod:`opshort.shorting` solves its four weak systems from
-    one factor.  On PSD inputs V is the ordinary square root, and V agrees
-    with the alpha = 1/2 gpolar factor.
+    one factor.  On PSD inputs V is the ordinary square root.  V is the
+    alpha = 1/2 case of the construction whose alpha = 1 case is
+    :func:`polar_decompose` and whose alpha in (0, 1) cases are :func:`gpolar`.
     """
-    f = _svd_factor(as_matrix(t))
-    return f.power(0.5, f.rank(tol))
+    return _polar(_svd_factor(as_matrix(t)), 0.5, tol).U

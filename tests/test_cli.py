@@ -15,7 +15,7 @@ from opshort import cli, hansen_inequality_check, load_matrix, make_kit, numkit,
 from opshort.numkit import matrix_from_json_dict
 from opshort.cli import build_parser, dispatch
 
-from _util import record_svd
+from _util import record_linalg, record_svd
 
 RNG = np.random.default_rng(6006)
 
@@ -316,23 +316,36 @@ def test_iterate_and_dim_are_checked_before_any_file_is_read(
     assert code == 0 and loads == files[1:]
 
 
-def _readme_keys(command):
-    """The backquoted names of README's payload list item for ``command``."""
+def _readme_keys(label):
+    """The backquoted names of README's payload list item labelled ``label``."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    item = re.search(rf"^- `{command}`: (.*?)(?=^- |^$)", text, re.M | re.S)
+    item = re.search(rf"^- {re.escape(label)}: (.*?)(?=^- |^$)", text, re.M | re.S)
     return set(re.findall(r"`([^`]+)`", item.group(1)))
 
 
+# the README label of each polar mode's item
+_POLAR_LABELS = {
+    "classical": "`polar`",
+    "generalized": "`polar --alpha` and `gpolar`",
+    "iterate": "`polar --iterate`",
+}
+
+
 def test_payload_keys_are_the_readme_lists(capsys, tmp_path):
+    commands = ("polar", "gpolar", "v-op", "parallel-sum", "parallel-eq")
+    seen = set()
     for argv in _seeded_invocations(tmp_path):
-        if argv[0] not in ("parallel-sum", "parallel-eq", "v-op"):
+        if argv[0] not in commands:
             continue
         code, payload = _run_json(capsys, argv)
         assert code == 0, argv
         keys = set(payload) - {"command", "version", "tol"}
         for name in ("residuals", "diagnostics"):
             keys |= set(payload.get(name, ()))
-        assert keys == _readme_keys(argv[0]), argv
+        label = _POLAR_LABELS.get(payload.get("mode"), f"`{argv[0]}`")
+        assert keys == _readme_keys(label), argv
+        seen.add(label)
+    assert seen == set(_POLAR_LABELS.values()) | {"`v-op`", "`parallel-sum`", "`parallel-eq`"}
 
 
 # --- polar family ------------------------------------------------------------------
@@ -398,17 +411,39 @@ def test_v_op_residuals(capsys, tmp_path):
         assert value <= 1e-9
 
 
-def test_v_op_factors_t_three_times(capsys, tmp_path, monkeypatch):
-    # V, |T| and |T*| each factor T once; no residual factors it again
-    argv = next(a for a in _seeded_invocations(tmp_path) if a[0] == "v-op")
-    t = load_matrix(argv[2])
-    calls = record_svd(monkeypatch)
-    code, _ = _run(capsys, argv)
-    assert code == 0
-    assert sum(uv and np.array_equal(m, t) for m, uv in calls) == 3
-    assert len(calls) == 7
+def test_polar_family_factors_t_once(capsys, tmp_path, monkeypatch):
+    # U, |T|, |T*|, their powers, sigma_1 and both range projectors all read
+    # one full SVD of T; no eigh of |T| or |T*| remains, and the one eigh of
+    # T*T is gpolar_iterative's own
+    for argv in _seeded_invocations(tmp_path):
+        if argv[0] not in ("polar", "gpolar", "v-op"):
+            continue
+        t = load_matrix(argv[2])
+        with monkeypatch.context() as patch:
+            svds = record_svd(patch)
+            eighs = record_linalg(patch, "eigh", lambda _: None)
+            eigvalshs = record_linalg(patch, "eigvalsh", lambda _: None)
+            code, _ = _run(capsys, argv)
+        assert code == 0, argv
+        full = [m for m, uv in svds if uv]
+        assert len(full) == 1 and np.array_equal(full[0], t), argv
+        assert len(eighs) == ("--iterate" in argv), argv
+        assert eigvalshs == [], argv
 
 
+def test_polar_family_residuals_read_one_rank_rule(capsys, tmp_path):
+    # sigma_3 = 1e-11 lies above the rank cutoff 1e-12 but below the eigenvalue
+    # clamp 1e-10: every residual must keep it or drop it with U
+    rng = np.random.default_rng(23)
+    q1, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    q2, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    f = _write(tmp_path, "t.json", (q1 * [1.0, 0.5, 1e-11]) @ q2.T)
+    assert load_matrix(f).dtype == np.float64
+    for argv in (["polar"], ["polar", "--alpha", "0.75"], ["gpolar", "--alpha", "0.25"], ["v-op"]):
+        code, payload = _run_json(capsys, argv + ["--input", f])
+        assert code == 0, argv
+        for name, value in payload["residuals"].items():
+            assert value <= 1e-14, (argv, name, value)
 # --- reduced-solve -------------------------------------------------------------------
 
 

@@ -373,6 +373,10 @@ def test_svd_factor_views_match_their_definitions():
     for side, gram in (("right", t.conj().T @ t), ("left", t @ t.conj().T)):
         assert opnorm(f.abs_power(side) - psd_power(gram, 0.5)) <= 1e-7
         assert np.array_equal(f.abs_power(side), absolute_value(t, side))
+    # over the r kept triplets: powers of the grams, and at p = 0 the range projectors
+    for side, gram, tt in (("right", t.conj().T @ t, t.conj().T), ("left", t @ t.conj().T, t)):
+        assert opnorm(f.abs_power(side, 0.75, r) - psd_power(gram, 0.375)) <= 1e-7
+        assert opnorm(f.abs_power(side, 0.0, r) - range_projector(tt)) <= 1e-12
 
 
 # --- certified operator-norm bounds -------------------------------------------------
