@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -75,13 +75,13 @@ def _relative(x, f) -> float:
     return opnorm(x) / float(f.s.max(initial=1.0))
 
 
-def _form_fields(mode: str, form, residuals: dict) -> dict:
+def _form_fields(mode: str, alpha: float, u, abs_t, residuals: dict) -> dict:
     """The fields every polar mode reports beside its residuals."""
     return dict(
         mode=mode,
-        alpha=form.alpha,
-        U=matrix_to_json_dict(form.U),
-        absT=matrix_to_json_dict(form.absT),
+        alpha=alpha,
+        U=matrix_to_json_dict(u),
+        absT=matrix_to_json_dict(abs_t),
         residuals=residuals,
     )
 
@@ -96,8 +96,7 @@ def _cmd_polar(args, tol: Tol, t):
             "distance_to_limit": opnorm(u_n - limit.U),
             "reconstruction": _relative(u_n @ f.abs_power("right", alpha, f.rank(tol)) - t, f),
         }
-        # the payload reports the iterate in the limit's place
-        return dict(_form_fields("iterate", replace(limit, U=u_n), residuals), n=args.iterate), 0
+        return dict(_form_fields("iterate", alpha, u_n, limit.absT, residuals), n=args.iterate), 0
     if args.alpha is not None:
         return _cmd_gpolar(args, tol, t)
     f, _, form, initial, final = _polar_parts(t, 1.0, tol)
@@ -106,7 +105,7 @@ def _cmd_polar(args, tol: Tol, t):
         "initial_isometry": initial,
         "final_isometry": final,
     }
-    return _form_fields("classical", form, residuals), 0
+    return _form_fields("classical", 1.0, form.U, form.absT, residuals), 0
 
 
 def _cmd_gpolar(args, tol: Tol, t):
@@ -117,7 +116,7 @@ def _cmd_gpolar(args, tol: Tol, t):
         "dual_gram": dual_gram,
         "intertwining_beta_1": opnorm(form.U @ form.absT - f.abs_power("left") @ form.U),
     }
-    return _form_fields("generalized", form, residuals), 0
+    return _form_fields("generalized", form.alpha, form.U, form.absT, residuals), 0
 
 
 def _cmd_v_op(args, tol: Tol, t):

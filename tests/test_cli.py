@@ -414,7 +414,9 @@ def test_v_op_residuals(capsys, tmp_path):
 def test_polar_family_factors_t_once(capsys, tmp_path, monkeypatch):
     # U, |T|, |T*|, their powers, sigma_1 and both range projectors all read
     # one full SVD of T; no eigh of |T| or |T*| remains, and the one eigh of
-    # T*T is gpolar_iterative's own
+    # T*T is gpolar_iterative's own.  The other SVD calls are the singular
+    # values behind each opnorm residual.
+    svd_calls = {"polar": 4, "polar --alpha": 5, "polar --alpha --iterate": 3, "gpolar": 5, "v-op": 4}
     for argv in _seeded_invocations(tmp_path):
         if argv[0] not in ("polar", "gpolar", "v-op"):
             continue
@@ -427,8 +429,11 @@ def test_polar_family_factors_t_once(capsys, tmp_path, monkeypatch):
         assert code == 0, argv
         full = [m for m, uv in svds if uv]
         assert len(full) == 1 and np.array_equal(full[0], t), argv
+        flags = [a for a in argv if a in ("--alpha", "--iterate")]
+        assert len(svds) == svd_calls.pop(" ".join([argv[0]] + flags)), argv
         assert len(eighs) == ("--iterate" in argv), argv
         assert eigvalshs == [], argv
+    assert svd_calls == {}
 
 
 def test_polar_family_residuals_read_one_rank_rule(capsys, tmp_path):
@@ -444,6 +449,8 @@ def test_polar_family_residuals_read_one_rank_rule(capsys, tmp_path):
         assert code == 0, argv
         for name, value in payload["residuals"].items():
             assert value <= 1e-14, (argv, name, value)
+
+
 # --- reduced-solve -------------------------------------------------------------------
 
 
