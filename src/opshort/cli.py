@@ -38,10 +38,11 @@ from .lab import divergence_sweep, sweep_to_csv, verify_closed_forms
 from .numkit import DEFAULT_TOL, Tol, _svd_factor, load_matrix, matrix_to_json_dict, opnorm
 from .parallel import (
     _hansen_worst,
+    _parallel_sum,
+    _psd_pair,
+    _regularized_trend,
     hansen_inequality_check,
     lemma_69_check,
-    parallel_sum,
-    regularized_trend,
     solve_parallel_equation,
 )
 from .polar import DEFAULT_ALPHA, _alpha, _polar, gpolar_iterative
@@ -190,8 +191,9 @@ def _cmd_shorted(args, tol: Tol, t, pm, pn):
 
 
 def _cmd_parallel_sum(args, tol: Tol, a, b):
-    res = parallel_sum(a, b, tol)
-    trend = regularized_trend(a, b, res.value, tol)
+    ah, wa, bh, wb = _psd_pair(a, b, tol)  # validated once for both results
+    res = _parallel_sum(ah, wa, bh, wb, tol)
+    trend = _regularized_trend(ah, bh, res.value)
     return dict(
         value=matrix_to_json_dict(res.value),
         route_agreement=res.route_agreement,

@@ -115,10 +115,19 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def opnorm(a) -> float:
-    """Operator 2-norm (largest singular value).  Empty matrices have norm 0."""
+    """Operator 2-norm (largest singular value); 0 for empty and zero matrices.
+
+    The SVD skips exactly-zero rows and columns, which add only zero singular
+    values (NaN and inf count as nonzero); a dense matrix reaches it uncopied."""
     m = np.asarray(a)
     if m.size == 0:
         return 0.0
+    if m.ndim == 2:
+        rows, cols = m.any(axis=1), m.any(axis=0)
+        if not rows.any():
+            return 0.0
+        if not (rows.all() and cols.all()):
+            m = m[np.ix_(rows, cols)]
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 

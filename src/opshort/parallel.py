@@ -132,7 +132,11 @@ def parallel_sum(a, b, tol: Tol = DEFAULT_TOL) -> ParallelSumResult:
     ShapeMismatch
         If the shapes differ.
     """
-    ah, wa, bh, wb = _psd_pair(a, b, tol)
+    return _parallel_sum(*_psd_pair(a, b, tol), tol)
+
+
+def _parallel_sum(ah, wa, bh, wb, tol: Tol) -> ParallelSumResult:
+    """:func:`parallel_sum` of operands validated by :func:`_psd_pair`."""
     value, _ = _parallel_core(ah, wa, bh, wb, tol)
     agreement = 0.0
     if _is_pd(wa, tol) and _is_pd(wb, tol):
@@ -147,6 +151,11 @@ def regularized_trend(a, b, value, tol: Tol = DEFAULT_TOL) -> dict:
     :func:`parallel_sum`; the trend is never folded into ``route_agreement``.
     """
     ah, _, bh, _ = _psd_pair(a, b, tol)
+    return _regularized_trend(ah, bh, value)
+
+
+def _regularized_trend(ah, bh, value) -> dict:
+    """:func:`regularized_trend` of Hermitian parts validated by :func:`_psd_pair`."""
     eye = np.eye(ah.shape[0])
     return {
         eps: opnorm(_pd_formula(ah + eps * eye, bh + eps * eye) - value)

@@ -673,10 +673,34 @@ def test_parallel_sum_deterministic_bytes(capsys, tmp_path):
 
 
 def test_parallel_sum_rejects_indefinite(capsys, tmp_path):
-    a = _write(tmp_path, "a.json", np.diag([1.0, -1.0]))
-    b = _write(tmp_path, "b.json", np.eye(2))
-    code, _ = _run(capsys, ["parallel-sum", "--a", a, "--b", b])
-    assert code == 2
+    # exit 2 with parallel_sum's own message, whichever operand is indefinite
+    good, indefinite = np.eye(2), np.diag([1.0, -1.0])
+    for a, b in ((indefinite, good), (good, indefinite)):
+        with pytest.raises(parallel.NotPSD) as exc:
+            parallel.parallel_sum(a, b)
+        argv = ["parallel-sum", "--a", _write(tmp_path, "a.json", a), "--b", _write(tmp_path, "b.json", b)]
+        assert dispatch(argv) == 2
+        assert capsys.readouterr().err == f"opshort: {exc.value}\n"
+
+
+def test_parallel_sum_validates_a_and_b_once(capsys, tmp_path, monkeypatch):
+    # the sum and its regularized trend share one validation of A and of B;
+    # the payload is the one the public functions give
+    argv = next(a for a in _seeded_invocations(tmp_path) if a[0] == "parallel-sum")
+    a, b = load_matrix(argv[2]), load_matrix(argv[4])
+    res = parallel.parallel_sum(a, b)
+    trend = parallel.regularized_trend(a, b, res.value)
+    validated = []
+    real = parallel._hermitian
+    monkeypatch.setattr(parallel, "_hermitian", lambda m, *rest: validated.append(m) or real(m, *rest))
+    eigvalsh = record_linalg(monkeypatch, "eigvalsh", lambda _: None)
+    code, payload = _run_json(capsys, argv)
+    assert code == 0
+    assert [m.tobytes() for m in validated] == [a.tobytes(), b.tobytes()]
+    assert len(eigvalsh) == 2
+    assert np.array_equal(matrix_from_json_dict(payload["value"]), res.value)
+    assert payload["route_agreement"] == res.route_agreement
+    assert payload["regularized"] == {str(eps): dev for eps, dev in trend.items()}
 
 
 def test_parallel_eq(capsys, tmp_path):

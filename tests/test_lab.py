@@ -247,14 +247,22 @@ def test_sweep_row_svd_budget(monkeypatch):
     # no margin of either partition is read, so the Frobenius bounds settle
     # them all.  The strong solution and cond(A0 + B0) are read from the row's
     # partition.  The kit is real, so every SVD and every eigenvalue call of
-    # the row (A0 : B0's two validations and its PSD clamp) takes the real driver
+    # the row (A0 : B0's two validations and its PSD clamp) takes the real driver.
+    # opnorm drops exactly-zero rows and columns, and B0 has d of each: ||T21||
+    # (T21 = B0) takes d x d, and ||E||, ||Ftilde|| and the strong solution,
+    # whose d zero columns come from T21's, take 2d x d.  A0 : B0 and the core
+    # are not pinned: their zeros are round-off
+    d = 16
     calls = record_svd(monkeypatch)
     eig_calls = [record_linalg(monkeypatch, k, lambda _: None) for k in ("eigvalsh", "eigh")]
-    lab._sweep_row(16, DEFAULT_TOL)
+    lab._sweep_row(d, DEFAULT_TOL)
     assert len(calls) == 10
     assert sum(uv for _, uv in calls) == 2  # T22 and range_basis(A0)
     assert [len(c) for c in eig_calls] == [2, 1]
     assert {x.dtype for x, _ in calls + eig_calls[0] + eig_calls[1]} == {np.dtype(np.float64)}
+    # in call order: ||T21||, ||E||, ||Ftilde||, the 2 angle SVDs, the strong solution
+    values_only = [x.shape for x, uv in calls if not uv]
+    assert values_only[:6] == [(d, d), (2 * d, d), (2 * d, d), (d, d), (2 * d, d), (2 * d, d)]
 
 
 @pytest.mark.parametrize("d", DEFAULT_SWEEP_DIMS)

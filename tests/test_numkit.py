@@ -456,6 +456,112 @@ def test_opnorm_empty_is_zero():
     assert opnorm(np.zeros((0, 0))) == 0.0
 
 
+def _record_svd_operands(monkeypatch):
+    """Every operand that ``opnorm`` hands to ``np.linalg.svd``, uncopied."""
+    operands = []
+    real = np.linalg.svd
+
+    def recording(m, *args, **kwargs):
+        operands.append(m)
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return operands
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 0), (0, 5), (4, 0), (1, 1), (3, 3), (2, 7), (7, 2)])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_opnorm_of_zero_or_empty_is_zero_without_an_svd(monkeypatch, shape, dtype):
+    operands = _record_svd_operands(monkeypatch)
+    assert opnorm(np.zeros(shape, dtype)) == 0.0
+    assert opnorm(np.full(shape, -0.0, dtype)) == 0.0
+    assert operands == []
+
+
+def test_opnorm_negative_zero_rows_and_columns_are_skipped(monkeypatch):
+    operands = _record_svd_operands(monkeypatch)
+    x = np.full((4, 5), -0.0)
+    x[1, 2], x[3, 0] = 3.0, -4.0
+    assert opnorm(x) == 4.0
+    assert [m.shape for m in operands] == [(2, 2)]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_opnorm_hands_a_dense_operand_to_lapack_uncopied(monkeypatch, dtype):
+    # one nonzero per row and column is enough: nothing is cut, nothing copied
+    x = np.eye(5, dtype=dtype)[::-1] * np.arange(1.0, 6.0)
+    operands = _record_svd_operands(monkeypatch)
+    assert opnorm(x) == 5.0
+    assert len(operands) == 1 and operands[0] is x
+
+
+def _outcome(norm, x):
+    """``norm(x)``, or the type and message of what it raises."""
+    try:
+        return repr(norm(x))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _full_svd_norm(x):
+    """sigma_1 from the values-only SVD of all of ``x``."""
+    return float(np.linalg.svd(np.asarray(x), compute_uv=False)[0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 1.0)])
+@pytest.mark.parametrize("where", [(0, 0), (1, 1)])
+def test_opnorm_counts_non_finite_entries_as_nonzero(bad, where):
+    # a NaN or inf entry keeps its row and column, so LAPACK sees it and
+    # answers as it does for the whole matrix: NaN does not converge
+    x = np.zeros((3, 4), dtype=complex if isinstance(bad, complex) else float)
+    x[0, 1] = 2.0
+    x[where] = bad
+    assert _outcome(opnorm, x) == _outcome(_full_svd_norm, x)
+    if np.isnan(bad):
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            opnorm(x)
+
+
+@pytest.mark.parametrize(
+    "x, error",
+    [
+        (np.array(3.0), np.linalg.LinAlgError),
+        (np.array([1.0, 2.0]), np.linalg.LinAlgError),
+        (np.zeros(3), np.linalg.LinAlgError),
+        (np.ones((2, 3, 3)), TypeError),
+        (np.zeros((2, 3, 3)), TypeError),
+        (np.ones((1, 3, 1)), TypeError),
+    ],
+)
+def test_opnorm_of_a_non_matrix_takes_the_full_svd(x, error):
+    # no row or column rule applies off two dimensions, zeros included
+    with pytest.raises(error):
+        opnorm(x)
+    assert _outcome(opnorm, x) == _outcome(_full_svd_norm, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    is_complex=st.booleans(),
+    exponent=st.floats(min_value=-12.0, max_value=12.0),
+)
+def test_opnorm_skips_zero_rows_and_columns(seed, is_complex, exponent):
+    # the norm is that of the nonzero core, exactly, and within round-off of
+    # the full matrix's own SVD
+    rng = np.random.default_rng(seed)
+    m, n = (int(k) for k in rng.integers(1, 9, 2))
+    core = rand_complex(rng, m, n) if is_complex else rng.standard_normal((m, n))
+    core *= 10.0**exponent
+    rows = np.sort(rng.choice(m + 6, m, replace=False))
+    cols = np.sort(rng.choice(n + 6, n, replace=False))
+    x = np.zeros((m + 6, n + 6), core.dtype)
+    x[np.ix_(rows, cols)] = core
+    assert opnorm(x) == opnorm(core)
+    full = np.linalg.svd(x, compute_uv=False)[0]
+    assert abs(opnorm(x) - full) <= 16 * np.spacing(full)
+
+
 # --- JSON matrix format --------------------------------------------------------
 
 
