@@ -38,11 +38,9 @@ from .lab import divergence_sweep, sweep_to_csv, verify_closed_forms
 from .numkit import DEFAULT_TOL, Tol, _svd_factor, load_matrix, matrix_to_json_dict, opnorm
 from .parallel import (
     _hansen_worst,
-    _parallel_sum,
-    _psd_pair,
-    _regularized_trend,
     hansen_inequality_check,
     lemma_69_check,
+    parallel_sum,
     solve_parallel_equation,
 )
 from .polar import DEFAULT_ALPHA, _alpha, _polar, gpolar_iterative
@@ -184,20 +182,18 @@ def _cmd_shorted(args, tol: Tol, t, pm, pn):
             "residuals": list(wd.residuals),
             "solvable": list(wd.solvable),
         },
-        cross_gap=opnorm(wd.F.conj().T @ wd.E - wd.Ftilde.conj().T @ wd.Etilde),
+        cross_gap=result.cross_gap,
         ranks=list(_ranks(blk, tol)),
         report=asdict(report),
     ), 0
 
 
 def _cmd_parallel_sum(args, tol: Tol, a, b):
-    ah, wa, bh, wb = _psd_pair(a, b, tol)  # validated once for both results
-    res = _parallel_sum(ah, wa, bh, wb, tol)
-    trend = _regularized_trend(ah, bh, res.value)
+    res = parallel_sum(a, b, tol)
     return dict(
         value=matrix_to_json_dict(res.value),
         route_agreement=res.route_agreement,
-        regularized={str(eps): dev for eps, dev in trend.items()},
+        regularized={str(eps): dev for eps, dev in res.regularized.items()},
     ), 0
 
 
@@ -230,10 +226,7 @@ def _cmd_lemma69(args, tol: Tol, x, y):
 
 
 def _cmd_lab_sweep(args, tol: Tol):
-    dims = None
-    if args.dims is not None:  # an empty --dims is an error, not the default
-        dims = [int(part) for part in args.dims.split(",") if part.strip()]
-    return sweep_to_csv(divergence_sweep(dims, tol)), 0
+    return sweep_to_csv(divergence_sweep(args.dims, tol)), 0
 
 
 def _cmd_lab_verify(args, tol: Tol):
@@ -257,6 +250,19 @@ def _at_least(low: int) -> Callable[[str], int]:
 
     parse.__name__ = "int"  # so a non-integer reads "invalid int value", as with type=int
     return parse
+
+
+def _dims(text: str) -> list[int]:
+    """argparse type of --dims: comma-separated integers >= 1; anything else,
+    an empty item or an empty --dims (not the default sweep) included, is a
+    usage error that names the flag."""
+    try:
+        dims = [int(part) for part in text.split(",")]  # int("") raises
+        if min(dims) >= 1:
+            return dims
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"dims must be non-empty integers >= 1, got {text!r}")
 
 
 # the flags the leaves share, built once and copied into each leaf as parents
@@ -316,7 +322,7 @@ _SUBCOMMANDS = (
     _Subcommand(
         "lab sweep", "divergence sweep as CSV", (), _cmd_lab_sweep,
         options=(
-            ("--dims", dict(default=None, help="comma-separated ascending dimensions (default 8,16,32,64,128,256)")),
+            ("--dims", dict(type=_dims, default=None, help="comma-separated ascending dimensions (default 8,16,32,64,128,256)")),
             ("--csv", dict(dest="out", metavar="CSV", default=None, help="write CSV here instead of stdout")),
         ),
         shared=(_TOL,),

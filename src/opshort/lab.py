@@ -186,7 +186,8 @@ def _sweep_row(d: int, tol: Tol) -> SweepRow:
         raise InternalInvariantViolation(f"(A0 + B0) X = B0 is unsolvable at d={d}")
     t22 = block._t22
     cond = float(t22.s[0] / t22.s[-1])
-    del block  # freed before A0 : B0 builds its own partition
+    core = short.core
+    del block, short, wd  # freed before A0 : B0 builds its own partition
 
     # parallel_sum(A0, B0).value (singular A0: no cross-check) from its own
     # partition, whose T22 = A0 + B0 has the bytes of the one factored above
@@ -203,7 +204,7 @@ def _sweep_row(d: int, tol: Tol) -> SweepRow:
         norm_weak_solutions=norm_weak,
         norm_parallel_sum=opnorm(psum),
         # the ambient shorted operator is the core lifted by orthonormal bases
-        shorted_norm=opnorm(short.core),
+        shorted_norm=opnorm(core),
         cond_ApB=cond,
         min_principal_angle=min_angle,
     )

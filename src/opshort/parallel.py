@@ -11,7 +11,8 @@ solves (A + B) X = B from the SVD that the partition behind A : B holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,13 +26,12 @@ __all__ = [
     "Lemma69Result",
     "ParallelEquationSolution",
     "parallel_sum",
-    "regularized_trend",
     "hansen_inequality_check",
     "lemma_69_check",
     "solve_parallel_equation",
 ]
 
-# epsilon grid for the regularized trend report
+# epsilon grid of ParallelSumResult.regularized
 _REG_EPS = (1e-4, 1e-6)
 
 
@@ -91,11 +91,23 @@ class ParallelSumResult:
 
     ``value`` comes from the shorted-block construction; ``route_agreement``
     is the maximum deviation between that value and any cross-check route
-    that ran (0.0 when none did).
+    that ran (0.0 when none did).  ``regularized``, computed on first read,
+    maps each eps in ``_REG_EPS`` to the deviation of (A + eps I) : (B + eps I),
+    by the inverse formula, from ``value``; it never enters ``route_agreement``.
     """
 
     value: np.ndarray
     route_agreement: float
+    _a: np.ndarray = field(repr=False, compare=False)  # Hermitian parts of A and B
+    _b: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def regularized(self) -> dict:
+        eye = np.eye(self._a.shape[0])
+        return {
+            eps: opnorm(_pd_formula(self._a + eps * eye, self._b + eps * eye) - self.value)
+            for eps in _REG_EPS
+        }
 
 
 def _parallel_core(ah, wa, bh, wb, tol: Tol, t22=None) -> tuple[np.ndarray, BlockOperator]:
@@ -132,35 +144,12 @@ def parallel_sum(a, b, tol: Tol = DEFAULT_TOL) -> ParallelSumResult:
     ShapeMismatch
         If the shapes differ.
     """
-    return _parallel_sum(*_psd_pair(a, b, tol), tol)
-
-
-def _parallel_sum(ah, wa, bh, wb, tol: Tol) -> ParallelSumResult:
-    """:func:`parallel_sum` of operands validated by :func:`_psd_pair`."""
+    ah, wa, bh, wb = _psd_pair(a, b, tol)
     value, _ = _parallel_core(ah, wa, bh, wb, tol)
     agreement = 0.0
     if _is_pd(wa, tol) and _is_pd(wb, tol):
         agreement = opnorm(_pd_formula(ah, bh) - value)
-    return ParallelSumResult(value=value, route_agreement=float(agreement))
-
-
-def regularized_trend(a, b, value, tol: Tol = DEFAULT_TOL) -> dict:
-    """Map each eps in ``_REG_EPS`` to the deviation of the regularized sum
-    (A + eps I) : (B + eps I), by the inverse formula, from ``value``
-    (normally ``parallel_sum(a, b).value``).  A and B are validated as in
-    :func:`parallel_sum`; the trend is never folded into ``route_agreement``.
-    """
-    ah, _, bh, _ = _psd_pair(a, b, tol)
-    return _regularized_trend(ah, bh, value)
-
-
-def _regularized_trend(ah, bh, value) -> dict:
-    """:func:`regularized_trend` of Hermitian parts validated by :func:`_psd_pair`."""
-    eye = np.eye(ah.shape[0])
-    return {
-        eps: opnorm(_pd_formula(ah + eps * eye, bh + eps * eye) - value)
-        for eps in _REG_EPS
-    }
+    return ParallelSumResult(value=value, route_agreement=float(agreement), _a=ah, _b=bh)
 
 
 def hansen_inequality_check(a, b, c, tol: Tol = DEFAULT_TOL) -> float:
@@ -223,6 +212,9 @@ def lemma_69_check(x, y, tol: Tol = DEFAULT_TOL) -> Lemma69Result:
         If X is not Hermitian positive definite beyond the clamp.
     """
     xh = _hermitian(x, tol, "X", NotPositiveDefinite)
+    ym = as_matrix(y, "Y")
+    if ym.shape != xh.shape:
+        raise ShapeMismatch(f"Y must match X's shape {xh.shape}, got {ym.shape}")
     w = np.linalg.eigvalsh(xh)
     n = xh.shape[0]
     if n == 0:
@@ -232,9 +224,6 @@ def lemma_69_check(x, y, tol: Tol = DEFAULT_TOL) -> Lemma69Result:
             f"X has smallest eigenvalue {w.min():.6e}; positive definiteness "
             "within the clamp is required"
         )
-    ym = as_matrix(y, "Y")
-    if ym.shape != xh.shape:
-        raise ShapeMismatch(f"Y must match X's shape {xh.shape}, got {ym.shape}")
     eye = np.eye(n)
     lhs = np.linalg.inv(eye + xh)
     rhs = ym.conj().T @ ym + (eye - ym).conj().T @ np.linalg.inv(xh) @ (eye - ym)

@@ -54,6 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -474,14 +475,19 @@ class ShortedResult:
     ``core`` is the M -> N block T11 - (F* E + Ftilde* Etilde) / 2 in the
     block's bases ``basis_n`` x ``basis_m``, as the witnesses are in its bases;
     ``shorted`` is its basis-free embedding into ambient coordinates, so
-    PN @ shorted @ PM == shorted.  ``mode`` is always "complementable" in
-    finite dimension (see :func:`shorted`); a payload field reads it.
+    PN @ shorted @ PM == shorted.  ``cross_gap`` = ||F* E - Ftilde* Etilde|| is
+    computed on first read; ``mode`` is always "complementable" (see :func:`shorted`).
     """
 
     shorted: np.ndarray
     core: np.ndarray
     witnesses: WeakComplementData
-    mode: str
+    _cross: np.ndarray = field(repr=False, compare=False)  # F* E - Ftilde* Etilde
+    mode: ClassVar[str] = "complementable"
+
+    @cached_property
+    def cross_gap(self) -> float:
+        return opnorm(self._cross)
 
 
 def shorted(block: BlockOperator, tol: Tol = DEFAULT_TOL) -> ShortedResult:
@@ -506,15 +512,15 @@ def shorted(block: BlockOperator, tol: Tol = DEFAULT_TOL) -> ShortedResult:
         raise NotWeaklyComplementable(data)
     fe = data.F.conj().T @ data.E
     fte = data.Ftilde.conj().T @ data.Etilde
+    cross = fe - fte
     rel = tol.residual_rel / _BAND
-    if not _norm_within(fe - fte, rel, block.T):
+    if not _norm_within(cross, rel, block.T):
         raise InternalInvariantViolation(
-            f"cross products F*E and Ftilde*Etilde disagree by {opnorm(fe - fte):.3e} "
+            f"cross products F*E and Ftilde*Etilde disagree by {opnorm(cross):.3e} "
             f"(bound {rel * max(opnorm(block.T), 1.0):.3e})"
         )
     core = block.T11 - 0.5 * (fe + fte)
-    ambient = block.lift(x11=core)
-    return ShortedResult(shorted=ambient, core=core, witnesses=data, mode="complementable")
+    return ShortedResult(shorted=block.lift(x11=core), core=core, witnesses=data, _cross=cross)
 
 
 @dataclass(frozen=True)

@@ -651,6 +651,21 @@ def test_shorted_weak_failure_solves_the_corner_systems_once(capsys, tmp_path, m
     assert json.loads(out)["system_residuals"] == [1.0, 0.0, 1.0, 0.0]
 
 
+def test_shorted_cross_gap_is_the_results(capsys, tmp_path):
+    # the payload's cross_gap is ShortedResult.cross_gap, the norm of the
+    # very difference of cross products that shorted bounds
+    argv = next(a for a in _seeded_invocations(tmp_path) if a[0] == "shorted")
+    t, p = load_matrix(argv[2]), load_matrix(argv[4])
+    result = shorting.shorted(shorting.partition(t, p, p))
+    wd = result.witnesses
+    gap = numkit.opnorm(wd.F.conj().T @ wd.E - wd.Ftilde.conj().T @ wd.Etilde)
+    assert gap > 0.0
+    assert result.cross_gap == gap
+    code, payload = _run_json(capsys, argv)
+    assert code == 0
+    assert payload["cross_gap"] == gap
+
+
 # --- parallel family -----------------------------------------------------------------------
 
 
@@ -684,23 +699,27 @@ def test_parallel_sum_rejects_indefinite(capsys, tmp_path):
 
 
 def test_parallel_sum_validates_a_and_b_once(capsys, tmp_path, monkeypatch):
-    # the sum and its regularized trend share one validation of A and of B;
-    # the payload is the one the public functions give
+    # the handler makes one public parallel_sum call, whose result carries
+    # the regularized trend, so A and B are validated once each; the payload
+    # is the one the public result gives
     argv = next(a for a in _seeded_invocations(tmp_path) if a[0] == "parallel-sum")
     a, b = load_matrix(argv[2]), load_matrix(argv[4])
     res = parallel.parallel_sum(a, b)
-    trend = parallel.regularized_trend(a, b, res.value)
+    assert cli.parallel_sum is parallel.parallel_sum
+    sums = []
+    monkeypatch.setattr(cli, "parallel_sum", lambda *args: sums.append(args) or parallel.parallel_sum(*args))
     validated = []
     real = parallel._hermitian
     monkeypatch.setattr(parallel, "_hermitian", lambda m, *rest: validated.append(m) or real(m, *rest))
     eigvalsh = record_linalg(monkeypatch, "eigvalsh", lambda _: None)
     code, payload = _run_json(capsys, argv)
     assert code == 0
+    assert len(sums) == 1
     assert [m.tobytes() for m in validated] == [a.tobytes(), b.tobytes()]
     assert len(eigvalsh) == 2
     assert np.array_equal(matrix_from_json_dict(payload["value"]), res.value)
     assert payload["route_agreement"] == res.route_agreement
-    assert payload["regularized"] == {str(eps): dev for eps, dev in trend.items()}
+    assert payload["regularized"] == {str(eps): dev for eps, dev in res.regularized.items()}
 
 
 def test_parallel_eq(capsys, tmp_path):
@@ -793,6 +812,15 @@ def test_lemma69_command(capsys, tmp_path):
     assert code == 2
 
 
+def test_lemma69_rejects_y_mismatching_an_empty_x(capsys, tmp_path):
+    x = _write(tmp_path, "x.json", np.zeros((0, 0)))
+    y = _write(tmp_path, "y.json", np.eye(3))
+    code = dispatch(["lemma69", "--x", x, "--y", y])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "opshort: Y must match X's shape (0, 0), got (3, 3)\n"
+
+
 # --- lab -------------------------------------------------------------------------------------
 
 
@@ -826,6 +854,22 @@ def test_lab_sweep_rejects_empty_dims(capsys, dims):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "dims must be non-empty" in captured.err
+
+
+@pytest.mark.parametrize("dims", ["8,,16", "8,", " ", "8,x", "8,1.5", "0,8", "-2"])
+def test_lab_sweep_bad_dims_are_usage_errors_naming_the_flag(capsys, dims, monkeypatch):
+    # empty items, non-integers and values below 1 fail in argparse, before
+    # any row is computed
+    monkeypatch.setattr(cli, "divergence_sweep", lambda *_: pytest.fail("sweep ran"))
+    code = dispatch(["lab", "sweep", f"--dims={dims}"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"argument --dims: dims must be non-empty integers >= 1, got {dims!r}" in captured.err
+
+
+def test_lab_sweep_dims_allow_spaces_around_items(capsys):
+    assert build_parser().parse_args(["lab", "sweep", "--dims", "4, 8"]).dims == [4, 8]
+    assert _run(capsys, ["lab", "sweep", "--dims", "4, 8"]) == _run(capsys, ["lab", "sweep", "--dims", "4,8"])
 
 
 def test_lab_flags_go_after_the_leaf(capsys):

@@ -1011,6 +1011,12 @@ def _range_kernel(o):
     return verify_range_kernel(block, shorted(block))
 
 
+def _parallel_sum_and_trend(o):
+    res = parallel_sum(o["psd"], o["pd"])
+    res.regularized  # its inverses run on the operands too
+    return res
+
+
 # each public entry point that takes operators, called on the operands of
 # _contract_operands
 _OPERAND_CALLS = {
@@ -1035,8 +1041,7 @@ _OPERAND_CALLS = {
     "weak_complement_data": lambda o: shorting.weak_complement_data(_shorted_block(o)),
     "shorted": lambda o: shorted(_shorted_block(o)),
     "verify_range_kernel": _range_kernel,
-    "parallel_sum": lambda o: parallel_sum(o["psd"], o["pd"]),
-    "regularized_trend": lambda o: parallel.regularized_trend(o["psd"], o["pd"], o["psd"]),
+    "parallel_sum": _parallel_sum_and_trend,
     "hansen_inequality_check": lambda o: hansen_inequality_check(o["psd"], o["pd"], o["y"]),
     "lemma_69_check": lambda o: lemma_69_check(o["pd"], o["y"]),
     "solve_parallel_equation": lambda o: solve_parallel_equation(o["psd"], o["pd"]),

@@ -12,7 +12,6 @@ from opshort import (
     opnorm,
     parallel_sum,
     psd_power,
-    regularized_trend,
     solve_parallel_equation,
 )
 from opshort import parallel
@@ -95,13 +94,37 @@ def test_parallel_sum_vanishes_on_kit():
 def test_parallel_sum_regularization_trend():
     # the deviation of (A + eps)(B + eps) from the limit shrinks with eps
     kit = make_kit(8)
-    reg = regularized_trend(kit.A0, kit.B0, parallel_sum(kit.A0, kit.B0).value)
+    reg = parallel_sum(kit.A0, kit.B0).regularized
     assert set(reg) == {1e-4, 1e-6}
     assert reg[1e-6] < reg[1e-4]
 
     a, b = rand_pd(RNG, 5), rand_pd(RNG, 5)
-    reg = regularized_trend(a, b, parallel_sum(a, b).value)
+    reg = parallel_sum(a, b).regularized
     assert reg[1e-6] < reg[1e-4]
+
+
+@pytest.mark.parametrize("kind", ["singular", "pd"])
+def test_regularized_trend_is_computed_on_first_read_only(kind, monkeypatch):
+    # the trend's inverses run when .regularized is first read, from the
+    # Hermitian parts parallel_sum validated, and never again on that result
+    if kind == "singular":
+        kit = make_kit(8)
+        a, b = kit.A0, kit.B0
+    else:
+        a, b = rand_pd(RNG, 5), rand_pd(RNG, 5)
+    eagerly = 3 if kind == "pd" else 0  # the cross-check A (A + B)^-1 B
+    invs = record_linalg(monkeypatch, "inv", lambda _: None)
+    res = parallel_sum(a, b)
+    assert len(invs) == eagerly
+    trend = res.regularized
+    assert len(invs) == eagerly + 3 * len(trend)
+    assert res.regularized is trend
+    assert len(invs) == eagerly + 3 * len(trend)
+    eye = np.eye(a.shape[0])
+    assert trend == {
+        eps: opnorm(parallel._pd_formula(_herm(a) + eps * eye, _herm(b) + eps * eye) - res.value)
+        for eps in (1e-4, 1e-6)
+    }
 
 
 def test_parallel_sum_computes_no_inverse_on_singular_summands(monkeypatch):
@@ -274,7 +297,7 @@ def test_hermitian_validator_edge(c, accepted):
         (lambda: herm_eig(m), NotHermitian),
         (lambda: psd_power(m, 0.5), NotHermitian),
         (lambda: parallel_sum(m, b), NotPSD),
-        (lambda: regularized_trend(m, b, eye), NotPSD),
+        (lambda: parallel_sum(m, b).regularized, NotPSD),
         (lambda: solve_parallel_equation(m, b), NotPSD),
         (lambda: hansen_inequality_check(m, b, eye), NotPSD),
         (lambda: lemma_69_check(m, eye), NotPositiveDefinite),
@@ -304,7 +327,7 @@ def test_psd_negativity_edge(c, accepted):
         lambda: parallel_sum(m, b),
         lambda: solve_parallel_equation(m, b),
         lambda: hansen_inequality_check(m, b, eye),
-        lambda: regularized_trend(m, b, eye),
+        lambda: parallel_sum(m, b).regularized,
     )
     for call in calls:
         if accepted:
@@ -317,6 +340,13 @@ def test_psd_negativity_edge(c, accepted):
 def test_lemma69_rejects_mismatched_y():
     with pytest.raises(ShapeMismatch):
         lemma_69_check(np.eye(3), np.eye(4))
+
+
+def test_lemma69_checks_y_against_an_empty_x():
+    # an empty X has no eigenvalue to test, but Y must still match its shape
+    with pytest.raises(ShapeMismatch, match=r"Y must match X's shape \(0, 0\), got \(3, 3\)"):
+        lemma_69_check(np.zeros((0, 0)), np.eye(3))
+    assert lemma_69_check(np.zeros((0, 0)), np.zeros((0, 0))) == parallel.Lemma69Result(0.0, 0.0)
 
 
 # --- variational equation -----------------------------------------------------------------

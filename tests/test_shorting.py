@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -819,6 +821,24 @@ def test_shorted_psd_2x2():
     assert_allclose(result.core, [[1.0]], atol=1e-12)
     assert_allclose(result.shorted, np.diag([1.0, 0.0]), atol=1e-12)
     assert result.mode == "complementable"
+
+
+def test_shorted_cross_gap_is_read_on_demand(monkeypatch):
+    # shorted keeps F* E - Ftilde* Etilde and norms it only when cross_gap
+    # is first read; mode is a class constant, not a stored field
+    rng = np.random.default_rng(4242)
+    t, pm, pn = complementable_instance(rng)
+    result = shorted(partition(t, pm, pn))
+    wd = result.witnesses
+    cross = wd.F.conj().T @ wd.E - wd.Ftilde.conj().T @ wd.Etilde
+    normed = []
+    real = shorting.opnorm
+    monkeypatch.setattr(shorting, "opnorm", lambda x: normed.append(x) or real(x))
+    assert result.cross_gap == real(cross)
+    assert result.cross_gap == real(cross)
+    assert len(normed) == 1 and np.array_equal(normed[0], cross)
+    assert [f.name for f in dataclasses.fields(result)] == ["shorted", "core", "witnesses", "_cross"]
+    assert shorting.ShortedResult.mode == result.mode == "complementable"
 
 
 def test_shorted_recovers_scalar_parallel_sum():
