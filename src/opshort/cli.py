@@ -253,16 +253,18 @@ def _at_least(low: int) -> Callable[[str], int]:
 
 
 def _dims(text: str) -> list[int]:
-    """argparse type of --dims: comma-separated integers >= 1; anything else,
-    an empty item or an empty --dims (not the default sweep) included, is a
-    usage error that names the flag."""
+    """argparse type of --dims: strictly ascending comma-separated integers >= 1;
+    anything else, an empty item or an empty --dims (not the default sweep)
+    included, is a usage error that names the flag."""
     try:
         dims = [int(part) for part in text.split(",")]  # int("") raises
-        if min(dims) >= 1:
-            return dims
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"dims must be non-empty integers >= 1, got {text!r}")
+        dims = [0]
+    if min(dims) < 1:
+        raise argparse.ArgumentTypeError(f"dims must be non-empty integers >= 1, got {text!r}")
+    if any(b <= a for a, b in zip(dims, dims[1:])):
+        raise argparse.ArgumentTypeError(f"dims must be strictly ascending, got {text!r}")
+    return dims
 
 
 # the flags the leaves share, built once and copied into each leaf as parents

@@ -13,6 +13,7 @@ __all__ = [
     "NotPSD",
     "NotPositiveDefinite",
     "ShapeMismatch",
+    "NotFinite",
     "NotSolvable",
     "NotAProjector",
     "WitnessInvalid",
@@ -85,3 +86,7 @@ class AlphaOutOfRange(OpshortError):
 
 class InternalInvariantViolation(OpshortError):
     """A mathematical identity the implementation relies on failed numerically."""
+
+
+class NotFinite(OpshortError):
+    """An operand holds a NaN or infinite entry."""

@@ -3,9 +3,12 @@ powers, absolute values, pseudo-inverses, range projectors, and the JSON
 matrix file format.
 
 All operators are dense double-precision numpy arrays, real or complex as
-:func:`as_matrix` decides from the input's dtype.  ``numpy.linalg`` picks the
-real or complex LAPACK driver from that dtype, and every result keeps it by
-numpy promotion.
+:func:`as_matrix` decides from the input's dtype, with finite entries.
+``numpy.linalg`` picks the real or complex LAPACK driver from that dtype, and
+every result keeps it by numpy promotion.
+
+An exact direct sum (nonzeros in diagonal blocks up to row and column permutations)
+has its blocks' SVDs and eigendecompositions, so it is factored by blocks (:func:`_blocks`).
 
 Every function that makes a rank or positivity decision takes a :class:`Tol`
 so the whole package shares one tolerance policy.
@@ -21,7 +24,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import NotHermitian, NotPSD, ShapeMismatch
+from .errors import NotFinite, NotHermitian, NotPSD, ShapeMismatch
 
 __all__ = [
     "Tol",
@@ -51,6 +54,10 @@ _BAND, _GUARD = 10.0, 2.0
 # PSD matrices measures a few eps (below 4 eps up to n = 256), and a cutoff
 # below that counts noise as rank
 _RANK_REL_FLOOR = 16 * np.finfo(np.float64).eps
+
+# operands whose smaller side reaches _SPLIT_FLOOR take the pattern pass (the measured
+# crossover, BENCH_26.json "crossover"); it gives up after _SWEEPS label sweeps
+_SPLIT_FLOOR, _SWEEPS = 128, 8
 
 
 @dataclass(frozen=True)
@@ -111,24 +118,97 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     m = m.astype(np.complex128 if np.iscomplexobj(m) else np.float64, copy=False)
     if m.ndim != 2:
         raise ShapeMismatch(f"{name} must be 2-D, got ndim={m.ndim}")
+    _finite(m, name)
     return m
+
+
+def _finite(m: np.ndarray, name: str) -> None:
+    """Raise NotFinite naming the operand and its first NaN or infinite entry."""
+    if not np.isfinite(m).all():
+        raise NotFinite(f"{name}{np.argwhere(~np.isfinite(m))[0].tolist()} is not finite")
 
 
 def opnorm(a) -> float:
     """Operator 2-norm (largest singular value); 0 for empty and zero matrices.
 
-    The SVD skips exactly-zero rows and columns, which add only zero singular
-    values (NaN and inf count as nonzero); a dense matrix reaches it uncopied."""
-    m = np.asarray(a)
+    The SVD reads an exact direct sum by blocks (:func:`_blocks`), else skips exactly-zero
+    rows and columns, which add only zero singular values.  NaN or inf raises NotFinite."""
+    m, groups = np.asarray(a), None
+    _finite(m, "matrix")
     if m.size == 0:
         return 0.0
     if m.ndim == 2:
         rows, cols = m.any(axis=1), m.any(axis=0)
         if not rows.any():
             return 0.0
-        if not (rows.all() and cols.all()):
+        if (groups := _blocks(m)) is None and not (rows.all() and cols.all()):
             m = m[np.ix_(rows, cols)]
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+    return float(_svdvals(m, groups)[0])
+
+
+def _blocks(m: np.ndarray, square: bool = False):
+    """The pattern pass: the blocks of an exact direct sum ``m`` grouped by
+    shape, as index arrays (rows, cols) of shapes (k, p) and (k, q), a line per
+    block: the components of the graph where row i meets column j iff m[i, j]
+    != 0 (and column i if ``square``: principal blocks).  None, always safe,
+    means a side below ``_SPLIT_FLOOR``, one block, or labels (spread by minimum
+    along the entries, then jumped to their label's) still moving after
+    ``_SWEEPS`` sweeps."""
+    if m.ndim != 2 or min(m.shape) < _SPLIT_FLOOR:
+        return None
+    rows, cols = m.shape
+    nonzero = m != 0  # one block if two steps from the first nonzero row reach every nonzero column
+    seed = nonzero[np.argmax(nonzero.any(axis=1))]
+    if np.array_equal(nonzero[(nonzero & seed).any(axis=1)].any(axis=0), nonzero.any(axis=0)):
+        return None
+    i, j = np.divmod(np.flatnonzero(nonzero), cols)
+    diag = np.arange(rows if square else 0)
+    ends = np.append(i, diag), np.append(j, diag) + rows  # column j is node rows + j
+    to, fro, label = np.concatenate(ends), np.concatenate(ends[::-1]), np.arange(rows + cols)
+    for _ in range(_SWEEPS):
+        new = label.copy()
+        np.minimum.at(new, to, label[fro])
+        new = new[new]
+        if np.all(new[i] == new[i[0]]):  # every entry's label is one node: one block
+            return None
+        if np.array_equal(new, label):
+            break
+        label = new
+    else:
+        return None
+    lr, lc = label[:rows], label[rows:]
+    p, q = (np.bincount(x, minlength=rows + cols) for x in (lr, lc))
+    ro, co = np.argsort(lr, kind="stable"), np.argsort(lc, kind="stable")
+    out = []
+    for pk, qk in np.unique(np.stack((p, q), 1)[(p > 0) & (q > 0)], axis=0):
+        k = (p == pk) & (q == qk)
+        out.append((ro[k[lr[ro]]].reshape(-1, pk), co[k[lc[co]]].reshape(-1, qk)))
+    return out
+
+
+def _svdvals(m: np.ndarray, groups) -> np.ndarray:
+    """``np.linalg.svd(m, compute_uv=False)``, read from m's blocks ``groups`` if any."""
+    if groups is None:
+        return np.linalg.svd(m, compute_uv=False)
+    blocks = (m[r[:, :, None], c[:, None, :]] for r, c in groups)  # stacked, one shape each
+    s = np.concatenate([np.linalg.svd(x, compute_uv=False).ravel() for x in blocks])
+    return np.append(np.sort(s)[::-1], np.zeros(min(m.shape) - s.size))
+
+
+def _eigh(h: np.ndarray, vectors: bool = True):
+    """``np.linalg.eigh(h)`` (``eigvalsh`` unless ``vectors``) of a Hermitian h,
+    ascending, an exact direct sum's from its principal blocks."""
+    if (groups := _blocks(h, square=True)) is None:
+        return np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h)
+    w, v = np.zeros(h.shape[0]), (np.eye(h.shape[0], dtype=h.dtype) if vectors else None)
+    for r, _ in groups:
+        ix = r[:, :, None], r[:, None, :]
+        if vectors:
+            w[r], v[ix] = np.linalg.eigh(h[ix])
+        else:
+            w[r] = np.linalg.eigvalsh(h[ix])
+    order = np.argsort(w, kind="stable")
+    return (w[order], v[:, order]) if vectors else w[order]
 
 
 def _norm_bounds(m) -> tuple[float, float]:
@@ -178,11 +258,10 @@ def _herm(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2.0
 
 
-def _hermitian(a, tol: Tol, name: str = "A", error: type = NotHermitian) -> np.ndarray:
-    """The one Hermitian check: ``a`` must be square with ||A - A*|| <=
-    residual_rel * ||A||.  Returns the Hermitian part; failures raise
-    ``error`` naming the operand ``name``."""
-    m = as_matrix(a, name)
+def _hermitian(m: np.ndarray, tol: Tol, name: str = "A", error: type = NotHermitian) -> np.ndarray:
+    """The one Hermitian check: ``m``, coerced by :func:`as_matrix`, must be
+    square with ||A - A*|| <= residual_rel * ||A||.  Returns the Hermitian
+    part; failures raise ``error`` naming the operand ``name``."""
     if m.shape[0] != m.shape[1]:
         raise error(f"{name} must be square, got shape {m.shape}")
     if not _norm_within(m - m.conj().T, tol.residual_rel, m, floor=0.0):
@@ -223,7 +302,7 @@ def herm_eig(a, tol: Tol = DEFAULT_TOL) -> HermEig:
     NotHermitian
         If the input is not square or departs from A = A* beyond tolerance.
     """
-    w, v = np.linalg.eigh(_hermitian(a, tol))
+    w, v = np.linalg.eigh(_hermitian(as_matrix(a, "A"), tol))
     # eigh returns ascending order; the package contract is descending
     return HermEig(
         eigenvalues=np.ascontiguousarray(w[::-1]),
@@ -333,8 +412,23 @@ class _SVDFactor:
 
 
 def _svd_factor(m: np.ndarray) -> _SVDFactor:
-    """Compact SVD; u and vh keep ``m``'s dtype."""
-    return _SVDFactor(*np.linalg.svd(m, full_matrices=False))
+    """Compact SVD; u and vh keep ``m``'s dtype.  An exact direct sum takes a stacked
+    full SVD per block shape (:func:`_blocks`); keys -sigma, ties broken by the pair's
+    column, sort its triplets into place on both sides, and the zero singular values left
+    pair leftover block vectors or unit vectors on zero rows and columns, as vh[r:] needs."""
+    if (groups := _blocks(m)) is None:
+        return _SVDFactor(*np.linalg.svd(m, full_matrices=False))
+    u, vh = (np.eye(n, dtype=m.dtype) for n in m.shape)
+    key = [np.full(n, np.inf) for n in m.shape]
+    pair = [np.zeros(m.shape[0], int), np.arange(m.shape[1])]
+    for r, c in groups:
+        pu, ps, pvh = np.linalg.svd(m[r[:, :, None], c[:, None, :]])
+        u[r[:, :, None], r[:, None, :]], vh[c[:, :, None], c[:, None, :]] = pu, pvh
+        t = ps.shape[1]
+        key[0][r[:, :t]] = key[1][c[:, :t]] = -ps
+        pair[0][r[:, :t]] = c[:, :t]
+    order = [np.lexsort(keys)[: min(m.shape)] for keys in zip(pair, key)]
+    return _SVDFactor(u[:, order[0]], np.maximum(-key[0][order[0]], 0.0), vh[order[1]])
 
 
 def numerical_rank(t, tol: Tol = DEFAULT_TOL) -> int:

@@ -18,7 +18,8 @@ import numpy as np
 
 from .douglas import _solve
 from .errors import InternalInvariantViolation, NotPositiveDefinite, NotPSD, ShapeMismatch
-from .numkit import DEFAULT_TOL, Tol, _eig_clamp, _herm, _hermitian, _psd_clamp, as_matrix, opnorm
+from .numkit import DEFAULT_TOL, Tol, _eig_clamp, _eigh, _herm, _hermitian, _psd_clamp
+from .numkit import as_matrix, opnorm
 from .shorting import BlockOperator, _coordinate_projector, partition, shorted
 
 __all__ = [
@@ -37,11 +38,11 @@ _REG_EPS = (1e-4, 1e-6)
 
 def _psd_pair(a, b, tol: Tol):
     """Validate A, then B, as PSD matrices of one shape; returns (A, wA, B, wB)
-    with the Hermitian parts and their eigenvalues (ascending)."""
+    with the Hermitian parts and their eigenvalues (ascending), both coerced first."""
     parts = []
-    for m, name in ((a, "A"), (b, "B")):
+    for m, name in ((as_matrix(a, "A"), "A"), (as_matrix(b, "B"), "B")):
         h = _hermitian(m, tol, name, NotPSD)
-        w = np.linalg.eigvalsh(h)
+        w = _eigh(h, vectors=False)
         _psd_clamp(w, tol, name)
         parts += (h, w)
     ah, wa, bh, wb = parts
@@ -71,7 +72,7 @@ def _clamp_result_psd(value: np.ndarray, scale: float, tol: Tol) -> np.ndarray:
     h = _herm(value)
     if h.shape[0] == 0:
         return h
-    w, v = np.linalg.eigh(h)
+    w, v = _eigh(h)
     clamp = tol.eig_clamp_rel * max(scale, float(np.abs(w).max()))
     if float(w.min()) < -clamp:
         raise InternalInvariantViolation(
@@ -158,7 +159,7 @@ def hansen_inequality_check(a, b, c, tol: Tol = DEFAULT_TOL) -> float:
     The inequality says this is nonnegative for every square C; the caller
     decides what slack to allow for round-off.
     """
-    return _hansen_worst(a, b, (c,), tol)
+    return _hansen_worst(a, b, (as_matrix(c, "C"),), tol)
 
 
 def _hansen_worst(a, b, probes, tol: Tol) -> float:
@@ -211,8 +212,8 @@ def lemma_69_check(x, y, tol: Tol = DEFAULT_TOL) -> Lemma69Result:
     NotPositiveDefinite
         If X is not Hermitian positive definite beyond the clamp.
     """
-    xh = _hermitian(x, tol, "X", NotPositiveDefinite)
-    ym = as_matrix(y, "Y")
+    xm, ym = as_matrix(x, "X"), as_matrix(y, "Y")
+    xh = _hermitian(xm, tol, "X", NotPositiveDefinite)
     if ym.shape != xh.shape:
         raise ShapeMismatch(f"Y must match X's shape {xh.shape}, got {ym.shape}")
     w = np.linalg.eigvalsh(xh)

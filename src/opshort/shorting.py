@@ -124,7 +124,7 @@ def check_projector(p, tol: Tol = DEFAULT_TOL) -> int:
     {0, 1} at most tol.eig_clamp_rel (1e-10 at the default Tol).
     Near-degenerate projectors are rejected, never rounded into shape.
     """
-    return _projector_bases(p, tol)[0].shape[1]
+    return _projector_bases(as_matrix(p, "projector"), tol)[0].shape[1]
 
 
 def _coordinate_columns(n: int, rows: np.ndarray) -> np.ndarray:
@@ -141,15 +141,12 @@ def _coordinate_projector(n: int, k: int) -> np.ndarray:
     return p
 
 
-def _projector_bases(p: np.ndarray, tol: Tol):
-    """Orthonormal bases (range, kernel) of a validated projector, C-contiguous,
-    and the coordinates (range, kernel) they pick when they are coordinate
-    columns, else None.  Only their spans are determined by the projector."""
-    m = as_matrix(p, "projector")
+def _projector_bases(m: np.ndarray, tol: Tol):
+    """Orthonormal bases (range, kernel) of a validated, coerced projector,
+    C-contiguous, and the coordinates (range, kernel) they pick when they are
+    coordinate columns, else None.  Only their spans are fixed by the projector."""
     if m.shape[0] != m.shape[1]:
         raise NotAProjector(f"projector must be square, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise NotAProjector("projector has non-finite entries")
     diag = np.diagonal(m)
     if np.count_nonzero(m) == np.count_nonzero(diag) and np.all(
         (diag == 0.0) | (diag == 1.0)
@@ -283,7 +280,7 @@ def partition(t, pm, pn, tol: Tol = DEFAULT_TOL) -> BlockOperator:
     """
     tm = as_matrix(t, "T")
     pmm = as_matrix(pm, "PM")
-    pnn = as_matrix(pn, "PN")
+    pnn = pmm if pn is pm else as_matrix(pn, "PN")
     k, n = tm.shape
     if pmm.shape != (n, n):
         raise ShapeMismatch(f"PM must be {n}x{n} on the domain, got {pmm.shape}")

@@ -117,6 +117,18 @@ def test_non_finite_entries_rejected_at_load(capsys, tmp_path, recwarn, token):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+def test_not_finite_from_the_library_exits_2(capsys, monkeypatch):
+    # the loader rejects non-finite files itself; an operand that reaches the
+    # library holding one gets NotFinite, an input error like the loader's
+    bad = np.eye(3)
+    bad[1, 2] = np.nan
+    monkeypatch.setattr(cli, "load_matrix", lambda path: bad if path == "b" else np.eye(3))
+    code = dispatch(["parallel-sum", "--a", "a", "--b", "b"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "opshort: B[1, 2] is not finite\n"
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -865,6 +877,15 @@ def test_lab_sweep_bad_dims_are_usage_errors_naming_the_flag(capsys, dims, monke
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert f"argument --dims: dims must be non-empty integers >= 1, got {dims!r}" in captured.err
+
+
+@pytest.mark.parametrize("dims", ["16,8", "8,8"])
+def test_lab_sweep_unordered_dims_are_usage_errors_naming_the_flag(capsys, dims, monkeypatch):
+    monkeypatch.setattr(cli, "divergence_sweep", lambda *_: pytest.fail("sweep ran"))
+    code = dispatch(["lab", "sweep", "--dims", dims])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"argument --dims: dims must be strictly ascending, got {dims!r}" in captured.err
 
 
 def test_lab_sweep_dims_allow_spaces_around_items(capsys):

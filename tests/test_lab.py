@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +21,7 @@ from opshort import (
     verify_closed_forms,
     weak_complement_data,
 )
-from opshort import lab, parallel, shorting
+from opshort import lab, numkit, parallel, shorting
 from opshort.douglas import _solve
 from opshort.errors import InternalInvariantViolation
 from opshort.numkit import _svd_factor
@@ -263,6 +267,46 @@ def test_sweep_row_svd_budget(monkeypatch):
     # in call order: ||T21||, ||E||, ||Ftilde||, the 2 angle SVDs, the strong solution
     values_only = [x.shape for x, uv in calls if not uv]
     assert values_only[:6] == [(d, d), (2 * d, d), (2 * d, d), (d, d), (2 * d, d), (2 * d, d)]
+
+
+def test_sweep_row_splits_every_factored_operand_at_the_floor(monkeypatch):
+    # at d = 128 every large operand of the row is an exact direct sum of 2 x 2
+    # modes: T22 = A0 + B0, A0, the angle factors, A0 : B0 and the norms read
+    # from them, so each SVD, eigh and eigvalsh runs on stacked blocks of side
+    # at most 2 (test_sweep_row_svd_budget pins the dense calls below the floor)
+    d = numkit._SPLIT_FLOOR
+    calls = {k: record_linalg(monkeypatch, k, lambda _: None) for k in ("svd", "eigh", "eigvalsh")}
+    lab._sweep_row(d, DEFAULT_TOL)
+    assert all(calls.values())
+    sides = {x.shape[-2:] for k in calls for x, _ in calls[k]}
+    assert max(max(s) for s in sides) <= 2, sides
+
+
+def test_sweep_is_blas_thread_invariant():
+    # the split changes which LAPACK calls run: the default sweep's values
+    # must not depend on the BLAS thread count beyond the noise columns, and
+    # criterion 8's checks must hold at both counts
+    tables = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        out = subprocess.run(
+            [sys.executable, "-m", "opshort.cli", "lab", "sweep"],
+            env=env, check=True, capture_output=True, text=True, timeout=120,
+        ).stdout
+        tables.append(np.array([line.split(",") for line in out.splitlines()[1:]], dtype=float))
+    columns = list(CSV_COLUMNS)
+    noise = [columns.index(c) for c in ("norm_parallel_sum", "shorted_norm")]
+    signal = [i for i in range(len(columns)) if i not in noise]
+    one, two = tables
+    assert np.array_equal(one[:, 0], np.array(DEFAULT_SWEEP_DIMS, dtype=float))
+    assert np.all(np.abs(one[:, signal] - two[:, signal]) <= 1e-14 * np.abs(one[:, signal]))
+    for table in tables:
+        dims, strong, weak, psum, _, cond, _ = table.T
+        assert np.all(np.abs(strong - np.sqrt(1 + dims**2)) <= 1e-6 * np.sqrt(1 + dims**2))
+        assert abs(np.polyfit(np.log(dims), np.log(strong), 1)[0] - 1.0) <= 0.05
+        assert np.all(psum <= 1e-10) and np.all(np.abs(weak - 1.0) <= 1e-10)
+        assert abs(np.polyfit(np.log(dims), np.log(cond), 1)[0] - 2.0) <= 0.2
 
 
 @pytest.mark.parametrize("d", DEFAULT_SWEEP_DIMS)

@@ -1,11 +1,12 @@
 import dataclasses
 import json
 import os
+import re
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -44,8 +45,8 @@ from opshort import (
     range_included,
     shorting,
 )
-from opshort.errors import NotHermitian, NotPSD, NotWeaklyComplementable, ShapeMismatch
-from opshort.numkit import _norm_within, _svd_factor, as_matrix
+from opshort.errors import NotFinite, NotHermitian, NotPSD, NotWeaklyComplementable, ShapeMismatch
+from opshort.numkit import _norm_within, _rank, _svd_factor, as_matrix
 
 from _util import rand_complex, rand_psd, rand_unitary, record_linalg
 
@@ -379,6 +380,164 @@ def test_svd_factor_views_match_their_definitions():
         assert opnorm(f.abs_power(side, 0.0, r) - range_projector(tt)) <= 1e-12
 
 
+# --- exact direct sums, factored block by block ---------------------------------
+
+_EPS = np.finfo(np.float64).eps
+
+
+def _direct_sum(rng, is_complex, hermitian=False):
+    """A random row- and column-permuted direct sum whose smaller side reaches
+    the split floor: ragged blocks of 1-4 rows and columns (Hermitian ones,
+    some with a zero diagonal, if ``hermitian``), some repeated so that singular
+    values (eigenvalues) repeat, and zero rows and columns (zero principal rows
+    and columns if ``hermitian``)."""
+    blocks = []
+    while min(sum(b.shape[k] for b in blocks) for k in (0, 1)) < numkit._SPLIT_FLOOR:
+        p = int(rng.integers(1, 5))
+        q = p if hermitian else int(rng.integers(1, 5))
+        b = rand_complex(rng, p, q) if is_complex else rng.standard_normal((p, q))
+        if hermitian:  # a third of them hollow: only the diagonal join keeps them whole
+            b = (b + b.conj().T) * (1 - np.eye(p) * (rng.integers(3) == 0))
+        blocks += [b] * int(rng.integers(1, 3))
+    rows = sum(b.shape[0] for b in blocks) + int(rng.integers(0, 9))
+    cols = rows if hermitian else sum(b.shape[1] for b in blocks) + int(rng.integers(0, 9))
+    x = np.zeros((rows, cols), np.complex128 if is_complex else np.float64)
+    i = j = 0
+    for b in blocks:
+        x[i : i + b.shape[0], j : j + b.shape[1]] = b
+        i, j = i + b.shape[0], j + b.shape[1]
+    pr = rng.permutation(rows)
+    x = x[np.ix_(pr, pr if hermitian else rng.permutation(cols))]
+    return np.ascontiguousarray(x)
+
+
+def _dense_route(monkeypatch):
+    monkeypatch.setattr(numkit, "_SPLIT_FLOOR", 10**9)
+
+
+def _null_projector(f, tol):
+    # the null space _meet reads: vh past the rank, cut at the scale 1; and
+    # the smallest singular value kept, which the space's round-off scales with
+    r = _rank(f.s, tol, 1.0)
+    return f.vh[r:].conj().T @ f.vh[r:], f.s[r - 1] if r else 1.0
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), is_complex=st.booleans())
+def test_direct_sums_factor_as_the_dense_svd(monkeypatch, seed, is_complex):
+    x = _direct_sum(np.random.default_rng(seed), is_complex)
+    assert numkit._blocks(x) is not None  # the split route is the one under test
+    f, s = _svd_factor(x), numkit._svdvals(x, numkit._blocks(x))
+    norm = opnorm(x)
+    with monkeypatch.context() as m:
+        _dense_route(m)
+        dense, dense_norm = _svd_factor(x), opnorm(x)
+    k = min(x.shape)
+    assert f.u.shape == (x.shape[0], k) and f.s.shape == (k,) and f.vh.shape == (k, x.shape[1])
+    assert f.u.dtype == f.vh.dtype == x.dtype
+    assert np.all(np.diff(f.s) <= 0) and np.all(np.diff(s) <= 0)
+    bound = 64 * _EPS * dense.s[0]
+    assert np.abs(f.s - dense.s).max() <= bound and np.abs(s - dense.s).max() <= bound
+    assert abs(norm - dense_norm) <= bound
+    # orthonormal at the full compact shape, null completion included
+    assert np.abs(f.u.conj().T @ f.u - np.eye(k)).max() <= 32 * _EPS
+    assert np.abs(f.vh @ f.vh.conj().T - np.eye(k)).max() <= 32 * _EPS
+    assert np.abs((f.u * f.s) @ f.vh - x).max() <= bound
+    for tol in (DEFAULT_TOL, Tol(1e-4)):
+        assert f.rank(tol) == dense.rank(tol)
+        if x.shape[0] >= x.shape[1]:  # then vh is square and vh[r:] the whole null space
+            (split_null, _), (dense_null, gap) = _null_projector(f, tol), _null_projector(dense, tol)
+            assert np.abs(split_null - dense_null).max() <= bound / gap  # Wedin: eps ||A|| / gap
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), is_complex=st.booleans())
+def test_hermitian_direct_sums_split_as_the_dense_eigh(monkeypatch, seed, is_complex):
+    h = _direct_sum(np.random.default_rng(seed), is_complex, hermitian=True)
+    assert numkit._blocks(h, square=True) is not None
+    (w, v), values = numkit._eigh(h), numkit._eigh(h, vectors=False)
+    with monkeypatch.context() as m:
+        _dense_route(m)
+        dense_w, dense_values = numkit._eigh(h)[0], numkit._eigh(h, vectors=False)
+    bound = 64 * _EPS * np.abs(dense_w).max()
+    assert np.all(np.diff(w) >= 0) and np.all(np.diff(values) >= 0)
+    assert np.abs(w - dense_w).max() <= bound and np.abs(values - dense_values).max() <= bound
+    assert v.dtype == h.dtype and v.shape == h.shape
+    assert np.abs(v.conj().T @ v - np.eye(h.shape[0])).max() <= 32 * _EPS
+    assert np.abs((v * w) @ v.conj().T - h).max() <= bound
+
+
+def test_meet_reads_the_same_intersection_from_a_split_factor(monkeypatch):
+    # R(q) meets R(basis) in the d coordinates 0..d-1: q holds them and d
+    # rotated pairs, basis holds them and d others, all block by block
+    d = numkit._SPLIT_FLOOR
+    n, c = 4 * d, 1 / np.sqrt(2.0)
+    q = np.zeros((n, 2 * d))
+    q[np.arange(d), np.arange(d)] = 1.0
+    q[d + np.arange(d), d + np.arange(d)] = c
+    q[2 * d + np.arange(d), d + np.arange(d)] = c
+    basis = np.zeros((n, 2 * d))
+    basis[np.arange(d), np.arange(d)] = 1.0
+    basis[2 * d + np.arange(d), d + np.arange(d)] = 1.0
+    assert numkit._blocks(shorting._angle_factors(basis, q)[1]) is not None
+    meet = shorting._meet(q, basis, DEFAULT_TOL)
+    with monkeypatch.context() as m:
+        _dense_route(m)
+        dense = shorting._meet(q, basis, DEFAULT_TOL)
+    assert meet.shape == dense.shape == (n, d)
+    assert np.abs(meet @ meet.T - dense @ dense.T).max() <= 1e3 * _EPS
+
+
+def _one_block_operands(n=512):
+    rng = np.random.default_rng(5)
+    dense = rng.standard_normal((n, n))
+    hollow = dense - np.diag(np.diagonal(dense))
+    tri = np.diag(rng.standard_normal(n)) + np.diag(rng.standard_normal(n - 1), 1)
+    tri += np.diag(rng.standard_normal(n - 1), -1)
+    # not reached in two steps from its first row: the label sweeps find it whole
+    banded = sum(np.diag(rng.standard_normal(n - abs(k)), k) for k in range(-5, 6))
+    return {"dense": dense, "hollow": hollow, "tridiagonal": tri, "banded": banded}
+
+
+@pytest.mark.parametrize("name", ["dense", "hollow", "tridiagonal", "banded"])
+def test_one_block_operands_take_one_lapack_call_uncopied(monkeypatch, name):
+    x = _one_block_operands()[name]
+    h = x + x.T
+    operands = []
+    for kernel in ("svd", "eigh", "eigvalsh"):
+        real = getattr(np.linalg, kernel)
+        monkeypatch.setattr(np.linalg, kernel, lambda m, *a, real=real, **k: operands.append(m) or real(m, *a, **k))
+    assert numkit._blocks(x) is None and numkit._blocks(h, square=True) is None
+    _svd_factor(x)
+    numkit._svdvals(x, numkit._blocks(x))
+    opnorm(x)
+    numkit._eigh(h)
+    numkit._eigh(h, vectors=False)
+    assert len(operands) == 5
+    assert all(m is x for m in operands[:3]) and all(m is h for m in operands[3:])
+
+
+def test_pattern_pass_costs_little_beside_the_dense_svd():
+    # best of several runs each: the pass on a one-block 512 x 512 operand
+    # against the dense SVD of _svd_factor that it precedes
+    import timeit
+
+    for name, x in _one_block_operands().items():
+        svd = min(timeit.repeat(lambda: np.linalg.svd(x, full_matrices=False), number=1, repeat=3))
+        pass_ = min(timeit.repeat(lambda: numkit._blocks(x), number=5, repeat=5)) / 5
+        assert pass_ <= (0.01 if name == "dense" else 0.1) * svd, (name, pass_, svd)
+
+
+@pytest.mark.parametrize("shape", [(127, 300), (300, 127), (0, 200)])
+def test_operands_below_the_floor_take_no_pattern_pass(monkeypatch, shape):
+    # a side below the floor: today's one dense call, whatever the pattern
+    x = np.zeros(shape)
+    x[np.arange(min(shape)), np.arange(min(shape))] = 1.0
+    monkeypatch.setattr(np, "count_nonzero", lambda *_: pytest.fail("pattern pass ran"))
+    assert numkit._blocks(x) is None
+    assert np.array_equal(numkit._svdvals(x, None), np.linalg.svd(x, compute_uv=False))
+
+
 # --- certified operator-norm bounds -------------------------------------------------
 
 
@@ -510,16 +669,16 @@ def _full_svd_norm(x):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 1.0)])
 @pytest.mark.parametrize("where", [(0, 0), (1, 1)])
-def test_opnorm_counts_non_finite_entries_as_nonzero(bad, where):
-    # a NaN or inf entry keeps its row and column, so LAPACK sees it and
-    # answers as it does for the whole matrix: NaN does not converge
+def test_opnorm_counts_non_finite_entries_as_nonzero(monkeypatch, bad, where):
+    # a NaN or inf entry is never cut away with the zero rows and columns:
+    # wherever it lies, opnorm names it before LAPACK sees the matrix
     x = np.zeros((3, 4), dtype=complex if isinstance(bad, complex) else float)
     x[0, 1] = 2.0
     x[where] = bad
-    assert _outcome(opnorm, x) == _outcome(_full_svd_norm, x)
-    if np.isnan(bad):
-        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
-            opnorm(x)
+    operands = _record_svd_operands(monkeypatch)
+    with pytest.raises(NotFinite, match=re.escape(f"matrix[{where[0]}, {where[1]}] is not finite")):
+        opnorm(x)
+    assert operands == []
 
 
 @pytest.mark.parametrize(
@@ -1209,3 +1368,101 @@ def test_real_driver_matches_the_complex_route_on_the_pipeline(case, projector):
         assert_allclose(value, ref_value, atol=1e-12 * scale)
     assert real["parallel"].dtype == np.float64
     assert_allclose(real["parallel"], ref["parallel"], atol=1e-12 * max(opnorm(a) + opnorm(b), 1.0))
+
+
+# --- finite operands or a named error -------------------------------------------
+
+# every public callable that takes a matrix: _OPERAND_CALLS and the coercion and
+# encoding functions, each on _contract_operands' operands
+_FINITE_CALLS = {
+    **_OPERAND_CALLS,
+    "as_matrix": lambda o: as_matrix(o["t"], "T"),
+    "matrix_to_json_dict": lambda o: matrix_to_json_dict(o["t"]),
+    "save_matrix": lambda o: save_matrix(os.devnull, o["t"]),
+}
+_LAPACK = ("svd", "eigh", "eigvalsh", "inv", "solve", "lstsq", "pinv", "qr", "norm", "eig", "det")
+
+
+def test_the_finite_property_covers_every_public_callable_that_takes_a_matrix():
+    takes_no_matrix = set(_LAB_CALLS) | {"sweep_to_csv", "matrix_from_json_dict", "load_matrix"}
+    public = {
+        name
+        for module in (numkit, polar, douglas, shorting, parallel, lab)
+        for name in module.__all__
+        if callable(getattr(module, name)) and not isinstance(getattr(module, name), type)
+    }
+    assert public - takes_no_matrix == set(_FINITE_CALLS)
+
+
+class _Reads(dict):
+    """The operands, recording which of them a call reads."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = []
+
+    def __getitem__(self, key):
+        if key not in self.read:
+            self.read.append(key)
+        return super().__getitem__(key)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    name=st.sampled_from(sorted(_FINITE_CALLS)),
+    pick=st.integers(min_value=0, max_value=5),
+    where=st.tuples(st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=5)),
+    bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+    imaginary=st.booleans(),
+)
+def test_one_non_finite_entry_raises_not_finite_before_any_lapack_call(
+    monkeypatch, name, pick, where, bad, imaginary
+):
+    operands = _contract_operands(np.random.default_rng(61))
+    if imaginary:
+        operands = {k: v.astype(np.complex128) for k, v in operands.items()}
+    probe = _Reads(operands)
+    _FINITE_CALLS[name](probe)  # which operands the call reads, and in what order
+    key = probe.read[pick % len(probe.read)]
+    operands[key] = operands[key].copy()
+    where = tuple(w % n for w, n in zip(where, operands[key].shape))
+    operands[key][where] = complex(0.0, bad) if imaginary else bad
+    calls = [record_linalg(monkeypatch, k, lambda _: None) for k in _LAPACK]
+    try:
+        with pytest.raises(NotFinite, match=re.escape(f"[{where[0]}, {where[1]}] is not finite")):
+            _FINITE_CALLS[name](operands)
+        assert all(c == [] for c in calls), name
+    finally:
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("which", ["C", "D"])
+def test_complementable_idempotents_reject_non_finite_witnesses_before_any_norm(monkeypatch, which):
+    block = _shorted_block(_contract_operands(np.random.default_rng(61)))
+    comp = is_complementable(block)
+    c, d = comp.C.copy(), comp.D.copy()
+    (c if which == "C" else d)[0, 0] = np.nan
+    calls = [record_linalg(monkeypatch, k, lambda _: None) for k in _LAPACK]
+    with pytest.raises(NotFinite, match=re.escape(f"{which}[0, 0] is not finite")):
+        shorting.complementable_idempotents(block, c, d)
+    assert all(c == [] for c in calls)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda y: parallel_sum(np.eye(3), y),
+        lambda y: hansen_inequality_check(np.eye(3) + np.ones((3, 3)) * 1e-12, np.eye(3), y),
+        lambda y: lemma_69_check(np.eye(3) + np.triu(np.ones((3, 3))) * 1e-12, y),
+    ],
+    ids=["parallel_sum_B", "hansen_C", "lemma69_Y"],
+)
+def test_a_later_operand_is_checked_before_an_earlier_one_is_factored(monkeypatch, call):
+    # the first operands need a norm (not exactly Hermitian) or an eigenvalue
+    # pass; the bad last operand must be named before either runs
+    y = np.eye(3)
+    y[2, 1] = np.inf
+    calls = [record_linalg(monkeypatch, k, lambda _: None) for k in _LAPACK]
+    with pytest.raises(NotFinite, match=re.escape("[2, 1] is not finite")):
+        call(y)
+    assert all(c == [] for c in calls)

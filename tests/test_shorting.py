@@ -25,6 +25,7 @@ from opshort import (
 from opshort import shorting
 from opshort.errors import (
     NotAProjector,
+    NotFinite,
     NotSolvable,
     NotWeaklyComplementable,
     ShapeMismatch,
@@ -92,7 +93,7 @@ def test_non_finite_projectors_are_rejected_before_any_norm(monkeypatch, bad, en
     p[entry] = bad
     calls = record_svd(monkeypatch)
     for check in (check_projector, lambda q: partition(np.eye(2), q, np.eye(2))):
-        with pytest.raises(NotAProjector, match="non-finite"):
+        with pytest.raises(NotFinite, match=r"\[\d, 0\] is not finite"):
             check(p)
     assert calls == []
 
