@@ -35,7 +35,7 @@ from .errors import (
     OpshortError,
 )
 from .lab import divergence_sweep, sweep_to_csv, verify_closed_forms
-from .numkit import DEFAULT_TOL, Tol, _svd_factor, load_matrix, matrix_to_json_dict, opnorm
+from .numkit import DEFAULT_TOL, Tol, _svd_factor, _svdvals, load_matrix, matrix_to_json_dict, opnorm
 from .parallel import (
     _hansen_worst,
     hansen_inequality_check,
@@ -154,7 +154,7 @@ def _cmd_partition(args, tol: Tol, t, pm, pn):
         rank_PN=blk.dim_n,
         # a corner's entries depend on the bases, its singular values do not
         singular_values={
-            name: np.linalg.svd(getattr(blk, name), compute_uv=False).tolist()
+            name: _svdvals(getattr(blk, name)).tolist()
             for name in ("T11", "T12", "T21", "T22")
         },
         reassembly_residual=opnorm(blk.reassembled() - blk.T),

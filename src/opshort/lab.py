@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InternalInvariantViolation
 from .numkit import (
-    _BAND, DEFAULT_TOL, Tol, _angle_factors, _blocks, _integer, _norm_within, _svdvals, opnorm,
+    _BAND, DEFAULT_TOL, Tol, _angle_factors, _integer, _norm_within, _svdvals, opnorm,
     psd_power, range_basis,
 )
 from .parallel import _parallel_core, _psd_pair
@@ -164,9 +164,9 @@ def subspace_angles(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
     from the sine where cos^2 >= 1/2 (arccos loses half the digits near 0)
     and from the cosine otherwise."""
     c, resid = _angle_factors(qa, qb)
-    cos = np.minimum(_svdvals(c, _blocks(c)), 1.0)
+    cos = np.minimum(_svdvals(c), 1.0)
     # the sines ascend as the cosines descend; those past min(dims) are 1
-    sin = _svdvals(resid, _blocks(resid))[::-1][: cos.size]
+    sin = _svdvals(resid)[::-1][: cos.size]
     return np.where(cos**2 >= 0.5, np.arcsin(np.minimum(sin, 1.0)), np.arccos(cos))
 
 

@@ -7,8 +7,9 @@ All operators are dense double-precision numpy arrays, real or complex as
 ``numpy.linalg`` picks the real or complex LAPACK driver from that dtype, and
 every result keeps it by numpy promotion.
 
-An exact direct sum (nonzeros in diagonal blocks up to row and column permutations)
-has its blocks' SVDs and eigendecompositions, so it is factored by blocks (:func:`_blocks`).
+Every SVD and Hermitian eigendecomposition of the package is taken here, by
+:func:`_svd_factor`, :func:`_svdvals` or :func:`_eigh`; each reads an exact direct sum
+(nonzeros in diagonal blocks up to row and column permutations) by blocks (:func:`_blocks`).
 
 Every function that makes a rank or positivity decision takes a :class:`Tol`
 so the whole package shares one tolerance policy.
@@ -109,41 +110,36 @@ DEFAULT_TOL = Tol()
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a 2-D array, complex128 if the input's dtype is complex and
-    float64 otherwise; anything that is not 2-D is rejected.  Every operand
-    passes here, so this is the package's dtype decision; only the JSON
-    reader decides by value."""
+    float64 otherwise; a NaN or inf, then anything not 2-D, is rejected.
+    Every operand passes here, so this is the package's dtype decision; only
+    the JSON reader decides by value."""
+    m = _finite_array(a, name)
+    if m.ndim != 2:
+        raise ShapeMismatch(f"{name} must be 2-D, got ndim={m.ndim}")
+    return m
+
+
+def _finite_array(a, name: str) -> np.ndarray:
+    """:func:`as_matrix`'s dtype decision for an array of any number of dimensions;
+    raises NotFinite naming the operand ``name`` and its first NaN or infinite entry."""
     m = np.asarray(a)
     if m.dtype == object:  # numbers held as objects: let numpy type them
         m = np.array(m.tolist()).reshape(m.shape)
     m = m.astype(np.complex128 if np.iscomplexobj(m) else np.float64, copy=False)
-    if m.ndim != 2:
-        raise ShapeMismatch(f"{name} must be 2-D, got ndim={m.ndim}")
-    _finite(m, name)
-    return m
-
-
-def _finite(m: np.ndarray, name: str) -> None:
-    """Raise NotFinite naming the operand and its first NaN or infinite entry."""
     if not np.isfinite(m).all():
         raise NotFinite(f"{name}{np.argwhere(~np.isfinite(m))[0].tolist()} is not finite")
+    return m
 
 
 def opnorm(a) -> float:
     """Operator 2-norm (largest singular value); 0 for empty and zero matrices.
 
-    The SVD reads an exact direct sum by blocks (:func:`_blocks`), else skips exactly-zero
-    rows and columns, which add only zero singular values.  NaN or inf raises NotFinite."""
-    m, groups = np.asarray(a), None
-    _finite(m, "matrix")
-    if m.size == 0:
+    The input takes :func:`as_matrix`'s dtype, and the SVD reads an exact direct
+    sum by blocks (:func:`_svdvals`).  NaN or inf raises NotFinite."""
+    m = _finite_array(a, "matrix")
+    if m.size == 0 or (m.ndim == 2 and not m.any()):
         return 0.0
-    if m.ndim == 2:
-        rows, cols = m.any(axis=1), m.any(axis=0)
-        if not rows.any():
-            return 0.0
-        if (groups := _blocks(m)) is None and not (rows.all() and cols.all()):
-            m = m[np.ix_(rows, cols)]
-    return float(_svdvals(m, groups)[0])
+    return float(_svdvals(m)[0])
 
 
 def _blocks(m: np.ndarray, square: bool = False):
@@ -186,9 +182,9 @@ def _blocks(m: np.ndarray, square: bool = False):
     return out
 
 
-def _svdvals(m: np.ndarray, groups) -> np.ndarray:
-    """``np.linalg.svd(m, compute_uv=False)``, read from m's blocks ``groups`` if any."""
-    if groups is None:
+def _svdvals(m: np.ndarray) -> np.ndarray:
+    """``np.linalg.svd(m, compute_uv=False)``, an exact direct sum's from its blocks."""
+    if (groups := _blocks(m)) is None:
         return np.linalg.svd(m, compute_uv=False)
     blocks = (m[r[:, :, None], c[:, None, :]] for r, c in groups)  # stacked, one shape each
     s = np.concatenate([np.linalg.svd(x, compute_uv=False).ravel() for x in blocks])
@@ -302,7 +298,7 @@ def herm_eig(a, tol: Tol = DEFAULT_TOL) -> HermEig:
     NotHermitian
         If the input is not square or departs from A = A* beyond tolerance.
     """
-    w, v = np.linalg.eigh(_hermitian(as_matrix(a, "A"), tol))
+    w, v = _eigh(_hermitian(as_matrix(a, "A"), tol))
     # eigh returns ascending order; the package contract is descending
     return HermEig(
         eigenvalues=np.ascontiguousarray(w[::-1]),

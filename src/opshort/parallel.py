@@ -178,7 +178,7 @@ def _hansen_worst(a, b, probes, tol: Tol) -> float:
         if cm.shape != ah.shape:
             raise ShapeMismatch(f"C must match A's shape {ah.shape}, got {cm.shape}")
         rhs = cm.conj().T @ ah @ cm + (eye - cm).conj().T @ bh @ (eye - cm)
-        lam = float(np.linalg.eigvalsh(_herm(rhs - ps)).min()) if n else 0.0
+        lam = float(_eigh(_herm(rhs - ps), vectors=False)[0]) if n else 0.0
         worst = lam if worst is None else min(worst, lam)
     return worst
 
@@ -216,7 +216,7 @@ def lemma_69_check(x, y, tol: Tol = DEFAULT_TOL) -> Lemma69Result:
     xh = _hermitian(xm, tol, "X", NotPositiveDefinite)
     if ym.shape != xh.shape:
         raise ShapeMismatch(f"Y must match X's shape {xh.shape}, got {ym.shape}")
-    w = np.linalg.eigvalsh(xh)
+    w = _eigh(xh, vectors=False)
     n = xh.shape[0]
     if n == 0:
         return Lemma69Result(lambda_min=0.0, equality_gap=0.0)
@@ -229,7 +229,7 @@ def lemma_69_check(x, y, tol: Tol = DEFAULT_TOL) -> Lemma69Result:
     lhs = np.linalg.inv(eye + xh)
     rhs = ym.conj().T @ ym + (eye - ym).conj().T @ np.linalg.inv(xh) @ (eye - ym)
     return Lemma69Result(
-        lambda_min=float(np.linalg.eigvalsh(_herm(rhs - lhs)).min()),
+        lambda_min=float(_eigh(_herm(rhs - lhs), vectors=False)[0]),
         equality_gap=opnorm(ym - lhs),
     )
 

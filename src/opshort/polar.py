@@ -21,7 +21,7 @@ from numbers import Real
 import numpy as np
 
 from .errors import AlphaOutOfRange
-from .numkit import DEFAULT_TOL, Tol, _herm, _integer, _svd_factor, _SVDFactor, as_matrix
+from .numkit import DEFAULT_TOL, Tol, _eigh, _herm, _integer, _svd_factor, _SVDFactor, as_matrix
 
 __all__ = [
     "PolarForm",
@@ -128,7 +128,7 @@ def gpolar_iterative(t, alpha: float, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError(f"{message}, got {n!r}")
     m = as_matrix(t)
-    w, v = np.linalg.eigh(_herm(m.conj().T @ m))
+    w, v = _eigh(_herm(m.conj().T @ m))
     w = np.maximum(w, 0.0)  # T*T is PSD; strip round-off negatives
     factor = (1.0 / n + w) ** -0.5 * w ** ((1.0 - alpha) / 2.0)
     return m @ ((v * factor) @ v.conj().T)

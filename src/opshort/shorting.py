@@ -71,6 +71,7 @@ from .numkit import (
     DEFAULT_TOL,
     Tol,
     _angle_factors,
+    _eigh,
     _herm,
     _norm_within,
     _rank,
@@ -107,7 +108,7 @@ def _validated_projector_eig(m: np.ndarray, tol: Tol):
     for name, gap in (("||P - P*||", m - m.conj().T), ("||P^2 - P||", m @ m - m)):
         if not _norm_within(gap, bound):
             raise NotAProjector(f"{name} = {opnorm(gap):.3e} exceeds {bound}")
-    w, v = np.linalg.eigh(_herm(m))
+    w, v = _eigh(_herm(m))
     stray = float(np.minimum(np.abs(w), np.abs(w - 1.0)).max())
     if stray > bound:
         raise NotAProjector(
@@ -169,7 +170,7 @@ class BlockOperator:
     columns ``basis_m``, ``basis_m_perp``, ``basis_n``, ``basis_n_perp``;
     conjugating the block matrix back by these bases reproduces T.  They are
     the coordinate columns in ascending order for an exact 0/1 diagonal, else
-    the projector's eigenvectors as ``numpy.linalg.eigh`` returns them; only
+    the projector's eigenvectors as :func:`numkit._eigh` returns them; only
     their spans, and so only the corners' singular values, are basis-free.
     ``index_m`` (``index_n``) holds the coordinates that the domain's
     (codomain's) bases pick when they are coordinate columns, else None;

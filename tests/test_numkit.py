@@ -1,8 +1,11 @@
+import ast
 import dataclasses
 import json
 import os
 import re
 import threading
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -415,6 +418,17 @@ def _dense_route(monkeypatch):
     monkeypatch.setattr(numkit, "_SPLIT_FLOOR", 10**9)
 
 
+def _stacked_eigen_calls(monkeypatch, run):
+    """``run()``, asserting that every eigh and eigvalsh it makes (one at least) is
+    stacked: the split route's blocks, never the whole operand."""
+    with monkeypatch.context() as m:
+        recorded = [record_linalg(m, k, lambda _: None) for k in ("eigh", "eigvalsh")]
+        out = run()
+    shapes = [x.shape for calls in recorded for x, _ in calls]
+    assert shapes and all(len(s) == 3 for s in shapes), shapes
+    return out
+
+
 def _null_projector(f, tol):
     # the null space _meet reads: vh past the rank, cut at the scale 1; and
     # the smallest singular value kept, which the space's round-off scales with
@@ -427,11 +441,15 @@ def _null_projector(f, tol):
 def test_direct_sums_factor_as_the_dense_svd(monkeypatch, seed, is_complex):
     x = _direct_sum(np.random.default_rng(seed), is_complex)
     assert numkit._blocks(x) is not None  # the split route is the one under test
-    f, s = _svd_factor(x), numkit._svdvals(x, numkit._blocks(x))
+    f, s = _svd_factor(x), numkit._svdvals(x)
     norm = opnorm(x)
+    # T*T squares the condition: the dense route's error on a singular value s grows
+    # like eps ||T||^2 / s, which the iterate's s^(2 - alpha) damps at small alpha only
+    iterate = _stacked_eigen_calls(monkeypatch, lambda: polar.gpolar_iterative(x, 0.1, 1))
     with monkeypatch.context() as m:
         _dense_route(m)
         dense, dense_norm = _svd_factor(x), opnorm(x)
+        dense_iterate = polar.gpolar_iterative(x, 0.1, 1)
     k = min(x.shape)
     assert f.u.shape == (x.shape[0], k) and f.s.shape == (k,) and f.vh.shape == (k, x.shape[1])
     assert f.u.dtype == f.vh.dtype == x.dtype
@@ -439,6 +457,7 @@ def test_direct_sums_factor_as_the_dense_svd(monkeypatch, seed, is_complex):
     bound = 64 * _EPS * dense.s[0]
     assert np.abs(f.s - dense.s).max() <= bound and np.abs(s - dense.s).max() <= bound
     assert abs(norm - dense_norm) <= bound
+    assert iterate.dtype == x.dtype and np.abs(iterate - dense_iterate).max() <= bound
     # orthonormal at the full compact shape, null completion included
     assert np.abs(f.u.conj().T @ f.u - np.eye(k)).max() <= 32 * _EPS
     assert np.abs(f.vh @ f.vh.conj().T - np.eye(k)).max() <= 32 * _EPS
@@ -456,10 +475,27 @@ def test_hermitian_direct_sums_split_as_the_dense_eigh(monkeypatch, seed, is_com
     h = _direct_sum(np.random.default_rng(seed), is_complex, hermitian=True)
     assert numkit._blocks(h, square=True) is not None
     (w, v), values = numkit._eigh(h), numkit._eigh(h, vectors=False)
+    # h's positive spectral projector, block-diagonal as h is but no 0/1 diagonal; and
+    # h^2, whose 3/2 power is Lipschitz in it (its square root is not, so the dense
+    # route's round-off on the small eigenvalues would show in that)
+    p, g = v[:, w > 0] @ v[:, w > 0].conj().T, h @ h
+    assert not np.array_equal(p, np.diag(np.round(np.diagonal(p))))
+
+    def routed():
+        return herm_eig(h), psd_power(g, 1.5), shorting._projector_bases(p, DEFAULT_TOL)[0]
+
+    eig, power, basis = _stacked_eigen_calls(monkeypatch, routed)
     with monkeypatch.context() as m:
         _dense_route(m)
         dense_w, dense_values = numkit._eigh(h)[0], numkit._eigh(h, vectors=False)
+        dense_eig, dense_power, dense_basis = routed()
     bound = 64 * _EPS * np.abs(dense_w).max()
+    assert np.abs(eig.eigenvalues - dense_eig.eigenvalues).max() <= bound
+    assert np.abs((eig.eigenvectors * eig.eigenvalues) @ eig.eigenvectors.conj().T - h).max() <= bound
+    assert np.abs(power - dense_power).max() <= bound * np.abs(dense_w).max() ** 2
+    assert shorting.check_projector(p) == basis.shape[1] == dense_basis.shape[1]
+    for b in (basis, dense_basis):
+        assert np.abs(b @ b.conj().T - p).max() <= 64 * _EPS
     assert np.all(np.diff(w) >= 0) and np.all(np.diff(values) >= 0)
     assert np.abs(w - dense_w).max() <= bound and np.abs(values - dense_values).max() <= bound
     assert v.dtype == h.dtype and v.shape == h.shape
@@ -488,6 +524,18 @@ def test_meet_reads_the_same_intersection_from_a_split_factor(monkeypatch):
     assert np.abs(meet @ meet.T - dense @ dense.T).max() <= 1e3 * _EPS
 
 
+def test_only_numkit_calls_the_svd_and_eigen_kernels():
+    # every SVD and Hermitian eigendecomposition goes through numkit's doors, which
+    # split exact direct sums: a call elsewhere would bypass the split
+    kernels, callers = {"svd", "eigh", "eigvalsh"}, set()
+    for path in sorted(Path(opshort.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else []
+            if getattr(node, "attr", None) in kernels or kernels.intersection(names):
+                callers.add(path.name)
+    assert callers == {"numkit.py"}
+
+
 def _one_block_operands(n=512):
     rng = np.random.default_rng(5)
     dense = rng.standard_normal((n, n))
@@ -509,7 +557,7 @@ def test_one_block_operands_take_one_lapack_call_uncopied(monkeypatch, name):
         monkeypatch.setattr(np.linalg, kernel, lambda m, *a, real=real, **k: operands.append(m) or real(m, *a, **k))
     assert numkit._blocks(x) is None and numkit._blocks(h, square=True) is None
     _svd_factor(x)
-    numkit._svdvals(x, numkit._blocks(x))
+    numkit._svdvals(x)
     opnorm(x)
     numkit._eigh(h)
     numkit._eigh(h, vectors=False)
@@ -535,7 +583,7 @@ def test_operands_below_the_floor_take_no_pattern_pass(monkeypatch, shape):
     x[np.arange(min(shape)), np.arange(min(shape))] = 1.0
     monkeypatch.setattr(np, "count_nonzero", lambda *_: pytest.fail("pattern pass ran"))
     assert numkit._blocks(x) is None
-    assert np.array_equal(numkit._svdvals(x, None), np.linalg.svd(x, compute_uv=False))
+    assert np.array_equal(numkit._svdvals(x), np.linalg.svd(x, compute_uv=False))
 
 
 # --- certified operator-norm bounds -------------------------------------------------
@@ -637,21 +685,38 @@ def test_opnorm_of_zero_or_empty_is_zero_without_an_svd(monkeypatch, shape, dtyp
     assert operands == []
 
 
-def test_opnorm_negative_zero_rows_and_columns_are_skipped(monkeypatch):
-    operands = _record_svd_operands(monkeypatch)
+def test_opnorm_of_negative_zero_rows_and_columns():
     x = np.full((4, 5), -0.0)
     x[1, 2], x[3, 0] = 3.0, -4.0
-    assert opnorm(x) == 4.0
-    assert [m.shape for m in operands] == [(2, 2)]
+    assert abs(opnorm(x) - 4.0) <= 16 * np.spacing(4.0)
+    full = _full_svd_norm(x)
+    assert abs(opnorm(x) - full) <= 16 * np.spacing(full)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 def test_opnorm_hands_a_dense_operand_to_lapack_uncopied(monkeypatch, dtype):
-    # one nonzero per row and column is enough: nothing is cut, nothing copied
+    # float64 and complex128 are the package's dtypes: nothing is copied
     x = np.eye(5, dtype=dtype)[::-1] * np.arange(1.0, 6.0)
     operands = _record_svd_operands(monkeypatch)
     assert opnorm(x) == 5.0
     assert len(operands) == 1 and operands[0] is x
+
+
+@pytest.mark.parametrize(
+    "dtype", [object, np.float16, np.float32, np.longdouble, np.complex64, np.clongdouble]
+)
+def test_opnorm_takes_the_dtype_that_as_matrix_takes(dtype):
+    # no LAPACK driver takes objects, half or extended precision, and single
+    # precision would take the single-precision driver: every callable promotes first
+    rng = np.random.default_rng(11)
+    x = rng.integers(-64, 65, (40, 40)) / 64
+    if dtype is object:
+        x = np.array([[Fraction(v) for v in row] for row in x], dtype=object)
+    elif np.issubdtype(dtype, np.complexfloating):
+        x = (x + 1j * x[::-1]).astype(dtype)
+    else:
+        x = x.astype(dtype)
+    assert opnorm(x) == opnorm(as_matrix(x))
 
 
 def _outcome(norm, x):
@@ -670,8 +735,7 @@ def _full_svd_norm(x):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 1.0)])
 @pytest.mark.parametrize("where", [(0, 0), (1, 1)])
 def test_opnorm_counts_non_finite_entries_as_nonzero(monkeypatch, bad, where):
-    # a NaN or inf entry is never cut away with the zero rows and columns:
-    # wherever it lies, opnorm names it before LAPACK sees the matrix
+    # wherever a NaN or inf entry lies, opnorm names it before LAPACK sees the matrix
     x = np.zeros((3, 4), dtype=complex if isinstance(bad, complex) else float)
     x[0, 1] = 2.0
     x[where] = bad
@@ -693,7 +757,7 @@ def test_opnorm_counts_non_finite_entries_as_nonzero(monkeypatch, bad, where):
     ],
 )
 def test_opnorm_of_a_non_matrix_takes_the_full_svd(x, error):
-    # no row or column rule applies off two dimensions, zeros included
+    # off two dimensions opnorm gives the full SVD's own outcome, zeros included
     with pytest.raises(error):
         opnorm(x)
     assert _outcome(opnorm, x) == _outcome(_full_svd_norm, x)
@@ -705,9 +769,8 @@ def test_opnorm_of_a_non_matrix_takes_the_full_svd(x, error):
     is_complex=st.booleans(),
     exponent=st.floats(min_value=-12.0, max_value=12.0),
 )
-def test_opnorm_skips_zero_rows_and_columns(seed, is_complex, exponent):
-    # the norm is that of the nonzero core, exactly, and within round-off of
-    # the full matrix's own SVD
+def test_opnorm_with_zero_rows_and_columns_is_the_full_svd_norm(seed, is_complex, exponent):
+    # zero rows and columns scattered around a nonzero core, at any scale
     rng = np.random.default_rng(seed)
     m, n = (int(k) for k in rng.integers(1, 9, 2))
     core = rand_complex(rng, m, n) if is_complex else rng.standard_normal((m, n))
@@ -716,7 +779,6 @@ def test_opnorm_skips_zero_rows_and_columns(seed, is_complex, exponent):
     cols = np.sort(rng.choice(n + 6, n, replace=False))
     x = np.zeros((m + 6, n + 6), core.dtype)
     x[np.ix_(rows, cols)] = core
-    assert opnorm(x) == opnorm(core)
     full = np.linalg.svd(x, compute_uv=False)[0]
     assert abs(opnorm(x) - full) <= 16 * np.spacing(full)
 
