@@ -43,7 +43,7 @@ from .parallel import (
     parallel_sum,
     solve_parallel_equation,
 )
-from .polar import DEFAULT_ALPHA, _alpha, _polar, gpolar_iterative
+from .polar import DEFAULT_ALPHA, _alpha, _iterate, _polar
 from .shorting import _ranks, partition, shorted, verify_range_kernel
 
 __all__ = ["main", "dispatch", "build_parser"]
@@ -87,9 +87,9 @@ def _form_fields(mode: str, alpha: float, u, abs_t, residuals: dict) -> dict:
 
 def _cmd_polar(args, tol: Tol, t):
     if args.iterate is not None:
-        alpha = args.alpha if args.alpha is not None else DEFAULT_ALPHA
-        u_n = gpolar_iterative(t, alpha, args.iterate)
+        alpha = _alpha(args.alpha if args.alpha is not None else DEFAULT_ALPHA)
         f = _svd_factor(t)
+        u_n = _iterate(f, alpha, args.iterate)
         limit = _polar(f, alpha, tol)
         residuals = {
             "distance_to_limit": opnorm(u_n - limit.U),

@@ -86,16 +86,16 @@ def _operands(a, c):
     return am, cm
 
 
-def _inclusion(ur: np.ndarray, uc: np.ndarray, cm: np.ndarray, c_norm: float, tol: Tol):
+def _inclusion(fitted: np.ndarray, cm: np.ndarray, c_norm: float, tol: Tol):
     """The one margin rule behind every range-inclusion verdict.
 
-    ``ur`` has orthonormal columns spanning R(A) (the left singular vectors
-    above the rank cutoff), ``uc`` is U_r* C and ``c_norm`` is ||C||; the
-    margin is ||C - U_r (U_r* C)|| / max(||C||, 1).  Its flags are read from
-    bounds [lo, hi] on that norm: the Frobenius ones where they clear the
-    borderline band by the factor _GUARD, as in _norm_within, else lo = hi = it.
+    ``fitted`` is U_r U_r* C, the part of C in R(A) (U_r the left singular
+    vectors above the rank cutoff), and ``c_norm`` is ||C||; the margin is
+    ||C - U_r U_r* C|| / max(||C||, 1).  Its flags are read from bounds
+    [lo, hi] on that norm: the Frobenius ones where they clear the borderline
+    band by the factor _GUARD, as in _norm_within, else lo = hi = it.
     """
-    residual = cm - ur @ uc
+    residual = cm - fitted
     scale, rel = max(c_norm, 1.0), tol.residual_rel
     lo, hi = _norm_bounds(residual)
     if _GUARD * hi >= rel / _BAND * scale and lo <= _GUARD * rel * _BAND * scale:
@@ -121,8 +121,7 @@ def range_included(a, c, tol: Tol = DEFAULT_TOL) -> RangeInclusion:
     """
     am, cm = _operands(a, c)
     f = _svd_factor(am)
-    ur = f.u[:, : f.rank(tol)]
-    return _inclusion(ur, ur.conj().T @ cm, cm, opnorm(cm), tol)
+    return _inclusion(f.span("left", f.coords("left", cm, f.rank(tol))), cm, opnorm(cm), tol)
 
 
 def reduced_solution(a, c, tol: Tol = DEFAULT_TOL) -> ReducedSolution:
@@ -158,12 +157,10 @@ def _solve(am: np.ndarray, f: _SVDFactor, cm: np.ndarray, tol: Tol) -> ReducedSo
     NotSolvable as :func:`reduced_solution` does.
     """
     r = f.rank(tol)
-    ur = f.u[:, :r]
-    uc = ur.conj().T @ cm
+    uc = f.coords("left", cm, r)
     c_norm = opnorm(cm)
-    verdict = _inclusion(ur, uc, cm, c_norm, tol)
-    vr = f.vh[:r].conj().T
-    d = (vr / f.s[:r]) @ uc
+    verdict = _inclusion(f.span("left", uc), cm, c_norm, tol)
+    d = f.span("right", uc, -1.0)
     residual = opnorm(am @ d - cm) / max(c_norm, 1.0)
     if not verdict.included:
         raise NotSolvable(
@@ -174,5 +171,5 @@ def _solve(am: np.ndarray, f: _SVDFactor, cm: np.ndarray, tol: Tol) -> ReducedSo
             residual=residual,
             borderline=verdict.borderline,
         )
-    range_ok = _norm_within(d - vr @ (vr.conj().T @ d), tol.residual_rel, d)
+    range_ok = _norm_within(d - f.span("right", f.coords("right", d, r)), tol.residual_rel, d)
     return ReducedSolution(D=d, residual=residual, range_ok=range_ok, _verdict=verdict)

@@ -14,6 +14,7 @@ __all__ = [
     "NotPositiveDefinite",
     "ShapeMismatch",
     "NotFinite",
+    "NotNumeric",
     "NotSolvable",
     "NotAProjector",
     "WitnessInvalid",
@@ -90,3 +91,7 @@ class InternalInvariantViolation(OpshortError):
 
 class NotFinite(OpshortError):
     """An operand holds a NaN or infinite entry."""
+
+
+class NotNumeric(OpshortError):
+    """An operand's entries are not numbers: strings, bytes, void records or dates."""

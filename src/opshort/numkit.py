@@ -20,12 +20,12 @@ from __future__ import annotations
 import json
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
 
-from .errors import NotFinite, NotHermitian, NotPSD, ShapeMismatch
+from .errors import NotFinite, NotHermitian, NotNumeric, NotPSD, ShapeMismatch
 
 __all__ = [
     "Tol",
@@ -110,7 +110,8 @@ DEFAULT_TOL = Tol()
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a 2-D array, complex128 if the input's dtype is complex and
-    float64 otherwise; a NaN or inf, then anything not 2-D, is rejected.
+    float64 otherwise; entries that are not numbers (NotNumeric), then a NaN or
+    inf (NotFinite), then anything not 2-D (ShapeMismatch), are rejected.
     Every operand passes here, so this is the package's dtype decision; only
     the JSON reader decides by value."""
     m = _finite_array(a, name)
@@ -121,10 +122,13 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 def _finite_array(a, name: str) -> np.ndarray:
     """:func:`as_matrix`'s dtype decision for an array of any number of dimensions;
-    raises NotFinite naming the operand ``name`` and its first NaN or infinite entry."""
+    raises NotNumeric naming the operand ``name`` and a dtype of strings, bytes, void
+    records or dates, and NotFinite naming it and its first NaN or infinite entry."""
     m = np.asarray(a)
     if m.dtype == object:  # numbers held as objects: let numpy type them
         m = np.array(m.tolist()).reshape(m.shape)
+    if m.dtype.kind in "USVMm":  # numpy would parse "1" as 1.0 or cast a date to a count
+        raise NotNumeric(f"{name} has dtype {m.dtype}, not numbers")
     m = m.astype(np.complex128 if np.iscomplexobj(m) else np.float64, copy=False)
     if not np.isfinite(m).all():
         raise NotFinite(f"{name}{np.argwhere(~np.isfinite(m))[0].tolist()} is not finite")
@@ -382,49 +386,96 @@ class _SVDFactor:
     ``s`` is sorted descending.  Views that depend on the numerical range take
     the number r of leading singular triplets they keep, normally
     :meth:`rank`, so one factor serves every rank rule a caller applies.
+
+    Every product with a side's singular vectors B_r (u_r on the "left", V_r =
+    vh_r* on the "right") goes through :meth:`coords` (B_r* X) and :meth:`span`
+    (B_r s_r^p Z).  A factor of an exact direct sum keeps, per side, its stacked
+    block factors: ``split[side]`` is (order, blocks), with blocks a list of
+    (index, b) per block shape, a (k, p) index array and k stacked p x p
+    factors.  The side's square factor holds each b at its index's rows and
+    columns and the identity elsewhere, and its columns ``order`` are B.  The
+    products are then a row gather, one stacked matmul per block shape and a
+    scatter, and never read u or vh.
     """
 
     u: np.ndarray
     s: np.ndarray
     vh: np.ndarray
+    split: dict | None = field(default=None, repr=False, compare=False)
 
     def rank(self, tol: Tol) -> int:
         return _rank(self.s, tol)
 
+    def _basis(self, side: str) -> np.ndarray:
+        return self.vh.conj().T if side == "right" else self.u
+
+    def coords(self, side: str, x: np.ndarray, r: int | None = None) -> np.ndarray:
+        """B_r* X over the first r triplets, all of them by default."""
+        if self.split is None:
+            return self.vh[:r] @ x if side == "right" else self.u[:, :r].conj().T @ x
+        order, blocks = self.split[side]
+        y = x.astype(np.result_type(blocks[0][1], x))
+        for index, b in blocks:
+            y[index] = b.conj().swapaxes(1, 2) @ y[index]
+        return y[order[:r]]
+
+    def span(self, side: str, z: np.ndarray, p: float | None = None) -> np.ndarray:
+        """B_r s_r^p Z over the first r = len(Z) triplets (B_r Z if p is None);
+        a negative p divides by s_r^-p, as a solve does."""
+        r, s = z.shape[0], self.s[: z.shape[0]]
+        if self.split is None:
+            b = self._basis(side)[:, :r]
+            if p is not None:
+                b = b * s**p if p >= 0 else b / s**-p
+            return b @ z
+        if p is not None:
+            z = z * s[:, None] ** p if p >= 0 else z / s[:, None] ** -p
+        order, blocks = self.split[side]
+        rows = (self.u if side == "left" else self.vh.T).shape[0]
+        y = np.zeros((rows, z.shape[1]), np.result_type(blocks[0][1], z))
+        y[order[:r]] = z
+        for index, b in blocks:
+            y[index] = b @ y[index]
+        return y
+
     def power(self, a: float, r: int) -> np.ndarray:
         """u_r s_r^a vh_r: the polar factor at a = 0, V(T) at a = 1/2."""
-        return (self.u[:, :r] * self.s[:r] ** a) @ self.vh[:r]
+        return self.span("left", self.vh[:r], a)
 
     def abs_power(self, side: str, p: float = 1.0, r: int | None = None) -> np.ndarray:
         """|T|^p ("right", on the domain) or |T*|^p ("left", on the codomain)
         over the first r singular triplets, all of them by default.  At p = 0
         with r the rank it is the range projector of T* ("right") or T ("left")."""
-        b = (self.vh.conj().T if side == "right" else self.u)[:, :r]
-        return _herm((b * self.s[:r] ** p) @ b.conj().T)
+        return _herm(self.span(side, self._basis(side)[:, :r].conj().T, p))
 
     def pinv(self, r: int) -> np.ndarray:
         """vh_r* s_r^-1 u_r*: the pseudo-inverse when r is the rank."""
-        return (self.vh[:r].conj().T / self.s[:r]) @ self.u[:, :r].conj().T
+        return self.span("right", self.u[:, :r].conj().T, -1.0)
 
 
 def _svd_factor(m: np.ndarray) -> _SVDFactor:
     """Compact SVD; u and vh keep ``m``'s dtype.  An exact direct sum takes a stacked
-    full SVD per block shape (:func:`_blocks`); keys -sigma, ties broken by the pair's
-    column, sort its triplets into place on both sides, and the zero singular values left
-    pair leftover block vectors or unit vectors on zero rows and columns, as vh[r:] needs."""
+    full SVD per block shape (:func:`_blocks`), kept as the factor's ``split``; keys
+    -sigma, ties broken by the pair's column, sort its triplets into place on both
+    sides, and the zero singular values left pair leftover block vectors or unit
+    vectors on zero rows and columns, as vh[r:] needs."""
     if (groups := _blocks(m)) is None:
         return _SVDFactor(*np.linalg.svd(m, full_matrices=False))
     u, vh = (np.eye(n, dtype=m.dtype) for n in m.shape)
     key = [np.full(n, np.inf) for n in m.shape]
     pair = [np.zeros(m.shape[0], int), np.arange(m.shape[1])]
+    left, right = [], []
     for r, c in groups:
         pu, ps, pvh = np.linalg.svd(m[r[:, :, None], c[:, None, :]])
         u[r[:, :, None], r[:, None, :]], vh[c[:, :, None], c[:, None, :]] = pu, pvh
+        left.append((r, pu))
+        right.append((c, pvh.conj().swapaxes(1, 2)))
         t = ps.shape[1]
         key[0][r[:, :t]] = key[1][c[:, :t]] = -ps
         pair[0][r[:, :t]] = c[:, :t]
     order = [np.lexsort(keys)[: min(m.shape)] for keys in zip(pair, key)]
-    return _SVDFactor(u[:, order[0]], np.maximum(-key[0][order[0]], 0.0), vh[order[1]])
+    split = {"left": (order[0], left), "right": (order[1], right)}
+    return _SVDFactor(u[:, order[0]], np.maximum(-key[0][order[0]], 0.0), vh[order[1]], split)
 
 
 def numerical_rank(t, tol: Tol = DEFAULT_TOL) -> int:

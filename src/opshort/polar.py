@@ -21,7 +21,7 @@ from numbers import Real
 import numpy as np
 
 from .errors import AlphaOutOfRange
-from .numkit import DEFAULT_TOL, Tol, _eigh, _herm, _integer, _svd_factor, _SVDFactor, as_matrix
+from .numkit import DEFAULT_TOL, Tol, _integer, _svd_factor, _SVDFactor, as_matrix
 
 __all__ = [
     "PolarForm",
@@ -105,8 +105,10 @@ def gpolar_iterative(t, alpha: float, n: int) -> np.ndarray:
     """n-th iterate U_n = T (I/n + T*T)^(-1/2) (T*T)^((1-alpha)/2).
 
     The iterates converge to the gpolar factor at rate O(1/n) on matrices
-    with trivial kernel.  The formula acts on the domain through T*T, so
-    rectangular T needs no special handling.
+    with trivial kernel.  With one SVD T = W s Q* the iterate is
+    U_n = W diag(s (1/n + s^2)^(-1/2) s^(1-alpha)) Q*, read from s without
+    forming T*T, which would square T's condition; rectangular T needs no
+    special handling.
 
     Parameters
     ----------
@@ -127,11 +129,14 @@ def gpolar_iterative(t, alpha: float, n: int) -> np.ndarray:
     n = _integer(n, message)
     if n < 1:
         raise ValueError(f"{message}, got {n!r}")
-    m = as_matrix(t)
-    w, v = _eigh(_herm(m.conj().T @ m))
-    w = np.maximum(w, 0.0)  # T*T is PSD; strip round-off negatives
-    factor = (1.0 / n + w) ** -0.5 * w ** ((1.0 - alpha) / 2.0)
-    return m @ ((v * factor) @ v.conj().T)
+    return _iterate(_svd_factor(as_matrix(t)), alpha, n)
+
+
+def _iterate(f: _SVDFactor, alpha: float, n: int) -> np.ndarray:
+    """:func:`gpolar_iterative`'s U_n read from T's factor f; alpha and n are
+    already checked."""
+    s = f.s
+    return f.span("left", f.vh * (s * (1.0 / n + s**2) ** -0.5 * s ** (1.0 - alpha))[:, None])
 
 
 def v_operator(t, tol: Tol = DEFAULT_TOL) -> np.ndarray:

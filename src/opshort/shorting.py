@@ -24,7 +24,8 @@ ambient spaces; the two cross products agree, which :func:`shorted` verifies
 rather than assumes.
 
 One SVD serves all six systems.  With T22 = W s V* (computed once per
-partition and kept on the :class:`BlockOperator`), V(T22) = W s^(1/2) V*,
+partition and kept on the :class:`BlockOperator`; an exact direct sum's
+factor applies W and V by its blocks), V(T22) = W s^(1/2) V*,
 |T22|^(1/2) = V s^(1/2) V* and |T22*|^(1/2) = W s^(1/2) W*, so every
 reduced solution has a closed form over the first r singular triplets:
 
@@ -241,16 +242,17 @@ class BlockOperator:
 
     @cached_property
     def _sides(self):
-        """The two sides of T22 = W s V* as (basis, right-hand side C, ||C||,
-        basis* C): (W, T21, ...) on N_perp and (V, T12*, ...) on M_perp."""
+        """The two sides of T22 = W s V* as (side of the factor, right-hand side C,
+        ||C||, B* C with B its singular vectors): ("left", T21, ...) with B = W on
+        N_perp and ("right", T12*, ...) with B = V on M_perp."""
         f = self._t22
         t12s = self.T12.conj().T
         n21 = self._t21_norm
         # one norm for equal values: T12* = T21 if T = T* exactly, PM = PN, gathered
         n12 = n21 if np.array_equal(t12s, self.T21) else opnorm(t12s)
         return (
-            (f.u, self.T21, n21, f.u.conj().T @ self.T21),
-            (f.vh.conj().T, t12s, n12, f.vh @ t12s),
+            ("left", self.T21, n21, f.coords("left", self.T21)),
+            ("right", t12s, n12, f.coords("right", t12s)),
         )
 
     @cached_property
@@ -353,8 +355,8 @@ def _inclusion_at(block: BlockOperator, side: int, r: int, tol: Tol) -> RangeInc
     """
     key = (side, r, tol)
     if key not in block._verdicts:
-        basis, c, c_norm, coords = block._sides[side]
-        block._verdicts[key] = _inclusion(basis[:, :r], coords[:r], c, c_norm, tol)
+        name, c, c_norm, coords = block._sides[side]
+        block._verdicts[key] = _inclusion(block._t22.span(name, coords[:r]), c, c_norm, tol)
     return block._verdicts[key]
 
 
@@ -375,13 +377,11 @@ def _solve_corners(block: BlockOperator, systems, tol: Tol):
     """(closed form B_out,r s_r^(-a) B_rhs,r* C_rhs, inclusion verdict) of
     each row of ``systems``; the solution is a least-squares candidate when
     the verdict excludes C_rhs from R(B_rhs,r)."""
-    s = block._t22.s
     ranks = _ranks(block, tol)
     out = []
     for rhs, side, a, rule in systems:
         r = ranks[rule]
-        basis = block._sides[side][0][:, :r]
-        solution = (basis / s[:r] ** a) @ block._sides[rhs][3][:r]
+        solution = block._t22.span(block._sides[side][0], block._sides[rhs][3][:r], -a)
         out.append((solution, _inclusion_at(block, rhs, r, tol)))
     return out
 

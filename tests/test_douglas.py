@@ -229,7 +229,8 @@ def _inclusion_case(rng, n, k, p, margin):
 
 
 def _assert_same_verdict(case):
-    got = _inclusion(*case, DEFAULT_TOL)
+    ur, uc, cm, c_norm = case
+    got = _inclusion(ur @ uc, cm, c_norm, DEFAULT_TOL)
     included, borderline, margin = _eager(*case)
     assert (got.included, got.borderline) == (included, borderline)
     assert type(got.included) is type(got.borderline) is bool

@@ -443,13 +443,13 @@ def test_direct_sums_factor_as_the_dense_svd(monkeypatch, seed, is_complex):
     assert numkit._blocks(x) is not None  # the split route is the one under test
     f, s = _svd_factor(x), numkit._svdvals(x)
     norm = opnorm(x)
-    # T*T squares the condition: the dense route's error on a singular value s grows
-    # like eps ||T||^2 / s, which the iterate's s^(2 - alpha) damps at small alpha only
-    iterate = _stacked_eigen_calls(monkeypatch, lambda: polar.gpolar_iterative(x, 0.1, 1))
+    # the iterate reads T's singular values, so neither route squares T's condition
+    grid = [(alpha, n) for alpha in (0.1, 0.5, 0.9) for n in (1, 7, 50)]
+    iterates = [polar.gpolar_iterative(x, alpha, n) for alpha, n in grid]
     with monkeypatch.context() as m:
         _dense_route(m)
         dense, dense_norm = _svd_factor(x), opnorm(x)
-        dense_iterate = polar.gpolar_iterative(x, 0.1, 1)
+        dense_iterates = [polar.gpolar_iterative(x, alpha, n) for alpha, n in grid]
     k = min(x.shape)
     assert f.u.shape == (x.shape[0], k) and f.s.shape == (k,) and f.vh.shape == (k, x.shape[1])
     assert f.u.dtype == f.vh.dtype == x.dtype
@@ -457,7 +457,8 @@ def test_direct_sums_factor_as_the_dense_svd(monkeypatch, seed, is_complex):
     bound = 64 * _EPS * dense.s[0]
     assert np.abs(f.s - dense.s).max() <= bound and np.abs(s - dense.s).max() <= bound
     assert abs(norm - dense_norm) <= bound
-    assert iterate.dtype == x.dtype and np.abs(iterate - dense_iterate).max() <= bound
+    for at, iterate, dense_iterate in zip(grid, iterates, dense_iterates):
+        assert iterate.dtype == x.dtype and np.abs(iterate - dense_iterate).max() <= 32 * _EPS * dense.s[0], at
     # orthonormal at the full compact shape, null completion included
     assert np.abs(f.u.conj().T @ f.u - np.eye(k)).max() <= 32 * _EPS
     assert np.abs(f.vh @ f.vh.conj().T - np.eye(k)).max() <= 32 * _EPS
@@ -467,6 +468,79 @@ def test_direct_sums_factor_as_the_dense_svd(monkeypatch, seed, is_complex):
         if x.shape[0] >= x.shape[1]:  # then vh is square and vh[r:] the whole null space
             (split_null, _), (dense_null, gap) = _null_projector(f, tol), _null_projector(dense, tol)
             assert np.abs(split_null - dense_null).max() <= bound / gap  # Wedin: eps ||A|| / gap
+
+
+def _operands(rng, is_complex, *rows, cols=3):
+    draw = (lambda p: rand_complex(rng, p, cols)) if is_complex else (lambda p: rng.standard_normal((p, cols)))
+    return [draw(p) for p in rows]
+
+
+def _products(f, xl, xr, z, r):
+    """The four products of factor f over r triplets, each with the dense
+    expression of f.u and f.vh it stands for and its operand: u_r* X, vh_r X,
+    u_r Z and vh_r* Z."""
+    z = z[:r]
+    return (
+        (f.coords("left", xl, r), f.u[:, :r].conj().T @ xl, xl),
+        (f.coords("right", xr, r), f.vh[:r] @ xr, xr),
+        (f.span("left", z), f.u[:, :r] @ z, z),
+        (f.span("right", z), f.vh[:r].conj().T @ z, z),
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), is_complex=st.booleans())
+def test_split_factors_multiply_as_their_dense_u_and_vh(seed, is_complex):
+    rng = np.random.default_rng(seed)
+    x = _direct_sum(rng, is_complex)
+    f = _svd_factor(x)
+    assert f.split is not None  # the block route is the one under test
+    k = min(x.shape)
+    # complex operands of a real factor too: A X = C may have a complex C
+    xl, xr, z = _operands(rng, is_complex or seed % 2 == 0, *x.shape, k)
+    for r in range(k + 1):
+        for got, want, operand in _products(f, xl, xr, z, r):
+            assert got.shape == want.shape and got.dtype == want.dtype, r
+            assert np.abs(got - want).max(initial=0.0) <= 16 * _EPS * opnorm(operand), r
+    # the solves and powers scale by s_r^p at the rank, dividing when p < 0
+    r = f.rank(DEFAULT_TOL)
+    for side in ("left", "right"):
+        basis = f.u if side == "left" else f.vh.conj().T
+        for p in (0.5, 1.0, -0.5, -1.0):
+            want = (basis[:, :r] * f.s[:r] ** p) @ z[:r]
+            bound = 16 * _EPS * opnorm(z[:r]) * (f.s[:r] ** p).max(initial=0.0)
+            assert np.abs(f.span(side, z[:r], p) - want).max(initial=0.0) <= bound, (side, p)
+
+
+def test_split_products_never_read_the_dense_u_and_vh():
+    rng = np.random.default_rng(2828)
+    x = _direct_sum(rng, True)
+    f = _svd_factor(x)
+    blind = dataclasses.replace(f, u=np.full_like(f.u, np.nan), vh=np.full_like(f.vh, np.nan))
+    xl, xr, z = _operands(rng, True, *x.shape, min(x.shape))
+    r = f.rank(DEFAULT_TOL)
+    for (got, _, _), (want, _, _) in zip(_products(blind, xl, xr, z, r), _products(f, xl, xr, z, r)):
+        assert np.isfinite(got).all() and np.array_equal(got, want)
+    for side, p in (("left", 0.5), ("right", -1.0)):
+        assert np.array_equal(blind.span(side, z[:r], p), f.span(side, z[:r], p))
+
+
+def test_unsplit_factors_multiply_by_u_and_vh_as_the_matmul():
+    # below the split floor each product is the one @ on the dense u or vh, in
+    # the operand order the callers took before the products were methods
+    rng = np.random.default_rng(2929)
+    t = rand_complex(rng, 7, 5)
+    f, r = _svd_factor(t), 3
+    assert f.split is None
+    xl, xr, z = _operands(rng, True, 7, 5, r, cols=2)
+    for got, want, _ in _products(f, xl, xr, z, r):
+        assert np.array_equal(got, want)
+    ur, vr = f.u[:, :r], f.vh[:r].conj().T
+    assert np.array_equal(f.span("left", z, 0.5), (ur * f.s[:r] ** 0.5) @ z)
+    assert np.array_equal(f.span("right", z, -0.5), (vr / f.s[:r] ** 0.5) @ z)
+    assert np.array_equal(f.pinv(r), (vr / f.s[:r]) @ ur.conj().T)
+    assert np.array_equal(f.power(0.25, r), (ur * f.s[:r] ** 0.25) @ f.vh[:r])
+    assert np.array_equal(f.abs_power("right", 0.5, r), numkit._herm((vr * f.s[:r] ** 0.5) @ vr.conj().T))
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -1128,6 +1202,24 @@ def test_as_matrix_shape_guard():
         herm_eig(np.ones(3))
 
 
+@pytest.mark.parametrize(
+    "entries,dtype",
+    [
+        ([["1", "2"]], "<U1"),
+        ([["a", "2"]], "<U1"),
+        (np.array([[b"1", b"2"]]), "|S1"),
+        (np.zeros((2, 2), dtype="V8"), "|V8"),
+        (np.array([["2020-01-01"]], dtype="datetime64[D]"), "datetime64[D]"),
+        (np.array([[1, "2"]], dtype=object), "<U21"),  # numpy types these as strings
+    ],
+)
+def test_as_matrix_rejects_entries_that_are_not_numbers(entries, dtype):
+    with pytest.raises(errors.NotNumeric, match=re.escape(f"A has dtype {dtype}, not numbers")):
+        as_matrix(entries, "A")
+    with pytest.raises(errors.NotNumeric, match=re.escape(f"matrix has dtype {dtype}")):
+        opnorm(entries)
+
+
 # --- one dtype decision: the operand's ------------------------------------------
 
 
@@ -1310,6 +1402,15 @@ def test_float64_operands_give_float64_results_on_real_drivers(monkeypatch, name
     result = {**_OPERAND_CALLS, **_LAB_CALLS}[name](_contract_operands(np.random.default_rng(61)))
     assert {x.dtype for x in _arrays(result)} <= {np.dtype(np.float64)}
     assert {x.dtype for k in calls for x, _ in calls[k]} <= {np.dtype(np.float64)}
+
+
+@pytest.mark.parametrize("name", sorted(_OPERAND_CALLS))
+def test_string_operands_are_rejected_before_any_lapack_call(monkeypatch, name):
+    calls = {k: record_linalg(monkeypatch, k, lambda _: None) for k in ("svd", "eigh", "eigvalsh", "inv")}
+    operands = {k: v.astype(str) for k, v in _contract_operands(np.random.default_rng(61)).items()}
+    with pytest.raises(errors.NotNumeric, match="has dtype <U"):
+        _OPERAND_CALLS[name](operands)
+    assert not any(calls.values())
 
 
 @pytest.mark.parametrize("name", sorted(_OPERAND_CALLS))
