@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import InternalInvariantViolation
 from .numkit import (
-    _BAND, DEFAULT_TOL, Tol, _angle_factors, _integer, _norm_within, _svdvals, opnorm,
-    psd_power, range_basis,
+    _BAND, DEFAULT_TOL, Tol, _angle_factors, _integer, _norm_within, _product, _svdvals,
+    opnorm, psd_power, range_basis,
 )
 from .parallel import _parallel_core, _psd_pair
 from .shorting import (
@@ -120,8 +120,8 @@ def make_kit(d: int) -> CounterexampleKit:
     big_t = np.block([[b0, b0], [b0, apb]])
 
     for name, gap, scale, floor in (
-        ("square root", sqrt_ab @ sqrt_ab - apb, apb, 0.0),
-        ("unique solution", sqrt_ab @ x_unique - b0, 0.0, 1.0),
+        ("square root", _product(sqrt_ab, sqrt_ab) - apb, apb, 0.0),
+        ("unique solution", _product(sqrt_ab, x_unique) - b0, 0.0, 1.0),
     ):
         if not _norm_within(gap, _CLOSED_FORM_BOUND, scale, floor):
             raise InternalInvariantViolation(

@@ -111,19 +111,9 @@ DEFAULT_TOL = Tol()
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a 2-D array, complex128 if the input's dtype is complex and
     float64 otherwise; entries that are not numbers (NotNumeric), then a NaN or
-    inf (NotFinite), then anything not 2-D (ShapeMismatch), are rejected.
-    Every operand passes here, so this is the package's dtype decision; only
-    the JSON reader decides by value."""
-    m = _finite_array(a, name)
-    if m.ndim != 2:
-        raise ShapeMismatch(f"{name} must be 2-D, got ndim={m.ndim}")
-    return m
-
-
-def _finite_array(a, name: str) -> np.ndarray:
-    """:func:`as_matrix`'s dtype decision for an array of any number of dimensions;
-    raises NotNumeric naming the operand ``name`` and a dtype of strings, bytes, void
-    records or dates, and NotFinite naming it and its first NaN or infinite entry."""
+    inf (NotFinite), then anything not 2-D (ShapeMismatch), are rejected, each
+    error naming the operand ``name``.  Every operand passes here, so this is
+    the package's dtype decision; only the JSON reader decides by value."""
     m = np.asarray(a)
     if m.dtype == object:  # numbers held as objects: let numpy type them
         m = np.array(m.tolist()).reshape(m.shape)
@@ -132,16 +122,19 @@ def _finite_array(a, name: str) -> np.ndarray:
     m = m.astype(np.complex128 if np.iscomplexobj(m) else np.float64, copy=False)
     if not np.isfinite(m).all():
         raise NotFinite(f"{name}{np.argwhere(~np.isfinite(m))[0].tolist()} is not finite")
+    if m.ndim != 2:
+        raise ShapeMismatch(f"{name} must be 2-D, got ndim={m.ndim}")
     return m
 
 
 def opnorm(a) -> float:
     """Operator 2-norm (largest singular value); 0 for empty and zero matrices.
 
-    The input takes :func:`as_matrix`'s dtype, and the SVD reads an exact direct
-    sum by blocks (:func:`_svdvals`).  NaN or inf raises NotFinite."""
-    m = _finite_array(a, "matrix")
-    if m.size == 0 or (m.ndim == 2 and not m.any()):
+    The input passes :func:`as_matrix`, so entries that are not numbers raise
+    NotNumeric, NaN or inf NotFinite, and any operand that is not 2-D, empty or
+    not, ShapeMismatch; the SVD reads an exact direct sum by blocks (:func:`_svdvals`)."""
+    m = as_matrix(a)
+    if not m.any():  # empty or all zeros
         return 0.0
     return float(_svdvals(m)[0])
 
@@ -151,10 +144,11 @@ def _blocks(m: np.ndarray, square: bool = False):
     shape, as index arrays (rows, cols) of shapes (k, p) and (k, q), a line per
     block: the components of the graph where row i meets column j iff m[i, j]
     != 0 (and column i if ``square``: principal blocks).  None, always safe,
-    means a side below ``_SPLIT_FLOOR``, one block, or labels (spread by minimum
+    means a side below ``_SPLIT_FLOOR``, one block (at once if row 0 has no
+    zero, as dense operands have), or labels (spread by minimum
     along the entries, then jumped to their label's) still moving after
     ``_SWEEPS`` sweeps."""
-    if m.ndim != 2 or min(m.shape) < _SPLIT_FLOOR:
+    if m.ndim != 2 or min(m.shape) < _SPLIT_FLOOR or np.all(m[0] != 0):  # row 0 meets every column
         return None
     rows, cols = m.shape
     nonzero = m != 0  # one block if two steps from the first nonzero row reach every nonzero column
@@ -379,6 +373,38 @@ def _rank(s: np.ndarray, tol: Tol, scale: float | None = None) -> int:
     return int(np.count_nonzero(s > tol.rank_rel * scale))
 
 
+def _stacked(out: np.ndarray, rows: np.ndarray, blocks: np.ndarray, y: np.ndarray, cols: np.ndarray,
+             scale=None):
+    """out[rows[t]] = blocks[t] @ y[cols[t]] for each block t: a row gather of y, a
+    stacked matmul and a scatter, in runs of blocks whose gathered rows and products
+    together take at most a quarter of out's bytes, so the temporaries stay small
+    beside the output.  ``scale`` = (ufunc, w) first takes each gathered row y[i]
+    to ufunc(y[i], w[i]) in place."""
+    per = (rows.shape[1] + cols.shape[1]) * y.shape[1] * out.itemsize
+    step = max(1, out.nbytes // (4 * per) if per else rows.shape[0])
+    for lo in range(0, rows.shape[0], step):
+        part = slice(lo, lo + step)
+        g = y[cols[part]]
+        if scale is not None:
+            scale[0](g, scale[1][cols[part]][..., None], out=g)
+        out[rows[part]] = np.matmul(blocks[part], g)
+
+
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x @ y``, an exact direct sum x's by its blocks (:func:`_blocks`) into one
+    output whose rows outside every block are exactly zero; ``x @ y`` itself below
+    the floor and for one block."""
+    if (groups := _blocks(x)) is None:
+        return x @ y
+    out = np.empty((x.shape[0], y.shape[1]), np.result_type(x, y))
+    hit = np.zeros(x.shape[0], bool)
+    for r, c in groups:
+        hit[r] = True
+        _stacked(out, r, x[r[:, :, None], c[:, None, :]], y, c)
+    out[~hit] = 0.0
+    return out
+
+
 @dataclass(frozen=True)
 class _SVDFactor:
     """Compact SVD T = u diag(s) vh, taken once and read by every view.
@@ -390,12 +416,14 @@ class _SVDFactor:
     Every product with a side's singular vectors B_r (u_r on the "left", V_r =
     vh_r* on the "right") goes through :meth:`coords` (B_r* X) and :meth:`span`
     (B_r s_r^p Z).  A factor of an exact direct sum keeps, per side, its stacked
-    block factors: ``split[side]`` is (order, blocks), with blocks a list of
-    (index, b) per block shape, a (k, p) index array and k stacked p x p
-    factors.  The side's square factor holds each b at its index's rows and
-    columns and the identity elsewhere, and its columns ``order`` are B.  The
-    products are then a row gather, one stacked matmul per block shape and a
-    scatter, and never read u or vh.
+    block factors: ``split[side]`` is (place, blocks), with blocks a list of
+    (index, b), a (k, p) index array and k stacked p x p factors, that covers
+    the side's rows once (rows outside every block of T as 1 x 1 blocks of one).
+    The side's square factor holds each b at its index's rows and columns, and
+    its column j is the singular vector of triplet place[j] (place[j] at least
+    min(T.shape) for none).  The products are then a row gather, a stacked
+    matmul and a scatter per block shape (:func:`_stacked`) into the one output,
+    and never read u or vh.
     """
 
     u: np.ndarray
@@ -413,11 +441,16 @@ class _SVDFactor:
         """B_r* X over the first r triplets, all of them by default."""
         if self.split is None:
             return self.vh[:r] @ x if side == "right" else self.u[:, :r].conj().T @ x
-        order, blocks = self.split[side]
-        y = x.astype(np.result_type(blocks[0][1], x))
-        for index, b in blocks:
-            y[index] = b.conj().swapaxes(1, 2) @ y[index]
-        return y[order[:r]]
+        place, blocks = self.split[side]
+        r = self.s.size if r is None else r
+        # the blocks with a column among the first r triplets; their columns past
+        # them go to a row r that is cut off, and made only if there are any
+        runs = [(index[kept], b[kept]) for index, b in blocks if (kept := (place[index] < r).any(axis=1)).any()]
+        past = any((place[index] >= r).any() for index, _ in runs)
+        out = np.empty((r + past, x.shape[1]), np.result_type(blocks[0][1], x))
+        for index, b in runs:
+            _stacked(out, np.minimum(place[index], r), b.conj().swapaxes(1, 2), x, index)
+        return out[:r]
 
     def span(self, side: str, z: np.ndarray, p: float | None = None) -> np.ndarray:
         """B_r s_r^p Z over the first r = len(Z) triplets (B_r Z if p is None);
@@ -428,15 +461,18 @@ class _SVDFactor:
             if p is not None:
                 b = b * s**p if p >= 0 else b / s**-p
             return b @ z
-        if p is not None:
-            z = z * s[:, None] ** p if p >= 0 else z / s[:, None] ** -p
-        order, blocks = self.split[side]
+        place, blocks = self.split[side]
         rows = (self.u if side == "left" else self.vh.T).shape[0]
-        y = np.zeros((rows, z.shape[1]), np.result_type(blocks[0][1], z))
-        y[order[:r]] = z
+        dtype = np.result_type(blocks[0][1], z)
+        if r == 0:
+            return np.zeros((rows, z.shape[1]), dtype)
+        scale = None if p is None else (np.multiply, s**p) if p >= 0 else (np.divide, s**-p)
+        out = np.empty((rows, z.shape[1]), dtype)
         for index, b in blocks:
-            y[index] = b @ y[index]
-        return y
+            # block t's column c reads Z's row place[t, c] times s^p; rows past r read as zero
+            at = place[index]
+            _stacked(out, index, np.where((at < r)[:, None, :], b, 0.0), z, np.minimum(at, r - 1), scale)
+        return out
 
     def power(self, a: float, r: int) -> np.ndarray:
         """u_r s_r^a vh_r: the polar factor at a = 0, V(T) at a = 1/2."""
@@ -464,17 +500,24 @@ def _svd_factor(m: np.ndarray) -> _SVDFactor:
     u, vh = (np.eye(n, dtype=m.dtype) for n in m.shape)
     key = [np.full(n, np.inf) for n in m.shape]
     pair = [np.zeros(m.shape[0], int), np.arange(m.shape[1])]
-    left, right = [], []
+    blocks = [], []
     for r, c in groups:
         pu, ps, pvh = np.linalg.svd(m[r[:, :, None], c[:, None, :]])
         u[r[:, :, None], r[:, None, :]], vh[c[:, :, None], c[:, None, :]] = pu, pvh
-        left.append((r, pu))
-        right.append((c, pvh.conj().swapaxes(1, 2)))
+        blocks[0].append((r, pu))
+        blocks[1].append((c, pvh.conj().swapaxes(1, 2)))
         t = ps.shape[1]
         key[0][r[:, :t]] = key[1][c[:, :t]] = -ps
         pair[0][r[:, :t]] = c[:, :t]
     order = [np.lexsort(keys)[: min(m.shape)] for keys in zip(pair, key)]
-    split = {"left": (order[0], left), "right": (order[1], right)}
+    split = {}
+    for side, n, o, sided in zip(("left", "right"), m.shape, order, blocks):
+        place = np.full(n, o.size)
+        place[o] = np.arange(o.size)
+        free = np.setdiff1d(np.arange(n), np.concatenate([index.ravel() for index, _ in sided]))
+        if free.size:  # zero rows (columns) of m: 1 x 1 blocks of the square factor's identity
+            sided.append((free[:, None], np.ones((free.size, 1, 1), m.dtype)))
+        split[side] = place, sided
     return _SVDFactor(u[:, order[0]], np.maximum(-key[0][order[0]], 0.0), vh[order[1]], split)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .douglas import _solve
 from .errors import InternalInvariantViolation, NotPositiveDefinite, NotPSD, ShapeMismatch
-from .numkit import DEFAULT_TOL, Tol, _eig_clamp, _eigh, _herm, _hermitian, _psd_clamp
+from .numkit import DEFAULT_TOL, Tol, _eig_clamp, _eigh, _herm, _hermitian, _product, _psd_clamp
 from .numkit import as_matrix, opnorm
 from .shorting import BlockOperator, _coordinate_projector, partition, shorted
 
@@ -79,7 +79,7 @@ def _clamp_result_psd(value: np.ndarray, scale: float, tol: Tol) -> np.ndarray:
             f"parallel sum came out indefinite: eigenvalue {w.min():.6e}"
         )
     w = np.where(w < 0.0, 0.0, w)
-    return _herm((v * w) @ v.conj().T)
+    return _herm(_product(v * w, v.conj().T))
 
 
 def _pd_formula(a: np.ndarray, b: np.ndarray) -> np.ndarray:

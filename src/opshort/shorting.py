@@ -75,6 +75,7 @@ from .numkit import (
     _eigh,
     _herm,
     _norm_within,
+    _product,
     _rank,
     _svd_factor,
     _SVDFactor,
@@ -163,6 +164,15 @@ def _projector_bases(m: np.ndarray, tol: Tol):
     return np.ascontiguousarray(vecs[:, k:]), np.ascontiguousarray(vecs[:, :k]), None
 
 
+def _embed(out: np.ndarray, rows: np.ndarray, cols: np.ndarray, coordinates, x: np.ndarray) -> None:
+    """Add rows @ x @ cols* to ``out``, in place at the ``coordinates`` (rows, cols)
+    that coordinate-column bases pick."""
+    if coordinates is None:
+        out += rows @ x @ cols.conj().T
+    else:
+        out[np.ix_(*coordinates)] += x
+
+
 @dataclass(frozen=True)
 class BlockOperator:
     """2x2 partition of T relative to projectors PM (domain) and PN (codomain).
@@ -220,11 +230,14 @@ class BlockOperator:
                     f"block piece has shape {xm.shape}, expected "
                     f"{(rows[i].shape[1], cols[j].shape[1])}"
                 )
-            if self.index_n is None or self.index_m is None:
-                out += rows[i] @ xm @ cols[j].conj().T
-            else:
-                out[np.ix_(self.index_n[i], self.index_m[j])] += xm
+            _embed(out, rows[i], cols[j], self._coordinates(i, j), xm)
         return out
+
+    def _coordinates(self, i: int, j: int):
+        """The coordinates (rows, cols) that piece (i, j)'s bases pick, or None."""
+        if self.index_n is None or self.index_m is None:
+            return None
+        return self.index_n[i], self.index_m[j]
 
     def reassembled(self) -> np.ndarray:
         """T rebuilt from its four corners; equals T to working precision."""
@@ -473,15 +486,26 @@ class ShortedResult:
     ``core`` is the M -> N block T11 - (F* E + Ftilde* Etilde) / 2 in the
     block's bases ``basis_n`` x ``basis_m``, as the witnesses are in its bases;
     ``shorted`` is its basis-free embedding into ambient coordinates, so
-    PN @ shorted @ PM == shorted.  ``cross_gap`` = ||F* E - Ftilde* Etilde|| is
-    computed on first read; ``mode`` is always "complementable" (see :func:`shorted`).
+    PN @ shorted @ PM == shorted.  ``shorted`` and ``cross_gap`` =
+    ||F* E - Ftilde* Etilde|| are computed on first read; ``mode`` is always
+    "complementable" (see :func:`shorted`).
     """
 
-    shorted: np.ndarray
     core: np.ndarray
     witnesses: WeakComplementData
     _cross: np.ndarray = field(repr=False, compare=False)  # F* E - Ftilde* Etilde
+    # the block's bases of N and M and the coordinates they pick: what BlockOperator.lift
+    # reads to embed an M -> N piece, without holding the whole partition; None once read
+    _frame: tuple | None = field(repr=False, compare=False)
     mode: ClassVar[str] = "complementable"
+
+    @cached_property
+    def shorted(self) -> np.ndarray:
+        rows, cols, coordinates = self._frame
+        out = np.zeros((rows.shape[0], cols.shape[0]), np.result_type(rows, cols, self.core))
+        _embed(out, rows, cols, coordinates, self.core)
+        self.__dict__["_frame"] = None  # as cached_property stores: the bases are not held twice
+        return out
 
     @cached_property
     def cross_gap(self) -> float:
@@ -508,8 +532,8 @@ def shorted(block: BlockOperator, tol: Tol = DEFAULT_TOL) -> ShortedResult:
     data = weak_complement_data(block, tol)
     if not all(data.solvable):
         raise NotWeaklyComplementable(data)
-    fe = data.F.conj().T @ data.E
-    fte = data.Ftilde.conj().T @ data.Etilde
+    fe = _product(data.F.conj().T, data.E)
+    fte = _product(data.Ftilde.conj().T, data.Etilde)
     cross = fe - fte
     rel = tol.residual_rel / _BAND
     if not _norm_within(cross, rel, block.T):
@@ -518,7 +542,8 @@ def shorted(block: BlockOperator, tol: Tol = DEFAULT_TOL) -> ShortedResult:
             f"(bound {rel * max(opnorm(block.T), 1.0):.3e})"
         )
     core = block.T11 - 0.5 * (fe + fte)
-    return ShortedResult(shorted=block.lift(x11=core), core=core, witnesses=data, _cross=cross)
+    frame = block.basis_n, block.basis_m, block._coordinates(0, 0)
+    return ShortedResult(core=core, witnesses=data, _cross=cross, _frame=frame)
 
 
 @dataclass(frozen=True)

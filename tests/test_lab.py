@@ -277,6 +277,23 @@ def test_sweep_row_splits_every_factored_operand_at_the_floor(monkeypatch):
     assert max(max(s) for s in sides) <= 2, sides
 
 
+def test_sweep_row_takes_every_product_by_blocks_at_the_floor(monkeypatch):
+    # at d = 128 the kit's checks, shorted's cross products for bigT and for
+    # A0 : B0, and A0 : B0's PSD reconstruction all multiply exact direct sums
+    d = numkit._SPLIT_FLOOR
+    routes = []
+    real = numkit._product
+
+    def recording(x, y):
+        routes.append((x.shape, numkit._blocks(x) is not None))
+        return real(x, y)
+
+    for module in (lab, shorting, parallel):
+        monkeypatch.setattr(module, "_product", recording)
+    lab._sweep_row(d, DEFAULT_TOL)
+    assert len(routes) == 7 and all(split for _, split in routes), routes
+
+
 def test_sweep_is_blas_thread_invariant():
     # the split changes which LAPACK calls run: the default sweep's values
     # must not depend on the BLAS thread count beyond the noise columns, and

@@ -826,7 +826,8 @@ def test_shorted_psd_2x2():
 
 def test_shorted_cross_gap_is_read_on_demand(monkeypatch):
     # shorted keeps F* E - Ftilde* Etilde and norms it only when cross_gap
-    # is first read; mode is a class constant, not a stored field
+    # is first read; the ambient shorted matrix is lifted on first read too,
+    # and mode is a class constant, not a stored field
     rng = np.random.default_rng(4242)
     t, pm, pn = complementable_instance(rng)
     result = shorted(partition(t, pm, pn))
@@ -838,8 +839,27 @@ def test_shorted_cross_gap_is_read_on_demand(monkeypatch):
     assert result.cross_gap == real(cross)
     assert result.cross_gap == real(cross)
     assert len(normed) == 1 and np.array_equal(normed[0], cross)
-    assert [f.name for f in dataclasses.fields(result)] == ["shorted", "core", "witnesses", "_cross"]
+    assert [f.name for f in dataclasses.fields(result)] == ["core", "witnesses", "_cross", "_frame"]
     assert shorting.ShortedResult.mode == result.mode == "complementable"
+
+
+@pytest.mark.parametrize("coordinates", [False, True])
+def test_shorted_is_lifted_on_first_read(coordinates):
+    # the ambient shorted matrix is the core lifted by the block's N and M bases (or
+    # scattered at their coordinates), built on first read and kept; the result then
+    # no longer holds the bases
+    rng = np.random.default_rng(4343)
+    t, pm, pn = complementable_instance(rng)
+    if coordinates:  # a generic square T: its T22 is invertible
+        t = rng.standard_normal((6, 6))
+        pm = pn = _coord_projector(6, 3)
+    block = partition(t, pm, pn)
+    assert (block.index_m is not None) == coordinates
+    result = shorted(block)
+    assert "shorted" not in vars(result) and result._frame is not None
+    first = result.shorted
+    assert first is result.shorted and result._frame is None
+    assert np.array_equal(first, block.lift(x11=result.core))
 
 
 def test_shorted_recovers_scalar_parallel_sum():
