@@ -83,8 +83,19 @@ def _f(t: np.ndarray) -> np.ndarray:
     return np.sqrt(t * t + 2.0 * t + 2.0)
 
 
+def _modes(tl, tr, bl, br) -> np.ndarray:
+    """[[diag(tl), diag(tr)], [diag(bl), diag(br)]], each diagonal of length d or
+    a scalar: d 2x2 modes, mode i on coordinates i and d + i, zero elsewhere."""
+    d = np.broadcast(tl, tr, bl, br).size
+    out, i = np.zeros((2 * d, 2 * d)), np.arange(d)
+    out[i, i], out[i, d + i], out[d + i, i], out[d + i, d + i] = tl, tr, bl, br
+    return out
+
+
 def make_kit(d: int) -> CounterexampleKit:
     """Build the d-mode kit and fail fast if a closed form is off.
+
+    A0, B0, sqrtAB and Xunique are written by their diagonals (:func:`_modes`).
 
     Parameters
     ----------
@@ -103,19 +114,11 @@ def make_kit(d: int) -> CounterexampleKit:
     if d < 1:
         raise ValueError(f"d must be an integer >= 1, got {d!r}")
     t = _weights(d)
-    eye = np.eye(d)
-    zero = np.zeros((d, d))
-    s_mat = np.diag(t)
-    a0 = np.block([[eye, s_mat], [s_mat, np.diag(t * t)]])
-    b0 = np.block([[eye, zero], [zero, zero]])
+    a0 = _modes(1.0, t, t, t * t)
+    b0 = _modes(np.ones(d), 0.0, 0.0, 0.0)
     f = _f(t)
-    sqrt_ab = np.block(
-        [
-            [np.diag((t + 2.0) / f), np.diag(t / f)],
-            [np.diag(t / f), np.diag(t * (t + 1.0) / f)],
-        ]
-    )
-    x_unique = np.block([[np.diag((t + 1.0) / f), zero], [np.diag(-1.0 / f), zero]])
+    sqrt_ab = _modes((t + 2.0) / f, t / f, t / f, t * (t + 1.0) / f)
+    x_unique = _modes((t + 1.0) / f, 0.0, -1.0 / f, 0.0)
     apb = a0 + b0
     big_t = np.block([[b0, b0], [b0, apb]])
 
@@ -128,7 +131,7 @@ def make_kit(d: int) -> CounterexampleKit:
                 f"closed-form {name} off by {opnorm(gap):.3e} at d={d}"
             )
     return CounterexampleKit(
-        d=d, S=s_mat, A0=a0, B0=b0, sqrtAB=sqrt_ab, Xunique=x_unique, bigT=big_t
+        d=d, S=np.diag(t), A0=a0, B0=b0, sqrtAB=sqrt_ab, Xunique=x_unique, bigT=big_t
     )
 
 
@@ -136,9 +139,7 @@ def sqrt_a0_closed_form(d: int) -> np.ndarray:
     """Closed form of A0^(1/2): per mode, [[1, t], [t, t^2]] / sqrt(1 + t^2)."""
     t = _weights(d)
     g = 1.0 / np.sqrt(1.0 + t * t)
-    return np.block(
-        [[np.diag(g), np.diag(g * t)], [np.diag(g * t), np.diag(g * t * t)]]
-    )
+    return _modes(g, g * t, g * t, g * t * t)
 
 
 def kit_block_projector(d: int) -> np.ndarray:
@@ -194,9 +195,8 @@ def _sweep_row(d: int, tol: Tol) -> SweepRow:
     # partition, whose T22 = A0 + B0 has the bytes of the one factored above
     psum = _parallel_core(*_psd_pair(kit.A0, kit.B0, tol), tol, t22)[0]
 
-    # B0 projects onto coordinates, so those columns are its range basis
-    b0_basis = _coordinate_columns(2 * d, np.flatnonzero(np.diagonal(kit.B0) == 1.0))
-    angles = subspace_angles(range_basis(kit.A0, tol), b0_basis)
+    # B0 projects onto the first d coordinates, so those columns are its range basis
+    angles = subspace_angles(range_basis(kit.A0, tol), _coordinate_columns(2 * d, np.arange(d)))
     min_angle = float(angles.min()) if angles.size else 0.0
 
     return SweepRow(

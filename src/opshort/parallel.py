@@ -20,7 +20,7 @@ from .douglas import _solve
 from .errors import InternalInvariantViolation, NotPositiveDefinite, NotPSD, ShapeMismatch
 from .numkit import DEFAULT_TOL, Tol, _eig_clamp, _eigh, _herm, _hermitian, _product, _psd_clamp
 from .numkit import as_matrix, opnorm
-from .shorting import BlockOperator, _coordinate_projector, partition, shorted
+from .shorting import BlockOperator, _coordinate_columns, shorted
 
 __all__ = [
     "ParallelSumResult",
@@ -113,20 +113,19 @@ class ParallelSumResult:
 
 def _parallel_core(ah, wa, bh, wb, tol: Tol, t22=None) -> tuple[np.ndarray, BlockOperator]:
     """A : B of operands validated by :func:`_psd_pair`, with the partition of
-    [[A, A], [A, A + B]] it came from; its T22 is A + B, whose SVD :func:`shorted`
-    caches, unless ``t22`` hands in an SVD of a matrix with the same bytes."""
+    [[A, A], [A, A + B]] it came from, stated rather than searched for: M = N is
+    the first n of 2n coordinates, the corners are A, A, A (held once) and A + B,
+    so the shorted core is A : B itself.  :func:`shorted` caches T22 = A + B's
+    SVD, unless ``t22`` hands in an SVD of a matrix with the same bytes."""
     n = ah.shape[0]
-    big = np.block([[ah, ah], [ah, ah + bh]])
-    corner = _coordinate_projector(2 * n, n)
-    blk = partition(big, corner, corner, tol)
-    # seed the block's cached views: the gathered T21 = T12* is A, normed by wa
-    blk.__dict__["_t21_norm"] = _norm(wa)
+    apb = ah + bh
+    first = (np.arange(n), np.arange(n, 2 * n))
+    bases = [_coordinate_columns(2 * n, index) for index in first]
+    blk = BlockOperator(np.block([[ah, ah], [ah, apb]]), *bases, *bases, ah, ah, ah, apb, first, first)
+    blk.__dict__["_t21_norm"] = _norm(wa)  # seed the cached views: T21 = T12* is A
     if t22 is not None:
         blk.__dict__["_t22"] = t22
-    res = shorted(blk, tol)
-    # the ambient shorted matrix is [[A:B, 0], [0, 0]]; the corner block is
-    # basis-independent, unlike the core's internal coordinates
-    return _clamp_result_psd(res.shorted[:n, :n], _norm(wa) + _norm(wb), tol), blk
+    return _clamp_result_psd(shorted(blk, tol).core, _norm(wa) + _norm(wb), tol), blk
 
 
 def parallel_sum(a, b, tol: Tol = DEFAULT_TOL) -> ParallelSumResult:
@@ -162,6 +161,12 @@ def hansen_inequality_check(a, b, c, tol: Tol = DEFAULT_TOL) -> float:
     return _hansen_worst(a, b, (as_matrix(c, "C"),), tol)
 
 
+def _variational(x: np.ndarray, ah: np.ndarray, bh: np.ndarray) -> np.ndarray:
+    """X* A X + (I - X)* B (I - X), the form whose minimum over X is A : B."""
+    rest = np.eye(x.shape[0]) - x
+    return x.conj().T @ ah @ x + rest.conj().T @ bh @ rest
+
+
 def _hansen_worst(a, b, probes, tol: Tol) -> float:
     """Smallest :func:`hansen_inequality_check` value over the probes C.
 
@@ -169,16 +174,13 @@ def _hansen_worst(a, b, probes, tol: Tol) -> float:
     :func:`parallel_sum`'s cross-check.
     """
     ah, wa, bh, wb = _psd_pair(a, b, tol)
-    n = ah.shape[0]
     ps = _parallel_core(ah, wa, bh, wb, tol)[0]
-    eye = np.eye(n)
     worst = None
     for c in probes:
         cm = as_matrix(c, "C")
         if cm.shape != ah.shape:
             raise ShapeMismatch(f"C must match A's shape {ah.shape}, got {cm.shape}")
-        rhs = cm.conj().T @ ah @ cm + (eye - cm).conj().T @ bh @ (eye - cm)
-        lam = float(_eigh(_herm(rhs - ps), vectors=False)[0]) if n else 0.0
+        lam = float(_eigh(_herm(_variational(cm, ah, bh) - ps), vectors=False)[0]) if ps.size else 0.0
         worst = lam if worst is None else min(worst, lam)
     return worst
 
@@ -263,14 +265,11 @@ def solve_parallel_equation(a, b, tol: Tol = DEFAULT_TOL) -> ParallelEquationSol
         fail mathematically, only numerically.
     """
     ah, wa, bh, wb = _psd_pair(a, b, tol)
-    n = ah.shape[0]
     ps, blk = _parallel_core(ah, wa, bh, wb, tol)
     f = blk._t22
     sol = _solve(blk.T22, f, bh, tol)
     x = sol.D
-    eye = np.eye(n)
-    attained = x.conj().T @ ah @ x + (eye - x).conj().T @ bh @ (eye - x)
-    eq_residual = opnorm(attained - ps)
+    eq_residual = opnorm(_variational(x, ah, bh) - ps)
     bound = tol.residual_rel * (_norm(wa) + _norm(wb))
     if eq_residual > bound:
         raise InternalInvariantViolation(

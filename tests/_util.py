@@ -3,6 +3,11 @@
 import numpy as np
 
 
+def same_bytes(x, y):
+    """Equal dtype, shape and bytes: what "byte-identical" means for an array."""
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
 def rand_complex(rng, rows, cols):
     return (rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))) / np.sqrt(2.0)
 

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from opshort.lab import (
     subspace_angles,
 )
 
-from _util import rand_complex, rand_unitary, record_linalg, record_svd
+from _util import rand_complex, rand_unitary, record_linalg, record_svd, same_bytes
 
 RNG = np.random.default_rng(7007)
 
@@ -190,6 +191,33 @@ def test_min_angle_matches_scipy(dims):
             assert ours <= 1e-14
 
 
+def _block_of_diagonals_kit(d):
+    """The kit's matrices as np.block of np.diag pieces: the reference that
+    make_kit's mode diagonals must reproduce byte for byte."""
+    t = 1.0 / np.arange(1, d + 1, dtype=np.float64)
+    eye, zero, s_mat = np.eye(d), np.zeros((d, d)), np.diag(t)
+    a0 = np.block([[eye, s_mat], [s_mat, np.diag(t * t)]])
+    b0 = np.block([[eye, zero], [zero, zero]])
+    f = np.sqrt(t * t + 2.0 * t + 2.0)
+    sqrt_ab = np.block(
+        [[np.diag((t + 2.0) / f), np.diag(t / f)], [np.diag(t / f), np.diag(t * (t + 1.0) / f)]]
+    )
+    x_unique = np.block([[np.diag((t + 1.0) / f), zero], [np.diag(-1.0 / f), zero]])
+    g = 1.0 / np.sqrt(1.0 + t * t)
+    sqrt_a0 = np.block([[np.diag(g), np.diag(g * t)], [np.diag(g * t), np.diag(g * t * t)]])
+    fields = dict(S=s_mat, A0=a0, B0=b0, sqrtAB=sqrt_ab, Xunique=x_unique)
+    return dict(fields, bigT=np.block([[b0, b0], [b0, a0 + b0]])), sqrt_a0
+
+
+@pytest.mark.parametrize("d", [1, 8, 128])
+def test_kit_mode_diagonals_are_the_block_of_diagonals(d):
+    fields, sqrt_a0 = _block_of_diagonals_kit(d)
+    kit = make_kit(d)
+    for name, reference in fields.items():
+        assert same_bytes(getattr(kit, name), reference), name
+    assert same_bytes(sqrt_a0_closed_form(d), sqrt_a0)
+
+
 def test_kit_block_projector_shape():
     p = kit_block_projector(5)
     assert p.shape == (20, 20)
@@ -292,6 +320,27 @@ def test_sweep_row_takes_every_product_by_blocks_at_the_floor(monkeypatch):
         monkeypatch.setattr(module, "_product", recording)
     lab._sweep_row(d, DEFAULT_TOL)
     assert len(routes) == 7 and all(split for _, split in routes), routes
+
+
+def test_sweep_row_traced_peak_holds_eleven_dense_operands():
+    # bigT is the row's largest operand, (4d)^2 float64s; with A0 : B0's partition
+    # stated from its corners (no 2n x 2n projector, corner copies or lift) the
+    # row's traced peak is ~10.3 of them, against 13.4 with them
+    d = numkit._SPLIT_FLOOR
+    lab._sweep_row(d, DEFAULT_TOL)  # untraced: one-time set-up is not the row's
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        lab._sweep_row(d, DEFAULT_TOL)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    operand = (4 * d) ** 2 * 8
+    assert peak <= 11 * operand, peak / operand
 
 
 def test_sweep_is_blas_thread_invariant():

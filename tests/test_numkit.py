@@ -437,6 +437,46 @@ def _null_projector(f, tol):
     return f.vh[r:].conj().T @ f.vh[r:], f.s[r - 1] if r else 1.0
 
 
+def _backward_error(f, x):
+    """Frobenius norm, to first order, of an E such that f is an exact SVD of x + E:
+    the residual plus ||x|| times the losses of orthonormality of u and vh (a u
+    with u*u = I + H lies within ||H|| of its nearest orthonormal factor)."""
+    k = f.s.size
+    losses = (f.u.conj().T @ f.u - np.eye(k), f.vh @ f.vh.conj().T - np.eye(k))
+    frobenius = [np.linalg.norm(m) for m in ((f.u * f.s) @ f.vh - x, *losses)]
+    return frobenius[0] + f.s[0] * (frobenius[1] + frobenius[2])
+
+
+def _iterate_function(s, alpha, n):
+    """gpolar_iterative's singular-value function g(s) = s^(2-alpha) (1/n + s^2)^(-1/2)
+    and its derivative g'."""
+    q = 1.0 / n + s * s
+    return s ** (2 - alpha) * q**-0.5, (2 - alpha) * s ** (1 - alpha) * q**-0.5 - s ** (3 - alpha) * q**-1.5
+
+
+def _daleckii_krein(s, alpha, n, rectangular):
+    """The Frobenius-norm bound of the Frechet derivative of T -> W g(s) Q* at T
+    (Daleckii-Krein): the largest of g'(s_i), |g(s_i) - g(s_j)| / |s_i - s_j| and
+    (g(s_i) + g(s_j)) / (s_i + s_j) over T's singular values s, with s_j = 0 for
+    the null directions of a rectangular T.  A quotient of two values closer than
+    sqrt(eps) s_1 is round-off; by the mean value theorem g' at either end covers it."""
+    s = np.append(s, 0.0) if rectangular else s
+    g, slope = _iterate_function(s, alpha, n)
+    gap, total = np.subtract.outer(s, s), np.add.outer(s, s)
+    apart, positive = np.abs(gap) > np.sqrt(_EPS) * s[0], total > 0
+    return max(
+        slope.max(),
+        (np.abs(np.subtract.outer(g, g))[apart] / np.abs(gap[apart])).max(initial=0.0),
+        (np.add.outer(g, g)[positive] / total[positive]).max(initial=0.0),
+    )
+
+
+def _product_rounding(f, g, terms):
+    """Higham's gamma_k |W| g |Q*| bound on rounding the product W g Q* whose entries
+    sum k = ``terms`` products (one more for scaling Q* by g), at its largest entry."""
+    return terms * _EPS / (1 - terms * _EPS) * ((np.abs(f.u) * g) @ np.abs(f.vh)).max()
+
+
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1), is_complex=st.booleans())
 def test_direct_sums_factor_as_the_dense_svd(monkeypatch, seed, is_complex):
@@ -458,8 +498,18 @@ def test_direct_sums_factor_as_the_dense_svd(monkeypatch, seed, is_complex):
     bound = 64 * _EPS * dense.s[0]
     assert np.abs(f.s - dense.s).max() <= bound and np.abs(s - dense.s).max() <= bound
     assert abs(norm - dense_norm) <= bound
+    # each route returns W g(s) Q* for the exact SVD of its own x + E, rounded: so
+    # the iterates differ by at most the derivative's bound times ||E_split|| +
+    # ||E_dense||, to first order, plus both products' rounding.  c is that sum
+    # in units of eps ||x||, read from the two factors' own residuals.  The split
+    # route's products sum over one block (at most 4 columns), the dense one's over k
+    c = (_backward_error(f, x) + _backward_error(dense, x)) / (_EPS * dense.s[0])
     for at, iterate, dense_iterate in zip(grid, iterates, dense_iterates):
-        assert iterate.dtype == x.dtype and np.abs(iterate - dense_iterate).max() <= 32 * _EPS * dense.s[0], at
+        g = _iterate_function(dense.s, *at)[0]
+        deviation = np.abs(iterate - dense_iterate).max()
+        first_order = c * _EPS * dense.s[0] * _daleckii_krein(dense.s, *at, x.shape[0] != x.shape[1])
+        assert iterate.dtype == x.dtype
+        assert deviation <= first_order + _product_rounding(f, g, 5) + _product_rounding(dense, g, k + 1), at
     # orthonormal at the full compact shape, null completion included
     assert np.abs(f.u.conj().T @ f.u - np.eye(k)).max() <= 32 * _EPS
     assert np.abs(f.vh @ f.vh.conj().T - np.eye(k)).max() <= 32 * _EPS

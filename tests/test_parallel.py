@@ -14,12 +14,12 @@ from opshort import (
     psd_power,
     solve_parallel_equation,
 )
-from opshort import parallel
+from opshort import cli, numkit, parallel, save_matrix, shorted, shorting
 from opshort.douglas import _solve
 from opshort.errors import NotHermitian, NotPSD, NotPositiveDefinite, ShapeMismatch
 from opshort.numkit import _herm, _svd_factor
 
-from _util import rand_pd, rand_psd, rand_unitary, record_linalg, record_svd
+from _util import rand_pd, rand_psd, rand_unitary, record_linalg, record_svd, same_bytes
 
 RNG = np.random.default_rng(5005)
 
@@ -450,3 +450,59 @@ def test_hansen_check_validates_once_without_the_cross_check(monkeypatch):
     assert invs == []
     # one per operand and one for the probe
     assert len(eigs) == 3
+
+
+# --- A : B's partition, stated from its corners ---------------------------------------
+
+
+def _psd_operands(n, is_complex):
+    """A positive definite A and a B of rank n // 2, real or complex."""
+    draw = lambda k: RNG.standard_normal((n, k)) + (1j * RNG.standard_normal((n, k)) if is_complex else 0.0)
+    return [z @ z.conj().T for z in (draw(n), draw(n // 2))]
+
+
+@pytest.mark.parametrize("n", [8, numkit._SPLIT_FLOOR + 2])
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_parallel_core_states_the_partition_that_partition_finds(n, is_complex):
+    ah, wa, bh, wb = parallel._psd_pair(*_psd_operands(n, is_complex), DEFAULT_TOL)
+    value, blk = parallel._parallel_core(ah, wa, bh, wb, DEFAULT_TOL)
+    p = shorting._coordinate_projector(2 * n, n)
+    ref = shorting.partition(np.block([[ah, ah], [ah, ah + bh]]), p, p)
+    for name in ("T", "basis_m", "basis_m_perp", "basis_n", "basis_n_perp", "T11", "T12", "T21", "T22"):
+        assert same_bytes(getattr(blk, name), getattr(ref, name)), name
+    for name in ("index_m", "index_n"):
+        pairs = list(zip(getattr(blk, name), getattr(ref, name)))
+        assert len(pairs) == 2 and all(same_bytes(x, y) for x, y in pairs), name
+    # the core in ascending coordinate bases is the lifted shorted operator's
+    # M -> N corner, and the rest of that operator is zero
+    lifted = shorted(ref).shorted
+    assert np.array_equal(shorted(blk).core, lifted[:n, :n])
+    assert not lifted[n:].any() and not lifted[:, n:].any()
+    scale = parallel._norm(wa) + parallel._norm(wb)
+    assert same_bytes(value, parallel._clamp_result_psd(lifted[:n, :n], scale, DEFAULT_TOL))
+
+
+def test_parallel_entry_points_build_no_projector_partition_or_lift(monkeypatch, capsys, tmp_path):
+    called = []
+
+    def spy(name, real):
+        return lambda *args, **kwargs: called.append(name) or real(*args, **kwargs)
+
+    for module in (shorting, parallel, cli):
+        for name in ("partition", "_coordinate_projector", "_embed"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    a, b = _psd_operands(8, True)
+    parallel_sum(a, b)
+    solve_parallel_equation(a, b)
+    paths = []
+    for name, m in (("a", a), ("b", b)):
+        paths.append(str(tmp_path / f"{name}.json"))
+        save_matrix(paths[-1], m)
+    assert cli.dispatch(["hansen-check", "--a", paths[0], "--b", paths[1], "--probes", "3"]) == 0
+    assert '"probes"' in capsys.readouterr().out
+    assert called == []
+    # the spies do see a call through the public route
+    p = shorting._coordinate_projector(16, 8)
+    shorted(shorting.partition(np.block([[a, a], [a, a + b]]), p, p)).shorted
+    assert called == ["_coordinate_projector", "partition", "_embed"]
