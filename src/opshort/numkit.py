@@ -676,60 +676,90 @@ def save_matrix(path, a) -> None:
         fh.write("\n")
 
 
-# bytes of decoded arrays that load_matrix keeps for reuse
+# bytes of arrays that the process memo keeps for reuse: decoded files and PSD pairs
 _LOAD_CACHE_BYTES = 4 * 2**20
 
 
-class _DecodedFiles:
-    """Read-only decoded matrices keyed on the SHA-256 of their file's text,
-    least recently used first, holding at most ``_LOAD_CACHE_BYTES`` of arrays."""
+def _digest(*parts) -> bytes:
+    """SHA-256 of the concatenated parts (bytes, or arrays as their C-order bytes)."""
+    import hashlib  # here: import opshort and file-free commands then skip its import cost
+
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(np.ascontiguousarray(part) if isinstance(part, np.ndarray) else part)
+    return h.digest()
+
+
+def _arrays(x):
+    """Every array that ``x`` holds, through tuples, lists, dict values and attributes."""
+    if isinstance(x, np.ndarray):
+        yield x
+    elif isinstance(x, (tuple, list)):
+        for y in x:
+            yield from _arrays(y)
+    elif isinstance(x, dict):
+        for y in x.values():
+            yield from _arrays(y)
+    elif hasattr(x, "__dict__"):
+        yield from _arrays(vars(x))
+
+
+class _Memo:
+    """The process memo: read-only results keyed on SHA-256 digests (:func:`_digest`),
+    least recently used first, holding at most ``_LOAD_CACHE_BYTES`` of arrays,
+    every array of an entry counted.  :func:`load_matrix` keeps decoded files here
+    and ``parallel`` its PSD-pair analyses; a key's preimage starts with its kind."""
 
     def __init__(self):
-        self._arrays: OrderedDict[bytes, np.ndarray] = OrderedDict()
+        self._entries: OrderedDict[bytes, tuple] = OrderedDict()  # key -> (value, nbytes)
         self.nbytes = 0
         self._lock = threading.Lock()
 
-    def get(self, key: bytes) -> np.ndarray | None:
+    def get(self, key: bytes):
         with self._lock:
-            m = self._arrays.get(key)
-            if m is not None:
-                self._arrays.move_to_end(key)
-            return m
+            entry = self._entries.get(key)
+            if entry is None:
+                return None
+            self._entries.move_to_end(key)
+            return entry[0]
 
-    def put(self, key: bytes, m: np.ndarray) -> None:
-        if m.nbytes > _LOAD_CACHE_BYTES:
+    def put(self, key: bytes, value) -> None:
+        """Keep ``value``, its arrays made read-only, in place of any entry under
+        ``key``; a value larger than the whole budget is not kept."""
+        held = list(_arrays(value))
+        nbytes = sum(a.nbytes for a in held)
+        if nbytes > _LOAD_CACHE_BYTES:
             return
-        m.setflags(write=False)
+        for a in held:
+            a.setflags(write=False)
         with self._lock:
-            if key in self._arrays:  # another thread decoded the same text
-                return
-            self._arrays[key] = m
-            self.nbytes += m.nbytes
+            old = self._entries.pop(key, None)
+            self.nbytes += nbytes - (old[1] if old else 0)
+            self._entries[key] = value, nbytes
             while self.nbytes > _LOAD_CACHE_BYTES:
-                self.nbytes -= self._arrays.popitem(last=False)[1].nbytes
+                self.nbytes -= self._entries.popitem(last=False)[1][1]
 
 
-_decoded = _DecodedFiles()
+_memo = _Memo()
 
 
 def load_matrix(path) -> np.ndarray:
     """Read a matrix from a JSON file written by :func:`save_matrix`.
 
-    A file's text is decoded once per process: the decoded array is kept,
-    keyed on the SHA-256 of the text, so a file read again, or the same bytes
-    under another path, reuse it.  A file rewritten with other bytes is
-    decoded anew whatever its path or mtime.  At most ``_LOAD_CACHE_BYTES``
-    (4 MiB) of arrays are kept, least recently used evicted first; a larger
-    array is not kept, nor is a file that fails to decode.  Each call returns
-    a fresh, writeable array.
+    A file's text is decoded once per process: the decoded array is kept in
+    the process memo (:class:`_Memo`), keyed on the SHA-256 of the text, so a
+    file read again, or the same bytes under another path, reuse it.  A file
+    rewritten with other bytes is decoded anew whatever its path or mtime.
+    The memo keeps at most ``_LOAD_CACHE_BYTES`` (4 MiB) of arrays, decoded
+    files and PSD-pair analyses together, least recently used evicted first;
+    a larger array is not kept, nor is a file that fails to decode.  Each call
+    returns a fresh, writeable array.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    import hashlib  # here: import opshort and file-free commands then skip its import cost
-
-    key = hashlib.sha256(text.encode("utf-8")).digest()
-    m = _decoded.get(key)
+    key = _digest(b"file", text.encode("utf-8"))
+    m = _memo.get(key)
     if m is None:
         m = matrix_from_json_dict(json.loads(text))
-        _decoded.put(key, m)
+        _memo.put(key, m)
     return m.copy()

@@ -7,6 +7,16 @@ as an independent cross-check route rather than folded into the primary one.
 
 The block's lower-right corner is A + B, so :func:`solve_parallel_equation`
 solves (A + B) X = B from the SVD that the partition behind A : B holds.
+
+A pair (A, B) and a :class:`Tol` determine every number derived from the pair
+(Anderson & Duffin, J. Math. Anal. Appl. 26, 1969), so each pair is analysed
+once per process.  :func:`parallel_sum`, :func:`hansen_inequality_check` and
+:func:`solve_parallel_equation` read the analysis from the process memo
+(``numkit._Memo``), keyed on residual_rel and the dtypes, shapes and bytes of
+the coerced A and B: the Hermitian parts, their eigenvalues, A : B and the
+SVD of A + B, and once a call has asked for them ``route_agreement`` and the
+certified solution.  A hit returns the very numbers a miss computes, in fresh,
+writeable arrays; a pair that fails validation raises and is not kept.
 """
 
 from __future__ import annotations
@@ -16,10 +26,11 @@ from functools import cached_property
 
 import numpy as np
 
+from . import numkit
 from .douglas import _solve
 from .errors import InternalInvariantViolation, NotPositiveDefinite, NotPSD, ShapeMismatch
-from .numkit import DEFAULT_TOL, Tol, _eig_clamp, _eigh, _herm, _hermitian, _product, _psd_clamp
-from .numkit import as_matrix, opnorm
+from .numkit import DEFAULT_TOL, Tol, _digest, _eig_clamp, _eigh, _herm, _hermitian, _product, _psd_clamp
+from .numkit import _SVDFactor, as_matrix, opnorm
 from .shorting import BlockOperator, _coordinate_columns, shorted
 
 __all__ = [
@@ -128,6 +139,52 @@ def _parallel_core(ah, wa, bh, wb, tol: Tol, t22=None) -> tuple[np.ndarray, Bloc
     return _clamp_result_psd(shorted(blk, tol).core, _norm(wa) + _norm(wb), tol), blk
 
 
+class _Pair:
+    """The memo's analysis of a PSD pair under one Tol: what :func:`_psd_pair`
+    and :func:`_parallel_core` return, but for the 2n x 2n block (``value`` is
+    A : B, ``t22`` the SVD of A + B), and ``agreement`` (``route_agreement``)
+    and the certified ``solution`` once a call asks for them.  A plain class:
+    a dataclass would cost ~1 ms at import."""
+
+    def __init__(self, ah, wa, bh, wb, value, t22: _SVDFactor, agreement=None, solution=None):
+        self.ah, self.wa, self.bh, self.wb, self.value, self.t22 = ah, wa, bh, wb, value, t22
+        self.agreement: float | None = agreement
+        self.solution: ParallelEquationSolution | None = solution
+
+
+def _pair_key(am: np.ndarray, bm: np.ndarray, tol: Tol) -> bytes:
+    """The memo key of coerced A and B under ``tol``: the digest of residual_rel
+    and of both operands' dtypes, shapes and bytes."""
+    head = f"{float(tol.residual_rel).hex()} {am.dtype.str}{am.shape} {bm.dtype.str}{bm.shape}"
+    return _digest(b"pair", head.encode(), am, bm)
+
+
+def _pair(a, b, tol: Tol) -> tuple[bytes, _Pair]:
+    """The memo key of (A, B) under ``tol`` and the pair's analysis, computed on
+    a miss; a pair that fails validation raises as :func:`_psd_pair` does."""
+    am = as_matrix(a, "A")
+    try:
+        bm = as_matrix(b, "B")
+    except Exception:
+        _psd_pair(am, b, tol)  # an invalid A raises before B's coercion, as validation orders them
+        raise
+    key = _pair_key(am, bm, tol)
+    pair = numkit._memo.get(key)
+    if pair is None:
+        ah, wa, bh, wb = _psd_pair(am, bm, tol)
+        value, blk = _parallel_core(ah, wa, bh, wb, tol)
+        pair = _Pair(ah, wa, bh, wb, value, blk._t22)
+        numkit._memo.put(key, pair)
+    return key, pair
+
+
+def _remember(key: bytes, pair: _Pair, **found) -> _Pair:
+    """The pair's analysis with ``found`` added, kept in place of the old entry."""
+    pair = _Pair(**{**vars(pair), **found})
+    numkit._memo.put(key, pair)
+    return pair
+
+
 def parallel_sum(a, b, tol: Tol = DEFAULT_TOL) -> ParallelSumResult:
     """Parallel sum A : B of two PSD matrices of the same size.
 
@@ -144,19 +201,22 @@ def parallel_sum(a, b, tol: Tol = DEFAULT_TOL) -> ParallelSumResult:
     ShapeMismatch
         If the shapes differ.
     """
-    ah, wa, bh, wb = _psd_pair(a, b, tol)
-    value, _ = _parallel_core(ah, wa, bh, wb, tol)
-    agreement = 0.0
-    if _is_pd(wa, tol) and _is_pd(wb, tol):
-        agreement = opnorm(_pd_formula(ah, bh) - value)
-    return ParallelSumResult(value=value, route_agreement=float(agreement), _a=ah, _b=bh)
+    key, pair = _pair(a, b, tol)
+    if pair.agreement is None:
+        agreement = 0.0
+        if _is_pd(pair.wa, tol) and _is_pd(pair.wb, tol):
+            agreement = opnorm(_pd_formula(pair.ah, pair.bh) - pair.value)
+        pair = _remember(key, pair, agreement=float(agreement))
+    return ParallelSumResult(value=pair.value.copy(), route_agreement=pair.agreement, _a=pair.ah, _b=pair.bh)
 
 
 def hansen_inequality_check(a, b, c, tol: Tol = DEFAULT_TOL) -> float:
     """Smallest eigenvalue of C* A C + (I - C)* B (I - C) - A : B.
 
     The inequality says this is nonnegative for every square C; the caller
-    decides what slack to allow for round-off.
+    decides what slack to allow for round-off.  A and B are analysed once per
+    process (module docstring), so a loop over C costs one A : B per distinct
+    pair.
     """
     return _hansen_worst(a, b, (as_matrix(c, "C"),), tol)
 
@@ -170,11 +230,11 @@ def _variational(x: np.ndarray, ah: np.ndarray, bh: np.ndarray) -> np.ndarray:
 def _hansen_worst(a, b, probes, tol: Tol) -> float:
     """Smallest :func:`hansen_inequality_check` value over the probes C.
 
-    A and B are validated and A : B computed once for all probes, without
-    :func:`parallel_sum`'s cross-check.
+    A and B are validated and A : B computed once for all probes, on a miss
+    of the pair's analysis, without :func:`parallel_sum`'s cross-check.
     """
-    ah, wa, bh, wb = _psd_pair(a, b, tol)
-    ps = _parallel_core(ah, wa, bh, wb, tol)[0]
+    pair = _pair(a, b, tol)[1]
+    ah, bh, ps = pair.ah, pair.bh, pair.value
     worst = None
     for c in probes:
         cm = as_matrix(c, "C")
@@ -255,7 +315,8 @@ def solve_parallel_equation(a, b, tol: Tol = DEFAULT_TOL) -> ParallelEquationSol
     """Solve (A + B) X = B in the reduced sense and certify the variational
     identity X* A X + (I - X)* B (I - X) = A : B.
 
-    A + B is T22 of the partition behind A : B; the solve reads its SVD.
+    A + B is T22 of the partition behind A : B; the solve reads its SVD from
+    the pair's analysis, which keeps the certified solution once found.
 
     Raises
     ------
@@ -264,25 +325,27 @@ def solve_parallel_equation(a, b, tol: Tol = DEFAULT_TOL) -> ParallelEquationSol
         tol.residual_rel * (||A|| + ||B||); for PSD inputs this bound cannot
         fail mathematically, only numerically.
     """
-    ah, wa, bh, wb = _psd_pair(a, b, tol)
-    ps, blk = _parallel_core(ah, wa, bh, wb, tol)
-    f = blk._t22
-    sol = _solve(blk.T22, f, bh, tol)
-    x = sol.D
-    eq_residual = opnorm(_variational(x, ah, bh) - ps)
-    bound = tol.residual_rel * (_norm(wa) + _norm(wb))
-    if eq_residual > bound:
-        raise InternalInvariantViolation(
-            f"variational identity missed by {eq_residual:.3e} (bound {bound:.3e})"
-        )
-    r = f.rank(tol)
-    cond_on_range = float(f.s[0] / f.s[r - 1]) if r else 0.0
-    return ParallelEquationSolution(
-        X=x,
-        norm=opnorm(x),
-        diagnostics={
-            "equation_residual": float(eq_residual),
-            "solve_residual": float(sol.residual),
-            "cond_on_range": cond_on_range,
-        },
-    )
+    key, pair = _pair(a, b, tol)
+    if pair.solution is None:
+        ah, bh, f = pair.ah, pair.bh, pair.t22
+        sol = _solve(ah + bh, f, bh, tol)
+        x = sol.D
+        eq_residual = opnorm(_variational(x, ah, bh) - pair.value)
+        bound = tol.residual_rel * (_norm(pair.wa) + _norm(pair.wb))
+        if eq_residual > bound:
+            raise InternalInvariantViolation(
+                f"variational identity missed by {eq_residual:.3e} (bound {bound:.3e})"
+            )
+        r = f.rank(tol)
+        cond_on_range = float(f.s[0] / f.s[r - 1]) if r else 0.0
+        pair = _remember(key, pair, solution=ParallelEquationSolution(
+            X=x,
+            norm=opnorm(x),
+            diagnostics={
+                "equation_residual": float(eq_residual),
+                "solve_residual": float(sol.residual),
+                "cond_on_range": cond_on_range,
+            },
+        ))
+    sol = pair.solution
+    return ParallelEquationSolution(X=sol.X.copy(), norm=sol.norm, diagnostics=dict(sol.diagnostics))

@@ -710,13 +710,12 @@ def test_parallel_sum_rejects_indefinite(capsys, tmp_path):
         assert capsys.readouterr().err == f"opshort: {exc.value}\n"
 
 
-def test_parallel_sum_validates_a_and_b_once(capsys, tmp_path, monkeypatch):
+def test_parallel_sum_validates_a_and_b_once(capsys, tmp_path, monkeypatch, fresh_memo):
     # the handler makes one public parallel_sum call, whose result carries
     # the regularized trend, so A and B are validated once each; the payload
     # is the one the public result gives
     argv = next(a for a in _seeded_invocations(tmp_path) if a[0] == "parallel-sum")
     a, b = load_matrix(argv[2]), load_matrix(argv[4])
-    res = parallel.parallel_sum(a, b)
     assert cli.parallel_sum is parallel.parallel_sum
     sums = []
     monkeypatch.setattr(cli, "parallel_sum", lambda *args: sums.append(args) or parallel.parallel_sum(*args))
@@ -729,6 +728,7 @@ def test_parallel_sum_validates_a_and_b_once(capsys, tmp_path, monkeypatch):
     assert len(sums) == 1
     assert [m.tobytes() for m in validated] == [a.tobytes(), b.tobytes()]
     assert len(eigvalsh) == 2
+    res = parallel.parallel_sum(a, b)  # after the handler's call, which it must not feed
     assert np.array_equal(matrix_from_json_dict(payload["value"]), res.value)
     assert payload["route_agreement"] == res.route_agreement
     assert payload["regularized"] == {str(eps): dev for eps, dev in res.regularized.items()}
@@ -760,9 +760,10 @@ def test_hansen_probe_mode_deterministic(capsys, tmp_path):
     assert payload["lambda_min_worst"] >= -1e-8 * 4.0
 
 
-def test_hansen_probe_mode_computes_the_parallel_sum_once(capsys, tmp_path, monkeypatch):
+def test_hansen_probe_mode_computes_the_parallel_sum_once(capsys, tmp_path, monkeypatch, fresh_memo):
     # the probes share one validation and one A : B, and the worst value is
-    # the very float that one public call per probe gives
+    # the very float that one public call per probe gives; those calls read
+    # the pair's analysis from the memo and compute no A : B of their own
     n, probes, seed = 5, 20, 3
     x = RNG.standard_normal((n, 3)) + 1j * RNG.standard_normal((n, 3))
     a = _write(tmp_path, "a.json", x @ x.conj().T)  # singular PSD
@@ -789,7 +790,7 @@ def test_hansen_probe_mode_computes_the_parallel_sum_once(capsys, tmp_path, monk
         for _ in range(probes)
     )
     assert payload["lambda_min_worst"] == worst
-    assert len(calls) == 1 + probes
+    assert len(calls) == 1
 
 
 def test_hansen_probe_mode_validates_once_with_the_same_errors(capsys, tmp_path):

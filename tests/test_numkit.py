@@ -1155,15 +1155,8 @@ def test_json_dict_names_the_first_bad_entry_like_the_per_entry_decoder(bad, k):
     assert f"data[{k}]" in str(got.value)
 
 
-@pytest.fixture
-def fresh_load_cache(monkeypatch):
-    """An empty load_matrix cache, so a test that counts decodes sees every one
-    whatever ran before it."""
-    monkeypatch.setattr(numkit, "_decoded", numkit._DecodedFiles())
-
-
 @pytest.mark.parametrize("kind", ["complex", "real"])
-def test_json_round_trip_skips_the_per_entry_path(tmp_path, monkeypatch, fresh_load_cache, kind):
+def test_json_round_trip_skips_the_per_entry_path(tmp_path, monkeypatch, fresh_memo, kind):
     # a file save_matrix writes decodes with no Python code per entry
     m = rand_complex(RNG, 96, 96) if kind == "complex" else RNG.normal(size=(96, 96))
     calls = []
@@ -1192,14 +1185,14 @@ def _count_decodes(monkeypatch):
 
 
 def _cached_arrays():
-    return list(numkit._decoded._arrays.values())
+    return [value for value, _ in numkit._memo._entries.values()]
 
 
 def test_load_cache_budget_is_4_mib():
     assert numkit._LOAD_CACHE_BYTES == 4 * 2**20
 
 
-def test_same_bytes_under_another_path_decode_once(tmp_path, monkeypatch, fresh_load_cache):
+def test_same_bytes_under_another_path_decode_once(tmp_path, monkeypatch, fresh_memo):
     calls = _count_decodes(monkeypatch)
     m = rand_complex(RNG, 5, 4)
     save_matrix(tmp_path / "a.json", m)
@@ -1209,7 +1202,7 @@ def test_same_bytes_under_another_path_decode_once(tmp_path, monkeypatch, fresh_
     assert all(g.dtype == m.dtype and g.tobytes() == m.tobytes() for g in got)
 
 
-def test_each_load_returns_a_fresh_writeable_array(tmp_path, fresh_load_cache):
+def test_each_load_returns_a_fresh_writeable_array(tmp_path, fresh_memo):
     m = RNG.normal(size=(3, 3))
     save_matrix(tmp_path / "m.json", m)
     first = load_matrix(tmp_path / "m.json")
@@ -1221,7 +1214,7 @@ def test_each_load_returns_a_fresh_writeable_array(tmp_path, fresh_load_cache):
     assert all(not a.flags.writeable for a in _cached_arrays())
 
 
-def test_rewritten_file_with_restored_mtime_loads_its_new_content(tmp_path, fresh_load_cache):
+def test_rewritten_file_with_restored_mtime_loads_its_new_content(tmp_path, fresh_memo):
     path = tmp_path / "m.json"
     path.write_text('{"cols":1,"data":[[1.5,0.0]],"rows":1}\n', encoding="utf-8")
     stat = path.stat()
@@ -1244,7 +1237,7 @@ def test_rewritten_file_with_restored_mtime_loads_its_new_content(tmp_path, fres
     ids=["null_part", "nan", "length", "truncated", "bom"],
 )
 def test_malformed_file_raises_the_same_error_every_call_and_is_not_kept(
-    tmp_path, monkeypatch, fresh_load_cache, text, decodes
+    tmp_path, monkeypatch, fresh_memo, text, decodes
 ):
     path = tmp_path / "bad.json"
     path.write_text(text, encoding="utf-8")
@@ -1257,11 +1250,11 @@ def test_malformed_file_raises_the_same_error_every_call_and_is_not_kept(
             load_matrix(path)
         assert str(got.value) == str(want.value)
     assert len(calls) == decodes
-    assert _cached_arrays() == [] and numkit._decoded.nbytes == 0
+    assert _cached_arrays() == [] and numkit._memo.nbytes == 0
 
 
 def test_cache_stays_within_its_budget_and_evicts_the_least_recently_used(
-    tmp_path, monkeypatch, fresh_load_cache
+    tmp_path, monkeypatch, fresh_memo
 ):
     monkeypatch.setattr(numkit, "_LOAD_CACHE_BYTES", 4096)  # four 8x8 complex arrays
     calls = _count_decodes(monkeypatch)
@@ -1273,7 +1266,7 @@ def test_cache_stays_within_its_budget_and_evicts_the_least_recently_used(
     def load(k):
         load_matrix(paths[k])
         held = _cached_arrays()
-        assert numkit._decoded.nbytes == sum(a.nbytes for a in held) <= 4096
+        assert numkit._memo.nbytes == sum(a.nbytes for a in held) <= 4096
 
     for k in (0, 1, 2, 3, 0, 4):  # reusing 0 leaves 1 the least recently used
         load(k)
@@ -1291,7 +1284,7 @@ def test_cache_stays_within_its_budget_and_evicts_the_least_recently_used(
     assert all(a is b for a, b in zip(_cached_arrays(), held, strict=True))
 
 
-def test_concurrent_loads_each_return_their_own_file(tmp_path, monkeypatch, fresh_load_cache):
+def test_concurrent_loads_each_return_their_own_file(tmp_path, monkeypatch, fresh_memo):
     # a budget for three of the six files keeps eviction running under contention
     monkeypatch.setattr(numkit, "_LOAD_CACHE_BYTES", 3 * 6 * 6 * 16)
     want = {}
@@ -1316,12 +1309,12 @@ def test_concurrent_loads_each_return_their_own_file(tmp_path, monkeypatch, fres
     for t in threads:
         t.join()
     assert errors_seen == [] and mismatches == []
-    assert numkit._decoded.nbytes == sum(a.nbytes for a in _cached_arrays()) <= 3 * 6 * 6 * 16
+    assert numkit._memo.nbytes == sum(a.nbytes for a in _cached_arrays()) <= 3 * 6 * 6 * 16
     # two threads that decode the same text before either stores it store it once
-    monkeypatch.setattr(numkit, "_decoded", numkit._DecodedFiles())
+    monkeypatch.setattr(numkit, "_memo", numkit._Memo())
     for _ in range(2):
-        numkit._decoded.put(b"same text", np.zeros((2, 2)))
-    assert len(_cached_arrays()) == 1 and numkit._decoded.nbytes == 32
+        numkit._memo.put(b"same text", np.zeros((2, 2)))
+    assert len(_cached_arrays()) == 1 and numkit._memo.nbytes == 32
 
 
 def test_as_matrix_shape_guard():
@@ -1369,7 +1362,7 @@ def _through_json(m):
 
 
 @pytest.mark.parametrize("imag", sorted(_IMAG_DTYPE))
-def test_real_valued_operands_reach_the_real_drivers(monkeypatch, imag):
+def test_real_valued_operands_reach_the_real_drivers(monkeypatch, fresh_memo, imag):
     # every JSON entry carries an imaginary part: a file whose imaginary parts
     # are all zero loads as float64 and runs the real drivers throughout
     rng = np.random.default_rng(47)
@@ -1384,7 +1377,7 @@ def test_real_valued_operands_reach_the_real_drivers(monkeypatch, imag):
     block = partition(a, pm, pm)
     verify_range_kernel(block, shorted(block))
     value = parallel_sum(a, b).value
-    hansen_inequality_check(a, b, np.eye(6) / 2)
+    hansen_inequality_check(b, a, np.eye(6) / 2)  # (b, a): parallel_sum's analysis of (a, b) would serve (a, b)
     lemma_69_check(a, b)
     # SVDs: opnorm, _svd_factor, 4 in verify_range_kernel and the pipeline's;
     # eigvalsh: 2 validations in parallel_sum, 2 + 1 in hansen, 1 + 1 in lemma

@@ -419,11 +419,10 @@ def _reference_equation(a, b):
 
 
 @pytest.mark.parametrize("kind", ["pd", "singular"])
-def test_equation_factors_a_plus_b_once(kind, monkeypatch):
+def test_equation_factors_a_plus_b_once(kind, monkeypatch, fresh_memo):
     n = 32
     rank = n if kind == "pd" else 3 * n // 4
     a, b = _herm(rand_psd(RNG, n, rank)), _herm(rand_psd(RNG, n, rank))
-    x_ref, diag_ref = _reference_equation(a, b)
     svds = record_svd(monkeypatch)
     invs = record_linalg(monkeypatch, "inv")
     eigs = record_linalg(monkeypatch, "eigvalsh")
@@ -436,20 +435,21 @@ def test_equation_factors_a_plus_b_once(kind, monkeypatch):
     assert invs == []
     # A and B are validated once each
     assert [m.shape for m, _ in eigs] == [(n, n), (n, n)]
+    x_ref, diag_ref = _reference_equation(a, b)  # after the solve, so its A : B does not feed it
     assert np.array_equal(sol.X, x_ref)
     assert sol.diagnostics == diag_ref
 
 
-def test_hansen_check_validates_once_without_the_cross_check(monkeypatch):
+def test_hansen_check_validates_once_without_the_cross_check(monkeypatch, fresh_memo):
     a, b = rand_pd(RNG, 8), rand_pd(RNG, 8)
     c = rand_pd(RNG, 8)
-    expected = hansen_inequality_check(a, b, c)
     invs = record_linalg(monkeypatch, "inv")
     eigs = record_linalg(monkeypatch, "eigvalsh")
-    assert hansen_inequality_check(a, b, c) == expected
+    got = hansen_inequality_check(a, b, c)
     assert invs == []
     # one per operand and one for the probe
     assert len(eigs) == 3
+    assert hansen_inequality_check(a, b, c) == got
 
 
 # --- A : B's partition, stated from its corners ---------------------------------------
@@ -506,3 +506,195 @@ def test_parallel_entry_points_build_no_projector_partition_or_lift(monkeypatch,
     p = shorting._coordinate_projector(16, 8)
     shorted(shorting.partition(np.block([[a, a], [a, a + b]]), p, p)).shorted
     assert called == ["_coordinate_projector", "partition", "_embed"]
+
+
+# --- the process memo: each PSD pair analysed once ------------------------------------
+
+
+MEMO_RNG = np.random.default_rng(3232)  # its own stream, so these pairs shift no other test's draws
+
+
+def _memo_pairs():
+    """A positive definite and a singular pair, real and complex, n = 8."""
+    out = {}
+    for is_complex in (False, True):
+        def draw(k, is_complex=is_complex):
+            z = MEMO_RNG.standard_normal((8, k))
+            return z + 1j * MEMO_RNG.standard_normal((8, k)) if is_complex else z
+
+        kind = "complex" if is_complex else "real"
+        out[f"pd_{kind}"] = [z @ z.conj().T for z in (draw(8), draw(8))]
+        out[f"singular_{kind}"] = [z @ z.conj().T for z in (draw(5), draw(6))]
+    return out
+
+
+_MEMO_PAIRS = _memo_pairs()
+
+
+def _outcome(a, b, c):
+    """Every number the three memo readers report for (A, B), in call order."""
+    res = parallel_sum(a, b)
+    sol = solve_parallel_equation(a, b)
+    return {
+        "value": res.value, "route_agreement": res.route_agreement, "regularized": res.regularized,
+        "X": sol.X, "norm": sol.norm, "diagnostics": sol.diagnostics,
+        "lambda_min": hansen_inequality_check(a, b, c),
+    }
+
+
+def _same_outcome(got, want):
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        if isinstance(value, np.ndarray):
+            assert same_bytes(got[key], value), key
+        else:
+            assert got[key] == value, key  # floats and dicts of floats: bitwise equal or not
+
+
+def _count_cores(monkeypatch):
+    calls = []
+    real = parallel._parallel_core
+    monkeypatch.setattr(parallel, "_parallel_core", lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(_MEMO_PAIRS))
+def test_memo_hits_give_the_cold_numbers_bitwise(name, monkeypatch, fresh_memo):
+    a, b = _MEMO_PAIRS[name]
+    c = MEMO_RNG.standard_normal((8, 8))
+    cold = {}
+    for reader in ("parallel_sum", "solve", "hansen"):  # each alone on an empty memo
+        monkeypatch.setattr(numkit, "_memo", numkit._Memo())
+        if reader == "parallel_sum":
+            res = parallel_sum(a, b)
+            cold.update(value=res.value, route_agreement=res.route_agreement, regularized=res.regularized)
+        elif reader == "solve":
+            sol = solve_parallel_equation(a, b)
+            cold.update(X=sol.X, norm=sol.norm, diagnostics=sol.diagnostics)
+        else:
+            cold["lambda_min"] = hansen_inequality_check(a, b, c)
+    monkeypatch.setattr(numkit, "_memo", numkit._Memo())
+    cores = _count_cores(monkeypatch)
+    _same_outcome(_outcome(a, b, c), cold)  # the solve and hansen read parallel_sum's analysis
+    _same_outcome(_outcome(a, b, c), cold)  # every number from the memo
+    assert len(cores) == 1
+
+
+def test_a_second_hansen_check_or_solve_computes_no_core(monkeypatch, fresh_memo):
+    a, b = _MEMO_PAIRS["singular_complex"]
+    cores = _count_cores(monkeypatch)
+    first = hansen_inequality_check(a, b, np.eye(8) / 3)
+    assert len(cores) == 1
+    assert hansen_inequality_check(a, b, np.eye(8) / 3) == first
+    assert hansen_inequality_check(a, b, np.eye(8) / 5) >= -1e-9  # another C, the same A : B
+    solve_parallel_equation(a, b)
+    solve_parallel_equation(a, b)
+    assert len(cores) == 1
+    # list operands coerce to the same bytes: the same pair
+    hansen_inequality_check(a.tolist(), b.tolist(), np.eye(8))
+    assert len(cores) == 1
+
+
+def test_mutating_a_returned_array_does_not_reach_the_next_call(fresh_memo):
+    a, b = _MEMO_PAIRS["pd_real"]
+    res, sol = parallel_sum(a, b), solve_parallel_equation(a, b)
+    value, x, diagnostics = res.value.copy(), sol.X.copy(), dict(sol.diagnostics)
+    assert res.value.flags.writeable and sol.X.flags.writeable
+    res.value[:] = 7.0
+    sol.X[:] = 7.0
+    sol.diagnostics["equation_residual"] = 7.0
+    again, sol_again = parallel_sum(a, b), solve_parallel_equation(a, b)
+    assert same_bytes(again.value, value) and same_bytes(sol_again.X, x)
+    assert sol_again.diagnostics == diagnostics
+    assert not np.shares_memory(again.value, parallel_sum(a, b).value)
+
+
+def test_the_key_tells_apart_dtype_shape_and_tol(fresh_memo):
+    zeros = np.zeros(16)  # one set of bytes read as three operand pairs
+    pairs = [zeros[:8].reshape(2, 4), zeros[:8].reshape(4, 2), zeros[:8].view(np.complex128).reshape(2, 2)]
+    keys = {parallel._pair_key(m, m, DEFAULT_TOL) for m in pairs}
+    keys.add(parallel._pair_key(pairs[0], pairs[0], parallel.Tol(1e-6)))
+    assert len(keys) == 4
+    # through the public calls: equal values as float64 and complex128, and two Tols
+    a, b = _MEMO_PAIRS["pd_real"]
+    got = [parallel_sum(a, b), parallel_sum(a + 0j, b + 0j), parallel_sum(a, b, parallel.Tol(1e-6))]
+    assert [g.value.dtype for g in got] == [np.float64, np.complex128, np.float64]
+    assert len(numkit._memo._entries) == 3
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (np.diag([1.0, -1.0]), np.eye(2)),
+        (np.eye(2), np.diag([1.0, -1.0])),
+        (np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2)),
+        (np.eye(2), np.eye(3)),
+        (np.diag([1.0, -1.0]), [[np.nan]]),  # A's own error first, as validation orders them
+        (np.eye(2), [["1"]]),
+    ],
+    ids=["a_indefinite", "b_indefinite", "not_hermitian", "shapes", "a_before_b_coercion", "b_not_numeric"],
+)
+def test_an_invalid_pair_raises_the_same_error_every_call_and_is_not_kept(a, b, fresh_memo):
+    with pytest.raises(Exception) as want:
+        parallel._psd_pair(a, b, DEFAULT_TOL)
+    for call in (parallel_sum, solve_parallel_equation, lambda a, b: hansen_inequality_check(a, b, np.eye(2))) * 2:
+        with pytest.raises(type(want.value)) as got:
+            call(a, b)
+        assert str(got.value) == str(want.value)
+    assert numkit._memo._entries == {} and numkit._memo.nbytes == 0
+
+
+def _held_arrays(value):
+    """The arrays of a memo entry, listed by hand: a decoded file, or a pair's
+    parts, its dense SVD factor and its solution's X."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    held = [value.ah, value.wa, value.bh, value.wb, value.value, value.t22.u, value.t22.s, value.t22.vh]
+    assert value.t22.split is None
+    return held + ([value.solution.X] if value.solution is not None else [])
+
+
+def test_the_memo_keeps_within_its_one_cap_counting_every_array(tmp_path, monkeypatch, fresh_memo):
+    entry = 5 * 8 * 8 * 16 + 3 * 8 * 16  # a complex n = 8 pair with its solution
+    monkeypatch.setattr(numkit, "_LOAD_CACHE_BYTES", 2 * entry + 8 * 8 * 16)
+    names = sorted(_MEMO_PAIRS)
+    for step in range(12):
+        a, b = _MEMO_PAIRS[names[step % 4]]
+        path = tmp_path / f"m{step % 5}.json"
+        save_matrix(path, a)
+        numkit.load_matrix(path)
+        (parallel_sum, solve_parallel_equation)[step % 2](a, b)
+        held = [x for value, _ in numkit._memo._entries.values() for x in _held_arrays(value)]
+        assert numkit._memo.nbytes == sum(x.nbytes for x in held) <= numkit._LOAD_CACHE_BYTES
+        assert not any(x.flags.writeable for x in held)
+    # an analysis larger than the whole cap is not kept, and the results stay the same
+    a, b = _MEMO_PAIRS["pd_complex"]
+    want = parallel_sum(a, b).value
+    monkeypatch.setattr(numkit, "_memo", numkit._Memo())
+    monkeypatch.setattr(numkit, "_LOAD_CACHE_BYTES", entry // 2)
+    assert same_bytes(parallel_sum(a, b).value, want)
+    assert numkit._memo._entries == {} and numkit._memo.nbytes == 0
+
+
+def test_two_threads_on_one_pair_get_equal_results(fresh_memo):
+    import threading
+
+    a, b = _MEMO_PAIRS["singular_real"]
+    c = np.eye(8) / 3
+    outcomes, errors_seen = [], []
+
+    def worker():
+        try:
+            for _ in range(20):
+                outcomes.append(_outcome(a, b, c))
+        except Exception as exc:  # noqa: BLE001 - any failure fails the test
+            errors_seen.append(exc)
+
+    threads = [threading.Thread(target=worker) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert errors_seen == [] and len(outcomes) == 40
+    for got in outcomes[1:]:
+        _same_outcome(got, outcomes[0])
